@@ -61,6 +61,7 @@ from .syntax import (
     Diamond,
     Formula,
     FragmentDescriptor,
+    InternalError,
     Modality,
     Not,
     NotClausalError,

@@ -5,15 +5,17 @@ hierarchy.  Formulas come from the command line or stdin; models come from
 JSON files.  `--json` switches every verb to machine-readable output.
 
 Exit codes: 64 usage, 65 bad formula or model data, 66 unreadable file,
-69 resource cap.  `sat` exits 0/1/2 for satisfiable / unsatisfiable /
-unknown at the bound; `check` exits 0/1 for true/false; `equiv` and
-`search` exit 0/1 for found/not.
+69 resource cap, 70 internal error (a guarantee the library re-checks
+failed, which is a bug in knfrag).  `sat` exits 0/1/2 for satisfiable /
+unsatisfiable / unknown at the bound; `check` exits 0/1 for true/false;
+`equiv` and `search` exit 0/1 for found/not.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .expressiveness import (
@@ -38,6 +40,7 @@ from .solver import (
     tree_model_bound,
 )
 from .syntax import (
+    InternalError,
     NotClausalError,
     ParseError,
     classify,
@@ -53,6 +56,7 @@ EX_USAGE = 64
 EX_DATAERR = 65
 EX_NOINPUT = 66
 EX_UNAVAILABLE = 69
+EX_SOFTWARE = 70
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -125,7 +129,7 @@ def _cmd_sat(args) -> int:
     f = parse(_read_formula(args.formula))
     if args.engine == "brute":
         cap = args.cap if args.cap is not None else DEFAULT_MODEL_CAP
-        max_worlds = args.max_worlds or tree_model_bound(f, cap)
+        max_worlds = args.max_worlds or tree_model_bound(f, cap=math.inf)
         result = sat_bruteforce(f, max_worlds, model_cap=cap)
     else:
         cap = args.cap if args.cap is not None else DEFAULT_NODE_CAP
@@ -222,7 +226,7 @@ def _build_parser() -> _ArgumentParser:
         "--cap",
         type=int,
         default=None,
-        help="resource ceiling for the solvers (models or tableau nodes)",
+        help="resource ceiling for the solvers (enumerated trees or tableau nodes)",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -291,6 +295,9 @@ def main(argv=None) -> int:
     except CapExceeded as e:
         sys.stderr.write(f"resource cap exceeded: {e}\n")
         return EX_UNAVAILABLE
+    except InternalError as e:
+        sys.stderr.write(f"internal error: {e}\n")
+        return EX_SOFTWARE
     except ValueError as e:
         sys.stderr.write(f"error: {e}\n")
         return EX_DATAERR

@@ -3,8 +3,9 @@
 `sat_bruteforce` walks canonical tree-shaped models in a fixed order (node
 count ascending, then root letter mask, then the sorted child entries),
 with the root as the designated world.  Trees with depth up to the
-formula's modal nesting depth and branching up to its diamond count are a
-complete class for satisfiability, so exhausting them up to
+formula's modal nesting depth, in which a node at depth d has at most as
+many children as the NNF formula has diamond occurrences at modal depth
+d, are a complete class for satisfiability, so exhausting them up to
 `tree_model_bound` worlds certifies unsatisfiability.  `sat_tableau` is a
 complete decision procedure; every satisfiable verdict from either engine
 carries a witness that is re-validated with `check` before being returned.
@@ -21,6 +22,7 @@ from .syntax import (
     Box,
     Diamond,
     Formula,
+    InternalError,
     Not,
     Or,
     Prop,
@@ -87,60 +89,57 @@ def to_nnf(f: Formula) -> Formula:
     return Diamond(g.modality, to_nnf(Not(g.operand)))
 
 
-def _nesting_depth(f: Formula) -> int:
-    if isinstance(f, (Diamond, Box)):
-        return 1 + _nesting_depth(f.operand)
-    if isinstance(f, (Or, And)):
-        return max(_nesting_depth(f.left), _nesting_depth(f.right))
-    if isinstance(f, Not):
-        return _nesting_depth(f.operand)
-    return 0
+def _diamond_profile(nnf: Formula) -> list[int]:
+    """Diamond occurrences of an NNF formula at each modal depth.
+
+    Entry d counts the diamonds that sit under exactly d modal operators;
+    the list runs from depth 0 to the modal nesting depth, so its length
+    is the nesting depth plus one and its last entry is 0.
+    """
+    counts = [0]
+    stack = [(nnf, 0)]
+    while stack:
+        g, d = stack.pop()
+        if isinstance(g, (Diamond, Box)):
+            if isinstance(g, Diamond):
+                counts[d] += 1
+            if d + 1 == len(counts):
+                counts.append(0)
+            stack.append((g.operand, d + 1))
+        elif isinstance(g, (Or, And)):
+            stack.append((g.left, d))
+            stack.append((g.right, d))
+        elif isinstance(g, Not):
+            stack.append((g.operand, d))
+    return counts
 
 
-def _diamond_count(f: Formula) -> int:
-    if isinstance(f, Diamond):
-        return 1 + _diamond_count(f.operand)
-    if isinstance(f, Box):
-        return _diamond_count(f.operand)
-    if isinstance(f, (Or, And)):
-        return _diamond_count(f.left) + _diamond_count(f.right)
-    if isinstance(f, Not):
-        return _diamond_count(f.operand)
-    return 0
+def _world_bound(profile: list[int]) -> int:
+    branching = max(1, sum(profile))
+    return sum(branching**k for k in range(len(profile)))
 
 
 def tree_model_bound(f: Formula, cap: int = DEFAULT_MODEL_CAP) -> int:
     """A world count B such that f is satisfiable iff it has a model with
     at most B worlds: sum of D^k for k up to the modal nesting depth,
     where D counts diamond occurrences after NNF (at least 1)."""
-    g = to_nnf(f)
-    d = _nesting_depth(g)
-    branching = max(1, _diamond_count(g))
-    bound = sum(branching**k for k in range(d + 1))
-    return min(bound, cap)
+    return min(_world_bound(_diamond_profile(to_nnf(f))), cap)
 
 
 # --- Canonical tree-model enumeration ---
 
 
-def _vtrees(n: int, depth: int, branch: int, n_labels: int, n_letters: int, memo) -> list:
-    """Canonical valuated trees with exactly n nodes.
-
-    A valuated tree is (letter_mask, entries) with entries a sorted tuple
-    of (edge_label, child_tree).  Keeping sibling entries sorted quotients
-    out both sibling orderings and world renamings, so every tree model of
-    this size appears exactly once.
-    """
+def _bodies(n: int, level: int, profile, n_labels: int, n_letters: int, memo) -> list:
+    """Sorted child-entry tuples for a node at `level` whose subtree has
+    exactly n nodes, with at most profile[level] children."""
     if n == 1:
-        return [(mask, ()) for mask in range(1 << n_letters)]
-    if depth == 0 or n_labels == 0:
+        return [()]
+    branch = profile[level]
+    if branch == 0:
         return []
-    key = (n, depth)
-    if key in memo:
-        return memo[key]
     pool = []
     for size in range(1, n):
-        for sub in _vtrees(size, depth - 1, branch, n_labels, n_letters, memo):
+        for sub in _vtrees(size, level + 1, profile, n_labels, n_letters, memo):
             for label in range(n_labels):
                 pool.append((size, (label, sub)))
     pool.sort()
@@ -161,11 +160,31 @@ def _vtrees(n: int, depth: int, branch: int, n_labels: int, n_letters: int, memo
             chosen.pop()
 
     pick(n - 1, branch, 0, [])
-    out = [
-        (mask, body) for mask in range(1 << n_letters) for body in bodies
-    ]
-    memo[key] = out
-    return out
+    return bodies
+
+
+def _vtrees(n: int, level: int, profile, n_labels: int, n_letters: int, memo) -> list:
+    """Canonical valuated trees with exactly n nodes rooted at `level`.
+
+    A valuated tree is (letter_mask, entries) with entries a sorted tuple
+    of (edge_label, child_tree).  Keeping sibling entries sorted quotients
+    out both sibling orderings and world renamings, so every tree model of
+    this size appears exactly once.  Lists are memoized per (n, level);
+    the root level is streamed by `sat_bruteforce` instead.
+    """
+    key = (n, level)
+    if key not in memo:
+        bodies = _bodies(n, level, profile, n_labels, n_letters, memo)
+        memo[key] = [(mask, body) for mask in range(1 << n_letters) for body in bodies]
+    return memo[key]
+
+
+def _largest_tree(profile: list[int]) -> int:
+    """Node count of the largest tree the per-depth branching allows."""
+    size = 0
+    for branch in reversed(profile):
+        size = 1 + branch * size
+    return size
 
 
 def _vtree_to_model(vtree, mods, letter_sets, alphabet) -> KripkeModel:
@@ -203,21 +222,21 @@ def sat_bruteforce(
     """Exhaustive bounded satisfiability over canonical tree models.
 
     Walks every tree model (up to renaming and sibling order) with depth
-    at most the formula's modal nesting depth and branching at most its
-    diamond count, node counts ascending; that class is satisfiability
-    complete, so exhausting it up to `tree_model_bound(f)` worlds proves
-    UNSAT.  Returns the first witness in the enumeration order, UNSAT when
-    the bound was reached, and UNKNOWN_AT_BOUND otherwise.  Raises
-    `CapExceeded` past `model_cap` enumerated models.
+    at most the formula's modal nesting depth in which a node at depth d
+    has at most as many children as the NNF formula has diamond
+    occurrences at modal depth d, node counts ascending.  That class is
+    satisfiability complete (a selective filtration of any tree model
+    keeps one witness child per diamond), so exhausting it up to
+    `tree_model_bound(f)` worlds proves UNSAT.  Returns the first witness
+    in the enumeration order, UNSAT when `max_worlds` reaches the bound,
+    and UNKNOWN_AT_BOUND otherwise.  Raises `CapExceeded` past
+    `model_cap` enumerated trees of that class.
     """
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
     alpha = tuple(sorted(letters(f)))
     mods = tuple(sorted(formula_modalities(f)))
-    nnf = to_nnf(f)
-    depth = _nesting_depth(nnf)
-    branch = max(1, _diamond_count(nnf))
-    bound = tree_model_bound(f, model_cap)
+    profile = _diamond_profile(to_nnf(f))
     alphabet = frozenset(alpha)
     letter_sets = [
         frozenset(alpha[j] for j in range(len(alpha)) if mask >> j & 1)
@@ -225,16 +244,17 @@ def sat_bruteforce(
     ]
     memo = {}
     count = 0
-    for n in range(1, min(max_worlds, bound) + 1):
-        for vtree in _vtrees(n, depth, branch, len(mods), len(alpha), memo):
-            count += 1
-            if count > model_cap:
-                raise CapExceeded(f"model cap {model_cap} exceeded")
-            model = _vtree_to_model(vtree, mods, letter_sets, alphabet)
-            if check(model, "w0", f):
-                witness = PointedModel(model, "w0")
-                return SatResult(SAT, witness)
-    status = UNSAT if max_worlds >= bound else UNKNOWN_AT_BOUND
+    for n in range(1, min(max_worlds, _largest_tree(profile)) + 1):
+        bodies = _bodies(n, 0, profile, len(mods), len(alpha), memo)
+        for mask in range(1 << len(alpha)):
+            for body in bodies:
+                count += 1
+                if count > model_cap:
+                    raise CapExceeded(f"model cap {model_cap} exceeded")
+                model = _vtree_to_model((mask, body), mods, letter_sets, alphabet)
+                if check(model, "w0", f):
+                    return SatResult(SAT, PointedModel(model, "w0"))
+    status = UNSAT if max_worlds >= _world_bound(profile) else UNKNOWN_AT_BOUND
     return SatResult(status)
 
 
@@ -264,9 +284,9 @@ def sat_tableau(f: Formula, node_cap: int = DEFAULT_NODE_CAP) -> SatResult:
     build(tree)
     alphabet = letters(f)
     model = KripkeModel(KripkeFrame(worlds, relations), valuation, alphabet)
-    witness = PointedModel(model, "w0")
-    assert check(model, "w0", f)
-    return SatResult(SAT, witness)
+    if not check(model, "w0", f):
+        raise InternalError("tableau witness does not satisfy the formula")
+    return SatResult(SAT, PointedModel(model, "w0"))
 
 
 def _expand(pending, budget, pos=(), neg=(), boxes=None, diamonds=()):

@@ -47,6 +47,7 @@ __all__ = [
     "FragmentDescriptor",
     "ParseError",
     "NotClausalError",
+    "InternalError",
     "parse",
     "to_text",
     "recognize_clausal",
@@ -61,6 +62,14 @@ __all__ = [
     "has_diamond",
     "has_box",
 ]
+
+class InternalError(RuntimeError):
+    """A guarantee the library re-checks before returning did not hold.
+
+    This signals a bug in knfrag, never bad input; the checks raising it
+    run under every interpreter flag, `python -O` included.
+    """
+
 
 _IDENT_RE = re.compile(r"_?[a-z][a-z0-9_]*\Z")
 

@@ -35,6 +35,7 @@ from .syntax import (
     ClausalFormula,
     Diamond,
     Formula,
+    InternalError,
     Prop,
     classify,
 )
@@ -139,16 +140,20 @@ def _eliminate(cf: ClausalFormula, bad) -> ClausalFormula:
         clauses[i] = rewritten
         clauses.insert(i + 1, defining)
         steps += 1
-        assert steps <= step_limit, "rewriting failed to shrink"
+        if steps > step_limit:
+            raise InternalError("rewriting failed to shrink")
     result = ClausalFormula(tuple(clauses))
-    assert len(result.clauses) == len(cf.clauses) + steps
+    if len(result.clauses) != len(cf.clauses) + steps:
+        raise InternalError("rewriting did not add one clause per step")
     return result
 
 
 def krom_to_krom_box(cf: ClausalFormula) -> ClausalFormula:
     """Rewrite a Krom formula so no literal contains a diamond."""
     result = _eliminate(cf, Diamond)
-    assert classify(result).box_only and classify(result).krom
+    flags = classify(result)
+    if not (flags.box_only and flags.krom):
+        raise InternalError("box rewriting left a non-Krom or diamond literal")
     return result
 
 
@@ -156,7 +161,9 @@ def krom_to_krom_diamond(cf: ClausalFormula) -> ClausalFormula:
     """Rewrite a Krom formula so no literal contains a box (clause prefixes
     keep their boxes)."""
     result = _eliminate(cf, Box)
-    assert classify(result).diamond_only and classify(result).krom
+    flags = classify(result)
+    if not (flags.diamond_only and flags.krom):
+        raise InternalError("diamond rewriting left a non-Krom or box literal")
     return result
 
 

@@ -198,3 +198,27 @@ def test_parse_error_exit_code():
 def test_cap_exit_code():
     code, _, err = run(["--cap", "5", "sat", "--engine", "brute", "<a>p & <a>q"])
     assert code == 69
+
+
+def test_cap_does_not_clamp_the_world_bound():
+    # <a><a>T needs three worlds: a cap of two trees runs out before them
+    # instead of certifying UNSAT at a two-world bound.
+    argv = ["sat", "--engine", "brute", "--max-worlds", "5", "<a><a>T"]
+    assert run(["--cap", "2"] + argv)[0] == 69
+    assert run(["--cap", "3"] + argv)[0] == 0
+    assert run(["--cap", "2", "sat", "--engine", "brute", "<a><a>T"])[0] == 69
+
+
+def test_default_max_worlds_is_the_full_bound():
+    # tree_model_bound is 12,356,631 here, above the default model cap, but
+    # the enumerated class has at most 27 nodes and no model in it.
+    text = "[a][a][a][a][a]p & [a]F" + " & <a>T" * 26
+    code, out, _ = run(["sat", "--engine", "brute", text])
+    assert (code, out.strip()) == (1, "UNSAT")
+
+
+def test_internal_error_exit_code(monkeypatch):
+    monkeypatch.setattr("knfrag.solver.check", lambda model, world, f: False)
+    code, out, err = run(["sat", "<a>p"])
+    assert code == 70
+    assert out == "" and err.startswith("internal error:")

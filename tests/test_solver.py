@@ -1,13 +1,16 @@
 import random
+import tracemalloc
 
 import pytest
 
 from knfrag import (
     And,
+    InternalError,
     Not,
     check,
     enumerate_models,
     letters,
+    model_to_json,
     parse,
     to_nnf,
 )
@@ -20,7 +23,7 @@ from knfrag.solver import (
     sat_tableau,
     tree_model_bound,
 )
-from helpers import formulas_up_to_size, random_formula
+from helpers import formulas_up_to_size, random_formula, table_check
 
 
 def test_nnf_pushes_negation_to_atoms():
@@ -154,3 +157,94 @@ def test_bruteforce_deterministic():
     second = sat_bruteforce(f, 3)
     assert first.witness.model == second.witness.model
     assert first.witness.world == second.witness.world
+
+
+def test_bruteforce_cap_does_not_clamp_the_world_bound():
+    # <a>T needs two worlds; a cap of one tree must not turn into a
+    # one-world bound that certifies UNSAT.
+    with pytest.raises(CapExceeded):
+        sat_bruteforce(parse("<a>T"), 10, model_cap=1)
+    assert sat_bruteforce(parse("<a>T"), 10, model_cap=2).status == SAT
+
+
+def test_bruteforce_branches_per_modal_depth():
+    # Two diamonds at depth 0 and two at depth 1: trees have at most
+    # 1 + 2 + 2*2 = 7 nodes, so bound 21 is reached after a few hundred
+    # trees instead of the ~93,000 a branching of 4 everywhere walks.
+    assert sat_bruteforce(parse("<a><a>p & ~[a][a]T"), 21, model_cap=200).status == UNSAT
+
+
+def test_bruteforce_cap_bounds_memory():
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            sat_bruteforce(
+                parse("<a>p & <b>q & [a]~p & (r | s | t | u)"), 4, model_cap=20000
+            )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+
+
+# First witnesses of formulas whose per-depth branching is smaller than
+# their diamond count, as the global-branching enumerator found them.
+PINNED_WITNESSES = {
+    "<a>(<a>p & <a>q) & <a>r": {
+        "alphabet": ["p", "q", "r"], "designated": "w0",
+        "relations": {"a": [["w0", "w1"], ["w1", "w2"]]},
+        "valuation": {"w1": ["r"], "w2": ["p", "q"]}, "worlds": ["w0", "w1", "w2"],
+    },
+    "<a>p & <a>q & <a><a>~p": {
+        "alphabet": ["p", "q"], "designated": "w0",
+        "relations": {"a": [["w0", "w1"], ["w1", "w2"]]},
+        "valuation": {"w1": ["p", "q"]}, "worlds": ["w0", "w1", "w2"],
+    },
+    "<a>(<b>p & <b>q) & <b>~p & [b]q": {
+        "alphabet": ["p", "q"], "designated": "w0",
+        "relations": {"a": [["w0", "w2"]], "b": [["w0", "w1"], ["w2", "w3"]]},
+        "valuation": {"w1": ["q"], "w3": ["p", "q"]}, "worlds": ["w0", "w1", "w2", "w3"],
+    },
+    "<a>(p & <a>~p) & <a>(~p & <a>p)": {
+        "alphabet": ["p"], "designated": "w0",
+        "relations": {"a": [["w0", "w1"], ["w0", "w3"], ["w1", "w2"], ["w3", "w4"]]},
+        "valuation": {"w2": ["p"], "w3": ["p"]},
+        "worlds": ["w0", "w1", "w2", "w3", "w4"],
+    },
+}
+
+
+@pytest.mark.parametrize("text", sorted(PINNED_WITNESSES))
+def test_bruteforce_first_witness_pinned(text):
+    f = parse(text)
+    result = sat_bruteforce(f, tree_model_bound(f))
+    assert result.status == SAT
+    witness = model_to_json(result.witness.model, result.witness.world)
+    assert witness == PINNED_WITNESSES[text]
+
+
+def test_engines_agree_on_multimodal_corpus():
+    rng = random.Random(2024)
+    max_worlds = 4
+    for _ in range(1000):
+        f = random_formula(rng, depth=5, letters=("p", "q"), mods=("a", "b"))
+        brute = sat_bruteforce(f, min(tree_model_bound(f), max_worlds))
+        tableau = sat_tableau(f)
+        for result in (brute, tableau):
+            if result.status == SAT:
+                assert table_check(result.witness.model, result.witness.world, f)
+        if brute.status == UNKNOWN_AT_BOUND:
+            # The tableau's witness is a tree in the enumerated class, so
+            # brute force would have met it if it had at most max_worlds.
+            assert (
+                tableau.status == UNSAT
+                or len(tableau.witness.model.frame.worlds) > max_worlds
+            )
+        else:
+            assert brute.status == tableau.status
+
+
+def test_tableau_rejects_a_witness_that_fails_the_check(monkeypatch):
+    monkeypatch.setattr("knfrag.solver.check", lambda model, world, f: False)
+    with pytest.raises(InternalError):
+        sat_tableau(parse("<a>p"))

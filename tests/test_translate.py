@@ -14,6 +14,8 @@ from knfrag import (
 )
 from knfrag import (
     And,
+    FragmentDescriptor,
+    InternalError,
     Not,
     check,
     classify,
@@ -214,3 +216,14 @@ def test_model_conservativity_representative_set():
     for text in dia_cases:
         cf = rc(text)
         assert conservative_both_ways(cf, krom_to_krom_diamond(cf)), text
+
+
+@pytest.mark.parametrize("translate", [krom_to_krom_box, krom_to_krom_diamond])
+def test_translation_rechecks_its_fragment(monkeypatch, translate):
+    # A classifier that sees every output as neither box- nor diamond-only
+    # makes the re-check fail; the failure is an InternalError under every
+    # interpreter flag, not an assert.
+    fake = FragmentDescriptor(True, True, True, False, False)
+    monkeypatch.setattr("knfrag.translate.classify", lambda cf: fake)
+    with pytest.raises(InternalError):
+        translate(rc("<a>p | [a]q"))
