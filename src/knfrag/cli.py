@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .expressiveness import (
@@ -129,7 +128,7 @@ def _cmd_sat(args) -> int:
     f = parse(_read_formula(args.formula))
     if args.engine == "brute":
         cap = args.cap if args.cap is not None else DEFAULT_MODEL_CAP
-        max_worlds = args.max_worlds or tree_model_bound(f, cap=math.inf)
+        max_worlds = args.max_worlds or tree_model_bound(f)
         result = sat_bruteforce(f, max_worlds, model_cap=cap)
     else:
         cap = args.cap if args.cap is not None else DEFAULT_NODE_CAP

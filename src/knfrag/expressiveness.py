@@ -13,6 +13,7 @@ reports step-by-step outcomes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from itertools import product as iproduct
 
 from .combinators import add_successor_world, intersect, override_valuation, product
@@ -21,10 +22,9 @@ from .semantics import (
     KripkeModel,
     PointedModel,
     check,
-    enumerate_extensions,
-    enumerate_models,
+    compile_formula,
+    valuation_batches,
 )
-from .semantics import _models_with_exactly
 from .solver import sat_bruteforce, sat_tableau, tree_model_bound
 from .syntax import (
     Box,
@@ -37,8 +37,6 @@ from .syntax import (
     Prop,
     TOP,
     classify,
-    formula_modalities,
-    letters,
     parse,
     recognize_clausal,
 )
@@ -75,28 +73,36 @@ class Verdict:
     counterexample: Counterexample | None = None
 
 
+def _counterexample(batch, diff, left, right_key) -> Verdict:
+    pointed, a = batch.first_difference(diff, left)
+    return Verdict(COUNTEREXAMPLE, Counterexample(pointed, {"left": a, right_key: not a}))
+
+
 def weak_equiv_check(f: Formula, g: Formula, alphabet=None, max_worlds: int = 3) -> Verdict:
     """Pointwise agreement of f and g on every model over the alphabet
     (and the union of their modalities) with up to `max_worlds` worlds.
 
-    Returns the first disagreement, in the deterministic enumeration
-    order, as a counterexample.
+    Each frame is checked under all of its valuations at once
+    (`semantics.valuation_batches`): the first set bit of the XOR of the
+    two values is the first disagreement in the deterministic order of
+    `enumerate_models` (frame, then valuation mask, then world), which is
+    returned as the counterexample.  Memory per frame is
+    O(nodes * k * 2**(k*|alphabet|)) bits, with k the world count and at
+    most 2**12 valuations per batch.
     """
+    pf, pg = compile_formula(f), compile_formula(g)
+    used = pf.letters | pg.letters
     if alphabet is None:
-        alphabet = letters(f) | letters(g)
+        alphabet = used
     else:
         alphabet = frozenset(str(l) for l in alphabet)
-        if not (letters(f) | letters(g)) <= alphabet:
+        if not used <= alphabet:
             raise ValueError("formulas mention letters outside the alphabet")
-    mods = formula_modalities(f) | formula_modalities(g)
-    for model in enumerate_models(alphabet, mods, max_worlds):
-        for w in model.frame.worlds:
-            a = check(model, w, f)
-            if a != check(model, w, g):
-                return Verdict(
-                    COUNTEREXAMPLE,
-                    Counterexample(PointedModel(model, w), {"left": a, "right": not a}),
-                )
+    for batch in valuation_batches(alphabet, pf.modalities | pg.modalities, max_worlds):
+        left = batch.value(pf)
+        diff = left ^ batch.value(pg)
+        if diff:
+            return _counterexample(batch, diff, left, "right")
     return Verdict(EQUIVALENT_UP_TO_BOUND)
 
 
@@ -104,24 +110,26 @@ def strong_translation_check(
     f: Formula, g: Formula, max_worlds: int = 3, alphabet=None
 ) -> Verdict:
     """Model-extension agreement: on every model over f's alphabet and every
-    world, f holds iff some extension over g's extra letters satisfies g."""
-    base_alpha = frozenset(alphabet) if alphabet is not None else letters(f)
-    if not letters(f) <= base_alpha:
+    world, f holds iff some extension over g's extra letters satisfies g.
+
+    Bitsliced like `weak_equiv_check`: the fresh-letter cells take the low
+    valuation bits, so "some extension satisfies g" is an OR over each
+    block of 2**(k*|fresh|) bits.  The first counterexample is the one the
+    order of `enumerate_models` over f's alphabet meets first.  Memory per
+    frame is O(nodes * k * 2**(k*(|alphabet| + |fresh|))) bits, with at
+    most max(2**12, 2**(k*|fresh|)) valuations per batch.
+    """
+    pf, pg = compile_formula(f), compile_formula(g)
+    base_alpha = frozenset(alphabet) if alphabet is not None else pf.letters
+    if not pf.letters <= base_alpha:
         raise ValueError("f mentions letters outside its alphabet")
-    new = letters(g) - base_alpha
-    mods = formula_modalities(f) | formula_modalities(g)
-    for model in enumerate_models(base_alpha, mods, max_worlds):
-        extensions = None
-        for w in model.frame.worlds:
-            a = check(model, w, f)
-            if extensions is None:
-                extensions = list(enumerate_extensions(model, new)) if new else [model]
-            b = any(check(ext, w, g) for ext in extensions)
-            if a != b:
-                return Verdict(
-                    COUNTEREXAMPLE,
-                    Counterexample(PointedModel(model, w), {"left": a, "extended_right": b}),
-                )
+    fresh = pg.letters - base_alpha
+    mods = pf.modalities | pg.modalities
+    for batch in valuation_batches(base_alpha, mods, max_worlds, fresh):
+        left = batch.exists_fresh(batch.value(pf))
+        diff = left ^ batch.exists_fresh(batch.value(pg))
+        if diff:
+            return _counterexample(batch, diff, left, "extended_right")
     return Verdict(EQUIVALENT_UP_TO_BOUND)
 
 
@@ -264,7 +272,7 @@ def enumerate_fragment(alphabet, modalities, size_bound, fragment):
             size, clause = clause_pool[i]
             cost = size if not chosen else size + 1  # +1 for the conjunction node
             if cost > budget:
-                continue
+                break  # the pool is sorted by size
             chosen.append(clause)
             total = size_bound - (budget - cost)
             results.append((total, ClausalFormula(tuple(chosen))))
@@ -289,41 +297,36 @@ def search_weak_translation(
     or None when the exhaustive search refutes every candidate.
 
     Candidates range over one generic modality (plus any in the target)
-    unless `modalities` says otherwise.
+    unless `modalities` says otherwise.  The target is evaluated once per
+    frame, under all valuations at once, and the frames are kept for the
+    whole search; each candidate is compiled once and compared frame by
+    frame in the order of `enumerate_models`, so the first agreeing
+    candidate is the same as with a model-by-model check.  Memory is
+    O(nodes * k * 2**(k*|alphabet|)) bits per frame while a candidate is
+    evaluated, plus one target value of k * 2**(k*|alphabet|) bits for each
+    frame a candidate has reached.
     """
+    goal = compile_formula(target)
     if modalities is None:
-        modalities = {Modality("a")} | formula_modalities(target)
+        modalities = {"a"} | goal.modalities
+    mods = frozenset(str(m) for m in modalities)
     alphabet = frozenset(str(l) for l in alphabet)
-    mods = frozenset(modalities)
-    # Small models kill nearly every candidate; cache them with the
-    # target's truth value so each candidate pays one check per entry.
-    cached_chunks = []
-    seen_worlds = 0
+    batches = valuation_batches(alphabet, mods, max_worlds)
+    seen = []  # (batch, target value), extended as candidates get past them
 
-    def chunks():
-        nonlocal seen_worlds
-        yield from cached_chunks
-        for k in range(seen_worlds + 1, max_worlds + 1):
-            chunk = []
-            for model in _models_with_exactly(alphabet, mods, k):
-                for w in model.frame.worlds:
-                    chunk.append((model, w, check(model, w, target)))
-            if k <= 2:
-                cached_chunks.append(chunk)
-                seen_worlds = k
-            yield chunk
+    def agrees(program):
+        for i in count():
+            if i == len(seen):
+                batch = next(batches, None)
+                if batch is None:
+                    return True
+                seen.append((batch, batch.value(goal)))
+            batch, truth = seen[i]
+            if batch.value(program) != truth:
+                return False
 
     for cf in enumerate_fragment(alphabet, mods, formula_size_bound, fragment):
-        g = cf.to_formula()
-        agreed = True
-        for chunk in chunks():
-            for model, w, truth in chunk:
-                if check(model, w, g) != truth:
-                    agreed = False
-                    break
-            if not agreed:
-                break
-        if agreed:
+        if agrees(compile_formula(cf.to_formula())):
             return cf
     return None
 

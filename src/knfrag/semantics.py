@@ -1,5 +1,11 @@
 """Kripke frames and structures, the satisfaction relation, and model streams.
 
+`check` evaluates one formula at one world of one model.  The model
+streams share one frame enumerator: `enumerate_models` yields models one at
+a time, and `valuation_batches` with `compile_formula` evaluate a formula
+under every valuation of a frame at once, for the bounded checks in
+`expressiveness`.
+
 Worlds are strings; frames keep their worlds in declared order and one
 accessibility relation per modality (missing modalities mean the empty
 relation).  Models add a declared alphabet and a valuation; letters outside
@@ -25,6 +31,10 @@ __all__ = [
     "enumerate_extensions",
     "restrict_alphabet",
     "enumerate_models",
+    "compile_formula",
+    "valuation_batches",
+    "Program",
+    "Batch",
     "model_from_json",
     "model_to_json",
 ]
@@ -244,53 +254,56 @@ def restrict_alphabet(model: KripkeModel, alphabet) -> KripkeModel:
 
 # --- Deterministic model streams ---
 
-_PAIR_CACHE: dict[int, list[tuple[str, str]]] = {}
-_VAL_CACHE: dict = {}
-
 
 def _world_names(k):
-    return tuple(f"w{i}" for i in range(k))
+    return tuple([f"w{i}" for i in range(k)])
 
 
-def _pairs(k):
-    if k not in _PAIR_CACHE:
-        ws = _world_names(k)
-        _PAIR_CACHE[k] = [(u, v) for u in ws for v in ws]
-    return _PAIR_CACHE[k]
+def _frames(mods, k: int):
+    """Every frame on the worlds w0..w{k-1} over the sorted modality names
+    `mods`, as a dict from modality name to successor rows (row u is the
+    tuple of successor indices of world u); empty relations are left out.
+
+    Order: one relation bitmask per modality, ascending, the last
+    modality's varying fastest.  Bit b of a mask is pair b in row-major
+    world order, so row u is bits [u*k, (u+1)*k) of it.
+    """
+    yield {}  # all masks 0; most early exits need no more
+    rows = [()]
+    for v in range(k):
+        rows += [row + (v,) for row in rows]  # rows[r]: the set bits of r
+    row_mask = (1 << k) - 1
+    last = (1 << k * k) - 1
+    masks = [0] * len(mods)
+    while True:
+        i = len(mods) - 1
+        while i >= 0 and masks[i] == last:
+            masks[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        masks[i] += 1
+        yield {
+            m: tuple(rows[(mask >> u * k) & row_mask] for u in range(k))
+            for m, mask in zip(mods, masks)
+            if mask
+        }
 
 
-def _valuations(k, letters):
-    key = (k, letters)
-    if key not in _VAL_CACHE:
-        ws = _world_names(k)
-        cells = [(w, l) for w in ws for l in letters]
-        table = []
-        for mask in range(1 << len(cells)):
-            val = {w: set() for w in ws}
-            for b, (w, l) in enumerate(cells):
-                if mask >> b & 1:
-                    val[w].add(l)
-            table.append({w: frozenset(ls) for w, ls in val.items()})
-        _VAL_CACHE[key] = table
-    return _VAL_CACHE[key]
+def _kripke_frame(ws, succ) -> KripkeFrame:
+    return KripkeFrame(
+        ws, {m: [(ws[u], ws[v]) for u, row in enumerate(rows) for v in row]
+             for m, rows in succ.items()}
+    )
 
 
-def _models_with_exactly(alphabet, modalities, k: int):
-    letters = tuple(sorted(str(l) for l in set(alphabet)))
-    mods = tuple(sorted(_mod(m) for m in set(modalities)))
-    alpha = frozenset(letters)
-    ws = _world_names(k)
-    pairs = _pairs(k)
-    vals = _valuations(k, letters)
-    n_pairs = len(pairs)
-    for rel_masks in itertools.product(range(1 << n_pairs), repeat=len(mods)):
-        relations = {}
-        for m, mask in zip(mods, rel_masks):
-            if mask:
-                relations[m] = [pairs[b] for b in range(n_pairs) if mask >> b & 1]
-        frame = KripkeFrame(ws, relations)
-        for val in vals:
-            yield KripkeModel._direct(frame, val, alpha)
+def _valuation(ws, letters, mask: int) -> dict:
+    # Bit i*|letters| + j of the mask puts letter j at world i.
+    val = {}
+    for w in ws:
+        val[w] = frozenset([l for j, l in enumerate(letters) if mask >> j & 1])
+        mask >>= len(letters)
+    return val
 
 
 def enumerate_models(alphabet, modalities, max_worlds: int):
@@ -301,11 +314,255 @@ def enumerate_models(alphabet, modalities, max_worlds: int):
     relation mask is pair b in row-major world order; bit b of a valuation
     mask is cell b in world-then-sorted-letter order).
     """
+    letters = tuple(sorted(str(l) for l in set(alphabet)))
+    mods = tuple(sorted({_mod(m).name for m in modalities}))
+    alpha = frozenset(letters)
     for k in range(1, max_worlds + 1):
-        yield from _models_with_exactly(alphabet, modalities, k)
+        ws = _world_names(k)
+        vals = [_valuation(ws, letters, mask) for mask in range(1 << k * len(letters))]
+        for succ in _frames(mods, k):
+            frame = _kripke_frame(ws, succ)
+            for val in vals:
+                yield KripkeModel._direct(frame, val, alpha)
+
+
+# --- Bitsliced evaluation: every valuation of a frame at once ---
+#
+# This is the labelling algorithm of Clarke, Emerson & Sistla (TOPLAS 1986)
+# sliced across models as in Biham (FSE 1997).  A batch is one frame on k
+# worlds with a block of n = 2**c valuation masks.  A formula's value on
+# it is one int: world w owns bits [w*n, (w+1)*n), and bit v of that
+# slice is the truth at w under the block's v-th valuation mask.  The
+# Boolean connectives are int operations; a diamond ORs the successor
+# slices and a box ANDs them.
+
+# Valuation cells resolved inside one batch; a wider layout is split into
+# blocks, which bounds a value at k * 2**12 bits.
+_CHUNK_CELLS = 12
+
+_LETTER, _TOP, _NOT, _AND, _OR, _DIAMOND, _BOX = range(7)
+_TOP_OP, _NOT_OP, _AND_OP, _OR_OP = (_TOP, None), (_NOT, None), (_AND, None), (_OR, None)
+
+
+class Program:
+    """A formula compiled to post-order stack code, with the letters and
+    modality names it mentions."""
+
+    __slots__ = ("code", "letters", "modalities")
+
+    def __init__(self, code, letters, modalities):
+        self.code = code
+        self.letters = letters
+        self.modalities = modalities
+
+
+def compile_formula(f: Formula) -> Program:
+    """One iterative walk over f; deep formulas raise no RecursionError."""
+    code = []
+    emit = code.append
+    letters = set()
+    mods = set()
+    stack = [f]
+    pop, push = stack.pop, stack.append
+    while stack:
+        g = pop()
+        t = type(g)
+        if t is Prop:
+            emit((_LETTER, g.letter))
+            letters.add(g.letter)
+        elif t is Not:
+            emit(_NOT_OP)
+            push(g.operand)
+        elif t is And or t is Or:
+            emit(_AND_OP if t is And else _OR_OP)
+            push(g.left)
+            push(g.right)
+        elif t is Diamond or t is Box:
+            name = g.modality.name
+            mods.add(name)
+            emit((_DIAMOND if t is Diamond else _BOX, name))
+            push(g.operand)
+        elif t is Top:
+            emit(_TOP_OP)
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    # Pre-order with the right child first, reversed, is post-order.
+    code.reverse()
+    return Program(code, frozenset(letters), frozenset(mods))
+
+
+class _Layout:
+    """The valuation cells of k worlds and the letters' packed values.
+
+    Cells are numbered fresh letters first (world, then sorted letter),
+    then the base letters the same way; bit b of a valuation mask is cell
+    b, so a base model's mask is the full mask shifted right by
+    k * len(fresh).  The lowest `low` cells vary inside a batch, the
+    others from one block of masks to the next.
+    """
+
+    __slots__ = ("k", "n", "ones", "full", "low", "blocks", "worlds", "letters",
+                 "alphabet", "fresh", "inside", "outside")
+
+    def __init__(self, k, letters, fresh, alphabet):
+        e = k * len(fresh)
+        cells = e + k * len(letters)
+        low = min(cells, max(_CHUNK_CELLS, e))
+        n = 1 << low
+        ones = (1 << n) - 1
+        inside, outside = {}, []
+        b = 0
+        for group in (fresh, letters):
+            for w in range(k):
+                shift = w * n
+                for l in group:
+                    if b < low:
+                        # bit v of the slice is set iff bit b of v is
+                        h = 1 << b
+                        pattern = ones // ((1 << 2 * h) - 1) * (((1 << h) - 1) << h)
+                        inside[l] = inside.get(l, 0) | pattern << shift
+                    else:
+                        outside.append((l, b - low, ones << shift))
+                    b += 1
+        self.k, self.n, self.ones, self.full, self.low = k, n, ones, (1 << k * n) - 1, low
+        self.blocks = 1 << cells - low
+        self.inside, self.outside = inside, outside
+        self.worlds = _world_names(k)
+        self.letters, self.alphabet, self.fresh = letters, alphabet, fresh
+
+    def block_letters(self, block: int) -> dict:
+        if not self.outside:
+            return self.inside
+        lits = {l: 0 for l in (*self.fresh, *self.letters)}
+        lits.update(self.inside)
+        for l, bit, slice_ in self.outside:
+            if block >> bit & 1:
+                lits[l] |= slice_
+        return lits
+
+
+class Batch:
+    """One frame with a block of valuations; see `valuation_batches`."""
+
+    __slots__ = ("layout", "succ", "lits", "start")
+
+    def __init__(self, layout, succ, lits, start):
+        self.layout = layout
+        self.succ = succ
+        self.lits = lits
+        self.start = start
+
+    def value(self, program: Program) -> int:
+        """The program's truth at every world under every valuation of the block."""
+        lits, succ, full = self.lits, self.succ, self.layout.full
+        stack = []
+        push, pop = stack.append, stack.pop
+        for op, arg in program.code:
+            if op == _LETTER:
+                push(lits.get(arg, 0))
+            elif op == _NOT:
+                push(full ^ pop())
+            elif op == _AND:
+                push(pop() & pop())
+            elif op == _OR:
+                push(pop() | pop())
+            elif op == _TOP:
+                push(full)
+            else:
+                rows = succ.get(arg)
+                if rows is None:
+                    pop()
+                    push(0 if op == _DIAMOND else full)
+                else:
+                    push(self._modal(op == _BOX, pop(), rows))
+        return pop()
+
+    def _modal(self, box, x, rows):
+        n, ones = self.layout.n, self.layout.ones
+        parts = [(x >> w * n) & ones for w in range(len(rows))]
+        out = 0
+        for u, row in enumerate(rows):
+            if box:
+                acc = ones
+                for v in row:
+                    acc &= parts[v]
+            else:
+                acc = 0
+                for v in row:
+                    acc |= parts[v]
+            out |= acc << u * n
+        return out
+
+    def exists_fresh(self, value: int) -> int:
+        """Bit v, for each v whose fresh-letter cells are all false, set iff
+        some assignment to the fresh cells makes `value` true there; every
+        other bit is clear."""
+        layout = self.layout
+        width = 1 << layout.k * len(layout.fresh)
+        if width == 1:
+            return value
+        step = 1
+        while step < width:
+            value |= value >> step
+            step <<= 1
+        return value & layout.full // ((1 << width) - 1)
+
+    def first_difference(self, diff: int, value: int) -> tuple[PointedModel, bool]:
+        """The first point, in the order of `enumerate_models`, at which the
+        nonzero `diff` is set: the lowest valuation bit v set at some world,
+        then the first such world.  Returns it as a pointed model over the
+        base letters only, with the truth of `value` there."""
+        layout = self.layout
+        n = layout.n
+        fold, rest = 0, diff
+        while rest:
+            fold |= rest
+            rest >>= n
+        fold &= layout.ones
+        v = (fold & -fold).bit_length() - 1
+        w = 0
+        while not diff >> (w * n + v) & 1:
+            w += 1
+        mask = (self.start + v) >> layout.k * len(layout.fresh)
+        model = KripkeModel._direct(
+            _kripke_frame(layout.worlds, self.succ),
+            _valuation(layout.worlds, layout.letters, mask),
+            layout.alphabet,
+        )
+        return PointedModel(model, layout.worlds[w]), bool(value >> (w * n + v) & 1)
+
+
+def valuation_batches(letters, modalities, max_worlds: int, fresh=()):
+    """Batches covering every model over `letters` and the modality names
+    with 1..max_worlds worlds, extended by every assignment to the `fresh`
+    letters, in the order of `enumerate_models`: frames in its order, then
+    blocks of valuation masks ascending.
+
+    At most 2**12 masks share a batch, and the fresh-letter cells never
+    span two batches.  A value on a batch of k worlds takes
+    k * 2**min(k * (|letters| + |fresh|), 12) bits.
+    """
+    letters = tuple(sorted(letters))
+    fresh = tuple(sorted(fresh))
+    mods = tuple(sorted(modalities))
+    alphabet = frozenset(letters)
+    for k in range(1, max_worlds + 1):
+        layout = _Layout(k, letters, fresh, alphabet)
+        low = layout.low
+        for succ in _frames(mods, k):
+            for block in range(layout.blocks):
+                yield Batch(layout, succ, layout.block_letters(block), block << low)
 
 
 # --- JSON model files ---
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+def _pairs(value) -> bool:
+    return isinstance(value, list) and all(_strings(p) and len(p) == 2 for p in value)
 
 
 def model_from_json(data: dict) -> tuple[KripkeModel, str | None]:
@@ -314,17 +571,30 @@ def model_from_json(data: dict) -> tuple[KripkeModel, str | None]:
     Layout: {"worlds": [...], "relations": {mod: [[u, v], ...]},
     "valuation": {world: [letters]}, "alphabet": [...], "designated": w}.
     Everything but "worlds" is optional; a missing alphabet is inferred
-    from the valuation.
+    from the valuation.  Data of any other shape raises ValueError.
     """
+    if not isinstance(data, dict):
+        raise ValueError("model JSON must be an object")
     if "worlds" not in data:
         raise ValueError('model JSON needs a "worlds" list')
-    frame = KripkeFrame(data["worlds"], data.get("relations", {}))
-    model = KripkeModel(frame, data.get("valuation", {}), data.get("alphabet"))
+    relations = data.get("relations", {})
+    valuation = data.get("valuation", {})
+    alphabet = data.get("alphabet")
     designated = data.get("designated")
-    if designated is not None:
-        designated = str(designated)
-        if not frame.has_world(designated):
-            raise ValueError(f"designated world {designated!r} is not in the frame")
+    if not _strings(data["worlds"]):
+        raise ValueError('model JSON "worlds" must be a list of strings')
+    if not (isinstance(relations, dict) and all(_pairs(ps) for ps in relations.values())):
+        raise ValueError('model JSON "relations" must map modalities to lists of [u, v] pairs')
+    if not (isinstance(valuation, dict) and all(_strings(ls) for ls in valuation.values())):
+        raise ValueError('model JSON "valuation" must map worlds to lists of letters')
+    if alphabet is not None and not _strings(alphabet):
+        raise ValueError('model JSON "alphabet" must be a list of letters')
+    if designated is not None and not isinstance(designated, str):
+        raise ValueError('model JSON "designated" must be a world name')
+    frame = KripkeFrame(data["worlds"], relations)
+    model = KripkeModel(frame, valuation, alphabet)
+    if designated is not None and not frame.has_world(designated):
+        raise ValueError(f"designated world {designated!r} is not in the frame")
     return model, designated
 
 

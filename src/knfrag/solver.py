@@ -119,11 +119,12 @@ def _world_bound(profile: list[int]) -> int:
     return sum(branching**k for k in range(len(profile)))
 
 
-def tree_model_bound(f: Formula, cap: int = DEFAULT_MODEL_CAP) -> int:
+def tree_model_bound(f: Formula) -> int:
     """A world count B such that f is satisfiable iff it has a model with
     at most B worlds: sum of D^k for k up to the modal nesting depth,
-    where D counts diamond occurrences after NNF (at least 1)."""
-    return min(_world_bound(_diamond_profile(to_nnf(f))), cap)
+    where D counts diamond occurrences after NNF (at least 1).  B is a
+    count of worlds, never clamped by a count of models."""
+    return _world_bound(_diamond_profile(to_nnf(f)))
 
 
 # --- Canonical tree-model enumeration ---

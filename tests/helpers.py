@@ -5,6 +5,8 @@ from __future__ import annotations
 from itertools import combinations_with_replacement, product
 
 from knfrag import (
+    COUNTEREXAMPLE,
+    EQUIVALENT_UP_TO_BOUND,
     And,
     Box,
     Clause,
@@ -12,10 +14,17 @@ from knfrag import (
     Diamond,
     KripkeFrame,
     KripkeModel,
+    Modality,
     Not,
     Or,
     Prop,
     TOP,
+    check,
+    enumerate_extensions,
+    enumerate_fragment,
+    enumerate_models,
+    formula_modalities,
+    letters as formula_letters,
 )
 
 
@@ -218,3 +227,52 @@ def krom_corpus(max_depth=2, letters=("p", "q"), mods=("a",)):
         for l1, l2 in product(literals, repeat=2)
     )
     return corpus
+
+
+# --- Reference model-stream loops: one model, one world, one `check` at a time ---
+
+
+def reference_weak_equiv(f, g, alphabet, max_worlds):
+    """(status, counterexample model, world, details) by the scalar loop
+    over `enumerate_models`; the counterexample fields are None when the
+    formulas agree up to the bound."""
+    mods = formula_modalities(f) | formula_modalities(g)
+    for model in enumerate_models(alphabet, mods, max_worlds):
+        for w in model.frame.worlds:
+            a = check(model, w, f)
+            if a != check(model, w, g):
+                return COUNTEREXAMPLE, model, w, {"left": a, "right": not a}
+    return EQUIVALENT_UP_TO_BOUND, None, None, None
+
+
+def reference_strong(f, g, max_worlds, alphabet=None):
+    """Like `reference_weak_equiv`, trying every extension of each model
+    over g's extra letters through `enumerate_extensions`."""
+    base = frozenset(alphabet) if alphabet is not None else formula_letters(f)
+    new = formula_letters(g) - base
+    mods = formula_modalities(f) | formula_modalities(g)
+    for model in enumerate_models(base, mods, max_worlds):
+        extensions = list(enumerate_extensions(model, new)) if new else [model]
+        for w in model.frame.worlds:
+            a = check(model, w, f)
+            b = any(check(ext, w, g) for ext in extensions)
+            if a != b:
+                return COUNTEREXAMPLE, model, w, {"left": a, "extended_right": b}
+    return EQUIVALENT_UP_TO_BOUND, None, None, None
+
+
+def reference_search(target, fragment, alphabet, size_bound, max_worlds, modalities=None):
+    """First candidate of `enumerate_fragment` that agrees with the target
+    at every world of every model up to the bound, or None."""
+    if modalities is None:
+        modalities = {Modality("a")} | formula_modalities(target)
+    points = [
+        (model, w, check(model, w, target))
+        for model in enumerate_models(alphabet, modalities, max_worlds)
+        for w in model.frame.worlds
+    ]
+    for cf in enumerate_fragment(alphabet, modalities, size_bound, fragment):
+        g = cf.to_formula()
+        if all(check(model, w, g) == truth for model, w, truth in points):
+            return cf
+    return None

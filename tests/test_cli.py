@@ -94,6 +94,26 @@ def test_check_missing_file():
     assert run(["check", "/nonexistent/model.json", "p"])[0] == 66
 
 
+@pytest.mark.parametrize("data", [
+    {"worlds": ["w0"], "valuation": ["p"], "designated": "w0"},
+    {"worlds": "w01", "designated": "w0"},
+    {"worlds": ["w0", 1]},
+    {"worlds": ["w0"], "relations": [["w0", "w0"]]},
+    {"worlds": ["w0"], "relations": {"a": [["w0"]]}},
+    {"worlds": ["w0"], "relations": {"a": ["w0w0"]}},
+    {"worlds": ["w0"], "valuation": {"w0": "p"}},
+    {"worlds": ["w0"], "alphabet": "p"},
+    {"worlds": ["w0"], "designated": 0},
+    ["w0"],
+])
+def test_check_rejects_malformed_model_json(tmp_path, data):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(["check", str(path), "p", "--world", "w0"])
+    assert code == 65 and out == ""
+    assert err.startswith("error: model JSON")
+
+
 def test_sat_verb_statuses():
     assert run(["sat", "p & ~p"])[0] == 1
     code, out, _ = run(["--json", "sat", "<a>p"])

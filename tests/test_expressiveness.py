@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,9 +7,15 @@ from knfrag import (
     COUNTEREXAMPLE,
     EQUIVALENT_UP_TO_BOUND,
     THEOREM_IDS,
+    And,
+    Not,
+    Or,
+    Prop,
     check,
     classify,
     enumerate_fragment,
+    letters,
+    model_to_json,
     node_count,
     parse,
     parse_fragment_spec,
@@ -18,8 +25,13 @@ from knfrag import (
     strong_translation_check,
     weak_equiv_check,
 )
-from knfrag.translate import krom_to_krom_box
-from helpers import random_formula
+from knfrag.translate import krom_to_krom_box, krom_to_krom_diamond
+from helpers import (
+    random_formula,
+    reference_search,
+    reference_strong,
+    reference_weak_equiv,
+)
 
 
 def test_weak_equiv_de_morgan():
@@ -100,6 +112,159 @@ def test_weak_implies_strong_same_alphabet():
         if weak.status == EQUIVALENT_UP_TO_BOUND:
             strong = strong_translation_check(f, g, max_worlds=2, alphabet={"p", "q"})
             assert strong.status == EQUIVALENT_UP_TO_BOUND
+
+
+# --- The bitsliced checks against the scalar reference loops ---
+
+
+def _answer(verdict):
+    ce = verdict.counterexample
+    if ce is None:
+        return verdict.status, None, None, None
+    return verdict.status, model_to_json(ce.pointed.model), ce.pointed.world, ce.details
+
+
+def _reference_answer(status, model, world, details):
+    return status, None if model is None else model_to_json(model), world, details
+
+
+def _weak_corpus():
+    """Pairs (f, g, alphabet, max_worlds): random pairs, and pairs where g
+    is f with a disjunct or conjunct added, which often agree on small
+    frames and part only on larger ones."""
+    corpus = []
+    for seed, (lets, mods, count, depth, worlds) in enumerate([
+        (("p", "q"), ("a",), 560, 3, 2),
+        (("p",), ("a", "b"), 400, 3, 2),
+        (("p", "q"), ("a",), 60, 2, 3),
+    ]):
+        rng = random.Random(f"weak-corpus:{seed}")
+        for i in range(count):
+            f = random_formula(rng, depth, lets, mods)
+            g = random_formula(rng, depth, lets, mods)
+            if i % 3 == 1:
+                g = (Or if i % 2 else And)(f, random_formula(rng, 2, lets, mods))
+            corpus.append((f, g, set(lets), worlds))
+    for left, right in [
+        ("<a>(p & ~q) & <a>(q & ~p) & <a>(~p & ~q)", "F"),  # parts at 3 worlds
+        ("<a>(p & ~q) & <a>(q & ~p) & <a>(~p & ~q)", "<a>(p & q) & <a>~p"),
+        ("[a](p | q) | [a](~p | q) | [a](p | ~q) | [a](~p | ~q)", "T"),  # parts only at 4
+    ]:
+        corpus.append((parse(left), parse(right), {"p", "q"}, 3))
+    return corpus
+
+
+def _check_weak_corpus(corpus):
+    for f, g, alphabet, worlds in corpus:
+        expected = _reference_answer(*reference_weak_equiv(f, g, alphabet, worlds))
+        assert _answer(weak_equiv_check(f, g, alphabet=alphabet, max_worlds=worlds)) == expected, (
+            str(f), str(g), worlds)
+
+
+def test_weak_equiv_matches_the_scalar_loop():
+    corpus = _weak_corpus()
+    assert len(corpus) >= 1000
+    _check_weak_corpus(corpus)
+
+
+def test_weak_equiv_matches_on_empty_and_wide_alphabets():
+    rng = random.Random("weak-alphabets")
+    corpus = []
+    for _ in range(60):
+        f = random_formula(rng, 3, ("p",), ("a",))
+        g = random_formula(rng, 3, ("p",), ("a",))
+        corpus.append((f, g, {"p", "q", "r"}, 2))
+        no_letters = [parse(str(h).replace("p", "T")) for h in (f, g)]
+        corpus.append((*no_letters, set(), 3))
+    _check_weak_corpus(corpus)
+
+
+def test_weak_equiv_matches_across_valuation_blocks(monkeypatch):
+    # Blocks of 2 cells split every frame with 2 or more worlds over {p,q}
+    # into several batches.
+    monkeypatch.setattr("knfrag.semantics._CHUNK_CELLS", 2)
+    _check_weak_corpus(_weak_corpus()[::8])
+    rng = random.Random("strong-blocks")
+    for _ in range(40):
+        f = random_formula(rng, 2, ("p", "q"), ("a",))
+        g = random_formula(rng, 2, ("p", "q", "x"), ("a",))
+        expected = _reference_answer(*reference_strong(f, g, 2))
+        assert _answer(strong_translation_check(f, g, max_worlds=2)) == expected
+
+
+def test_strong_translation_matches_the_scalar_loop():
+    cases = []
+    for text in ("<a>p", "~<a>p", "<a>p | q", "[a]<a>p", "<a>p & <a>q", "<a>p | <a>q",
+                 "[a]p", "~[a]p", "[a]p -> q", "<a>[a]p", "[a]p | [a]q", "~[a]q | p"):
+        f = parse(text)
+        for translate in (krom_to_krom_box, krom_to_krom_diamond):
+            cases.append((f, translate(recognize_clausal(f)).to_formula(), 2, None))
+    cases.append((parse("<a>p"), parse("[a]p"), 3, None))
+    rng = random.Random("strong-corpus")
+    for _ in range(150):
+        f = random_formula(rng, 2, ("p",), ("a",))
+        g = random_formula(rng, 2, ("p", "x", "y"), ("a",))
+        cases.append((f, g, 2, None))
+        cases.append((f, g, 2, {"p", "q"}))
+    fresh_counts = set()
+    for f, g, worlds, alphabet in cases:
+        expected = _reference_answer(*reference_strong(f, g, worlds, alphabet))
+        got = strong_translation_check(f, g, max_worlds=worlds, alphabet=alphabet)
+        assert _answer(got) == expected, (str(f), str(g), worlds, alphabet)
+        fresh_counts.add(len(letters(g) - (alphabet or letters(f))))
+    assert {1, 2} <= fresh_counts
+
+
+@pytest.mark.parametrize("target, fragment, alphabet, size, worlds, found", [
+    ("p | q", "horn", {"p", "q"}, 5, 2, False),
+    ("p | q", "krom", {"p", "q"}, 5, 2, True),
+    ("p & q -> r", "krom", {"p", "q", "r"}, 4, 2, False),
+    ("p & q", "core", {"p", "q"}, 4, 3, True),
+    ("[a]T", "core", {"p"}, 3, 2, True),
+    ("<a>p", "core", {"p"}, 4, 3, True),
+    ("<a>p", "horn-box", {"p"}, 4, 2, False),
+    ("~p | [a]p", "horn", {"p"}, 5, 2, True),
+])
+def test_search_matches_the_scalar_loop(target, fragment, alphabet, size, worlds, found):
+    f = parse(target)
+    expected = reference_search(f, fragment, alphabet, size, worlds)
+    assert (expected is not None) == found
+    assert search_weak_translation(f, fragment, alphabet, size, max_worlds=worlds) == expected
+
+
+def test_weak_equiv_deep_formula_needs_no_recursion():
+    f = Prop("p")
+    for _ in range(3000):
+        f = Not(f)
+    assert weak_equiv_check(f, Prop("p")).status == EQUIVALENT_UP_TO_BOUND
+    verdict = weak_equiv_check(Not(f), Prop("p"))
+    assert verdict.status == COUNTEREXAMPLE
+    assert verdict.counterexample.details == {"left": True, "right": False}
+
+
+# sha256 of the newline-joined `str` stream, recorded from the pruning-free
+# enumerator that kept scanning the size-sorted pool past the budget.
+FRAGMENT_STREAMS = [
+    ({"p", "q"}, {"a"}, 5, "horn", 382,
+     "76818c7133357a9be45add047ae50e1e36e5803b46ddb3f62ea26eb42c3b29f4"),
+    ({"p", "q", "r"}, {"a"}, 5, "krom", 836,
+     "127f7c11f2973f1e8a0e00e23b200a7e06eaafc19ffacf1aca6280bd45e6435b"),
+    ({"p"}, {"a", "b"}, 5, "core", 1209,
+     "ab1afb8086890944c3acf3c9d4ff04d8bed1ed2b4a99377b49f018045b8aa2e8"),
+    ({"p", "q"}, {"a"}, 6, "krom-box", 607,
+     "6ca9fe6401bf7303ab25bd93c3a58d395ce4146ba6ec93e2a25d25833f41b8ce"),
+    ({"p", "q"}, {"a"}, 6, "horn-diamond", 409,
+     "a9b880f501156c2ab3b3094ab420db57c244b0ebe6a306b4e346d62a1b8b3f17"),
+    ({"p", "q", "r"}, {"a"}, 6, "krom", 2848,
+     "050aaafeade861499407532bb889f793699ca761f211d9dad434ed1f7e233838"),
+]
+
+
+@pytest.mark.parametrize("alphabet, mods, size, fragment, count, digest", FRAGMENT_STREAMS)
+def test_enumerate_fragment_stream_is_pinned(alphabet, mods, size, fragment, count, digest):
+    items = [str(cf) for cf in enumerate_fragment(alphabet, mods, size, fragment)]
+    assert len(items) == count
+    assert hashlib.sha256("\n".join(items).encode()).hexdigest() == digest
 
 
 def test_parse_fragment_spec():

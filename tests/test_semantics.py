@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -165,6 +167,20 @@ def test_enumerate_models_is_deterministic_and_counted():
     assert len(first) == 4
     # 2 worlds add 16 x 4
     assert len(list(enumerate_models({"p"}, {"a"}, 2))) == 4 + 64
+
+
+@pytest.mark.parametrize("alphabet, mods, worlds, count, digest", [
+    ({"p", "q"}, {"a", "b"}, 2, 4112,
+     "4fdbb1ec8502e8987536649b81dcaf63f1f65db3cf6f461d5dc8d67fc656660f"),
+    (set(), {"a"}, 3, 530, "4cbdd8a16f8259a4c4bd81b37d2d4e663a0445e301d1c711434944508fb7ae4c"),
+])
+def test_enumerate_models_order_is_pinned(alphabet, mods, worlds, count, digest):
+    # sha256 of the JSON stream, recorded before the frame enumerator was
+    # shared with the bitsliced checks.
+    lines = [json.dumps(model_to_json(m), sort_keys=True)
+             for m in enumerate_models(alphabet, mods, worlds)]
+    assert len(lines) == count
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
 
 def test_enumerate_models_no_modalities():

@@ -89,6 +89,14 @@ def test_bruteforce_modal_conflict():
     assert sat_bruteforce(f, tree_model_bound(f)).status == UNSAT
 
 
+def test_tree_model_bound_is_not_clamped_by_a_model_count():
+    # The bound, 12,356,631 worlds, is above DEFAULT_MODEL_CAP; a clamp to
+    # the cap would turn this exhausted UNSAT into UNKNOWN_AT_BOUND.
+    f = parse("[a][a][a][a][a]p & [a]~T" + " & <a>T" * 26)
+    assert tree_model_bound(f) == 12_356_631
+    assert sat_bruteforce(f, tree_model_bound(f)).status == UNSAT
+
+
 def test_bruteforce_unknown_below_bound():
     assert sat_bruteforce(parse("<a>p"), 1).status == UNKNOWN_AT_BOUND
 
