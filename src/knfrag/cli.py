@@ -9,6 +9,9 @@ Exit codes: 64 usage, 65 bad formula or model data, 66 unreadable file,
 failed, which is a bug in knfrag).  `sat` exits 0/1/2 for satisfiable /
 unsatisfiable / unknown at the bound; `check` exits 0/1 for true/false;
 `equiv` and `search` exit 0/1 for found/not.
+
+The argument parser is built once, when the module is imported, and every
+`main` call parses into a fresh namespace, so calls share no state.
 """
 
 from __future__ import annotations
@@ -84,21 +87,26 @@ def _load_model(path: str):
     return model_from_json(data)
 
 
-def _emit(args, payload: dict, plain: str):
+def _emit(args, payload: dict, plain: str, detail: dict | None = None):
+    """Print the JSON payload, or the plain line followed by `detail` as a
+    JSON line when there is one."""
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
         print(plain)
+        if detail is not None:
+            print(json.dumps(detail, sort_keys=True))
 
 
 def _cmd_parse(args) -> int:
     f = parse(_read_formula(args.formula))
+    text = to_text(f)
     payload = {
-        "formula": to_text(f),
+        "formula": text,
         "letters": sorted(letters(f)),
         "modalities": sorted(str(m) for m in formula_modalities(f)),
     }
-    _emit(args, payload, to_text(f))
+    _emit(args, payload, text)
     return 0
 
 
@@ -136,10 +144,7 @@ def _cmd_sat(args) -> int:
     payload = {"status": result.status}
     if result.witness is not None:
         payload["witness"] = model_to_json(result.witness.model, result.witness.world)
-    plain = result.status
-    if result.witness is not None:
-        plain += "\n" + json.dumps(payload["witness"], sort_keys=True)
-    _emit(args, payload, plain)
+    _emit(args, payload, result.status, payload.get("witness"))
     return {SAT: 0, UNSAT: 1, UNKNOWN_AT_BOUND: 2}[result.status]
 
 
@@ -169,10 +174,7 @@ def _cmd_equiv(args) -> int:
         ce = verdict.counterexample
         payload["counterexample"] = model_to_json(ce.pointed.model, ce.pointed.world)
         payload["details"] = ce.details
-    plain = verdict.status
-    if "counterexample" in payload:
-        plain += "\n" + json.dumps(payload["counterexample"], sort_keys=True)
-    _emit(args, payload, plain)
+    _emit(args, payload, verdict.status, payload.get("counterexample"))
     return 0 if verdict.status == EQUIVALENT_UP_TO_BOUND else 1
 
 
@@ -219,7 +221,11 @@ def _cmd_hierarchy(args) -> int:
 
 
 def _build_parser() -> _ArgumentParser:
-    parser = _ArgumentParser(prog="knfrag", description=__doc__.splitlines()[0])
+    parser = _ArgumentParser(
+        prog="knfrag",
+        description="Sub-propositional fragments of multi-modal K: "
+        "parse, classify, check, solve, translate, compare.",
+    )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument(
         "--cap",
@@ -280,9 +286,11 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ParseError as e:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 from itertools import product as iproduct
+from operator import itemgetter
 
 from .combinators import add_successor_world, intersect, override_valuation, product
 from .semantics import (
@@ -37,6 +38,7 @@ from .syntax import (
     Prop,
     TOP,
     classify,
+    clause_texts,
     parse,
     recognize_clausal,
 )
@@ -261,28 +263,32 @@ def enumerate_fragment(alphabet, modalities, size_bound, fragment):
     alphabet = tuple(sorted(str(l) for l in set(alphabet)))
     mods = tuple(sorted(Modality(str(m)) if not isinstance(m, Modality) else m
                         for m in set(modalities)))
-    clause_pool = sorted(
-        _clauses_up_to(size_bound, alphabet, mods, req),
-        key=lambda t: (t[0], str(t[1])),
-    )
+    # Each pool clause is rendered once, alone and as a conjunct; a result's
+    # text is built from those, exactly as `str(ClausalFormula)` renders it.
+    clause_pool = [(size, *clause_texts(clause), clause)
+                   for size, clause in _clauses_up_to(size_bound, alphabet, mods, req)]
+    clause_pool.sort(key=itemgetter(0, 1))
     results = []
 
-    def pick(start, budget, chosen):
+    def pick(start, budget, chosen, parts):
         for i in range(start, len(clause_pool)):
-            size, clause = clause_pool[i]
+            size, text, part, clause = clause_pool[i]
             cost = size if not chosen else size + 1  # +1 for the conjunction node
             if cost > budget:
                 break  # the pool is sorted by size
             chosen.append(clause)
+            parts.append(part)
             total = size_bound - (budget - cost)
-            results.append((total, ClausalFormula(tuple(chosen))))
-            pick(i, budget - cost, chosen)
+            key = " & ".join(parts) if len(parts) > 1 else text
+            results.append((total, key, tuple(chosen)))
+            pick(i, budget - cost, chosen, parts)
             chosen.pop()
+            parts.pop()
 
-    pick(0, size_bound, [])
-    results.sort(key=lambda t: (t[0], str(t[1])))
-    for _, cf in results:
-        yield cf
+    pick(0, size_bound, [], [])
+    results.sort(key=itemgetter(0, 1))
+    for _, _, clauses in results:
+        yield ClausalFormula(clauses)
 
 
 def search_weak_translation(

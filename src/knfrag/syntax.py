@@ -55,6 +55,7 @@ __all__ = [
     "is_positive_literal",
     "modal_depth",
     "clause_letters",
+    "clause_texts",
     "consequent_letters",
     "letters",
     "formula_modalities",
@@ -315,13 +316,16 @@ class ClausalFormula:
     def __str__(self):
         if len(self.clauses) == 1:
             return _clause_text(self.clauses[0])
-        parts = []
-        for c in self.clauses:
-            text = _clause_text(c)
-            if not c.prefix and len(c.negatives) + len(c.positives) >= 2:
-                text = f"({text})"
-            parts.append(text)
-        return " & ".join(parts)
+        return " & ".join(clause_texts(c)[1] for c in self.clauses)
+
+
+def clause_texts(c: Clause) -> tuple[str, str]:
+    """The clause's text alone, and as a conjunct of a longer clausal
+    formula: a prefix-free disjunction there is parenthesised."""
+    text = _clause_text(c)
+    if not c.prefix and len(c.negatives) + len(c.positives) >= 2:
+        return text, f"({text})"
+    return text, text
 
 
 def clause_letters(c: Clause) -> frozenset[str]:

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -8,9 +12,11 @@ from jsonschema import Draft7Validator
 from referencing import Registry, Resource
 
 from knfrag import model_to_json, KripkeFrame, KripkeModel
+from knfrag import cli
 from knfrag.cli import main
 
-SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "knfrag" / "schemas"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+SCHEMA_DIR = SRC_DIR / "knfrag" / "schemas"
 
 _REGISTRY = Registry().with_resources(
     (schema_file.name, Resource.from_contents(json.loads(schema_file.read_text())))
@@ -27,11 +33,11 @@ def validate(name, payload):
     Draft7Validator(load_schema(name), registry=_REGISTRY).validate(payload)
 
 
-def run(argv, stdin=None):
+def run(argv, stdin=None, entry=main):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
-            code = main(argv)
+            code = entry(argv)
         except SystemExit as e:
             code = e.code
     return code, out.getvalue(), err.getvalue()
@@ -242,3 +248,88 @@ def test_internal_error_exit_code(monkeypatch):
     code, out, err = run(["sat", "<a>p"])
     assert code == 70
     assert out == "" and err.startswith("internal error:")
+
+
+# --- the parser built once at import ---
+
+
+def run_module(*flags):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "knfrag.cli", "--json", "parse", "p & q"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_cli_runs_without_docstrings():
+    plain = run_module()
+    optimised = run_module("-OO")
+    assert optimised.returncode == 0, optimised.stderr
+    assert plain.returncode == 0, plain.stderr
+    assert optimised.stdout == plain.stdout
+    assert json.loads(optimised.stdout)["formula"] == "p & q"
+
+
+def test_world_option_does_not_carry_over(model_file):
+    assert run(["check", model_file, "<a>p", "--world", "w1"])[:2] == (1, "false\n")
+    assert run(["check", model_file, "<a>p"])[:2] == (0, "true\n")
+    code, out, _ = run(["--json", "check", model_file, "<a>p"])
+    assert code == 0 and json.loads(out) == {"result": True, "world": "w0"}
+
+
+def test_cap_option_does_not_carry_over():
+    argv = ["sat", "--engine", "brute", "--max-worlds", "5", "<a><a>T"]
+    assert run(["--cap", "2"] + argv)[0] == 69
+    code, out, _ = run(argv)
+    assert code == 0 and out.startswith("SAT\n")
+
+
+def test_usage_error_does_not_carry_over():
+    code, out, err = run(["sat", "--engine", "nope", "p"])
+    assert code == 64 and out == "" and "invalid choice" in err
+    assert run(["parse", "p|q"]) == (0, "p | q\n", "")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sat", "--help"]])
+def test_help_matches_a_fresh_parser(argv):
+    expected = run(argv, entry=cli._build_parser().parse_args)
+    assert expected[0] == 0 and expected[1].startswith("usage: knfrag")
+    assert run(argv) == expected
+    assert run(["parse", "p|q"])[:2] == (0, "p | q\n")
+
+
+def test_shared_parser_across_threads(model_file):
+    requests = [
+        ["parse", "p|q"],
+        ["--json", "classify", "p & q -> r"],
+        ["check", model_file, "<a>p", "--world", "w1"],
+        ["check", model_file, "[a]p"],
+        ["--cap", "7", "sat", "--engine", "brute", "--max-worlds", "3", "<a>p"],
+        ["sat", "p & ~p"],
+        ["translate", "--to", "diamond", "[a]p -> q"],
+        ["equiv", "--mode", "strong", "p", "q"],
+    ]
+    fresh = cli._build_parser()
+    expected = [vars(fresh.parse_args(argv)) for argv in requests]
+    got = [[] for _ in requests]
+    barrier = threading.Barrier(len(requests), timeout=60)
+
+    def worker(i):
+        barrier.wait()
+        for _ in range(200):
+            got[i].append(vars(cli._PARSER.parse_args(requests[i])))
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(requests))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, want in enumerate(expected):
+        assert got[i] == [want] * 200
