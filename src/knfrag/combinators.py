@@ -6,7 +6,7 @@ All four return fresh immutable models and leave their inputs untouched.
 from __future__ import annotations
 
 from .semantics import KripkeFrame, KripkeModel
-from .syntax import _mod
+from .syntax import Modality
 
 __all__ = [
     "intersect",
@@ -44,23 +44,25 @@ def product(m1: KripkeModel, m2: KripkeModel) -> KripkeModel:
     if m1.alphabet != m2.alphabet:
         raise ValueError("product needs identical alphabets")
     f1, f2 = m1.frame, m2.frame
-    worlds = [product_world(u, v) for u in f1.worlds for v in f2.worlds]
-    mods = set(f1.relations) | set(f2.relations)
-    relations = {}
-    for m in mods:
-        pairs = [
-            (product_world(u, v), product_world(u2, v2))
-            for (u, u2) in f1.relations.get(m, ())
-            for (v, v2) in f2.relations.get(m, ())
-        ]
-        if pairs:
-            relations[m] = pairs
-    frame = KripkeFrame(worlds, relations)
+    names = {u: {v: product_world(u, v) for v in f2.worlds} for u in f1.worlds}
     val = {
-        product_world(u, v): m1.valuation[u] & m2.valuation[v]
-        for u in f1.worlds
-        for v in f2.worlds
+        name: m1.valuation[u] & m2.valuation[v]
+        for u, row in names.items()
+        for v, name in row.items()
     }
+    if len(val) != len(f1.worlds) * len(f2.worlds):
+        raise ValueError("duplicate world identifiers")
+    succ = {}
+    for m, rows1 in f1._succ.items():
+        rows2 = f2._succ.get(m)
+        if rows2:
+            # Sorted, because the text order of "(u,v)" need not be pair order.
+            succ[m] = {
+                names[u][v]: tuple(sorted([names[u2][v2] for u2 in us for v2 in vs]))
+                for u, us in rows1.items()
+                for v, vs in rows2.items()
+            }
+    frame = KripkeFrame._direct(tuple(val), succ)
     return KripkeModel._direct(frame, val, m1.alphabet)
 
 
@@ -98,10 +100,12 @@ def add_successor_world(m: KripkeModel, from_world: str, modality, val) -> Kripk
     while m.frame.has_world(f"_x{k}"):
         k += 1
     fresh = f"_x{k}"
-    modality = _mod(modality)
-    relations = {a: set(ps) for a, ps in m.frame.relations.items()}
-    relations.setdefault(modality, set()).add((from_world, fresh))
-    frame = KripkeFrame(m.frame.worlds + (fresh,), relations)
+    modality = Modality(modality)
+    succ = dict(m.frame._succ)
+    rows = dict(succ.get(modality, {}))
+    rows[from_world] = tuple(sorted(rows.get(from_world, ()) + (fresh,)))
+    succ[modality] = rows
+    frame = KripkeFrame._direct(m.frame.worlds + (fresh,), succ)
     valuation = dict(m.valuation)
     valuation[fresh] = val
     return KripkeModel._direct(frame, valuation, m.alphabet)

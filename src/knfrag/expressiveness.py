@@ -168,9 +168,9 @@ def _formula_key(f):
     if isinstance(f, Prop):
         return (1, f.letter)
     if isinstance(f, Diamond):
-        return (2, f.modality.name, _formula_key(f.operand))
+        return (2, f.modality, _formula_key(f.operand))
     if isinstance(f, Box):
-        return (3, f.modality.name, _formula_key(f.operand))
+        return (3, f.modality, _formula_key(f.operand))
     return (0,)  # Top
 
 
@@ -261,8 +261,7 @@ def enumerate_fragment(alphabet, modalities, size_bound, fragment):
     """
     req = fragment if isinstance(fragment, FragmentDescriptor) else parse_fragment_spec(fragment)
     alphabet = tuple(sorted(str(l) for l in set(alphabet)))
-    mods = tuple(sorted(Modality(str(m)) if not isinstance(m, Modality) else m
-                        for m in set(modalities)))
+    mods = tuple(sorted({Modality(m) for m in modalities}))
     # Each pool clause is rendered once, alone and as a conjunct; a result's
     # text is built from those, exactly as `str(ClausalFormula)` renders it.
     clause_pool = [(size, *clause_texts(clause), clause)

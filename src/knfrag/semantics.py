@@ -6,11 +6,12 @@ a time, and `valuation_batches` with `compile_formula` evaluate a formula
 under every valuation of a frame at once, for the bounded checks in
 `expressiveness`.
 
-Worlds are strings; frames keep their worlds in declared order and one
-accessibility relation per modality (missing modalities mean the empty
-relation).  Models add a declared alphabet and a valuation; letters outside
-the alphabet are simply false everywhere, so formulas mentioning fresh
-letters can be checked against base models.
+Worlds are strings.  A frame keeps its worlds in declared order and one
+successor table, modality name -> world -> successors sorted by name, with
+no entry for an empty row or relation, so equal frames have equal tables;
+`relations` is derived from it.  Models add a declared alphabet and a
+valuation; letters outside the alphabet are simply false everywhere, so
+formulas mentioning fresh letters can be checked against base models.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -19,8 +20,7 @@ from __future__ import annotations
 
 import itertools
 
-from .syntax import And, Box, Diamond, Formula, Not, Or, Prop, Top
-from .syntax import _mod
+from .syntax import And, Box, Diamond, Formula, Modality, Not, Or, Prop, Top
 
 __all__ = [
     "KripkeFrame",
@@ -41,58 +41,61 @@ __all__ = [
 
 
 class KripkeFrame:
-    """A finite set of worlds with one relation per modality."""
+    """A finite set of worlds with one successor table (see the module)."""
 
-    __slots__ = ("worlds", "relations", "_succ", "_world_set")
+    __slots__ = ("worlds", "_succ", "_world_set")
 
     def __init__(self, worlds, relations=None):
         worlds = tuple(str(w) for w in worlds)
         if not worlds:
             raise ValueError("a frame needs at least one world")
-        if len(set(worlds)) != len(worlds):
+        world_set = frozenset(worlds)
+        if len(world_set) != len(worlds):
             raise ValueError("duplicate world identifiers")
-        self.worlds = worlds
-        self._world_set = frozenset(worlds)
-        rels = {}
         succ = {}
         for m, pairs in (relations or {}).items():
-            m = _mod(m)
-            pairs = frozenset((str(u), str(v)) for u, v in pairs)
-            for u, v in pairs:
-                if u not in self._world_set or v not in self._world_set:
+            m = Modality(m)
+            rows = {}
+            for u, v in sorted({(str(u), str(v)) for u, v in pairs}):
+                if u not in world_set or v not in world_set:
                     raise ValueError(f"relation endpoint not a world: ({u}, {v})")
-            if pairs:
-                rels[m] = pairs
-                table = {w: [] for w in worlds}
-                for u, v in sorted(pairs):
-                    table[u].append(v)
-                succ[m] = {w: tuple(vs) for w, vs in table.items()}
-        self.relations = rels
+                rows.setdefault(u, []).append(v)
+            if rows:
+                succ[m] = {u: tuple(vs) for u, vs in rows.items()}
+        self.worlds = worlds
+        self._world_set = world_set
         self._succ = succ
 
     @classmethod
-    def _direct(cls, worlds, relations, succ):
-        # Internal fast path: caller guarantees consistent, normalized data.
+    def _direct(cls, worlds, succ):
+        # Trusted fast path: distinct `worlds`, `succ` in the module's normal form.
         frame = object.__new__(cls)
         frame.worlds = worlds
         frame._world_set = frozenset(worlds)
-        frame.relations = relations
         frame._succ = succ
         return frame
 
+    @property
+    def relations(self) -> dict:
+        """The non-empty relations as frozensets of (u, v) pairs, built per access."""
+        return {
+            Modality(m): frozenset((u, v) for u, vs in rows.items() for v in vs)
+            for m, rows in self._succ.items()
+        }
+
     def successors(self, world: str, modality) -> tuple[str, ...]:
-        table = self._succ.get(_mod(modality))
-        if table is None:
-            return ()
-        return table.get(world, ())
+        rows = self._succ.get(modality)
+        return rows.get(world, ()) if rows else ()
 
     def has_world(self, world: str) -> bool:
         return world in self._world_set
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, KripkeFrame):
             return NotImplemented
-        return self.worlds == other.worlds and self.relations == other.relations
+        return self.worlds == other.worlds and self._succ == other._succ
 
     def __hash__(self):
         return hash((self.worlds, frozenset(self.relations.items())))
@@ -184,27 +187,38 @@ def check(model: KripkeModel, world: str, f: Formula) -> bool:
     A box over a world without successors is vacuously true; a diamond
     there is false.  Letters outside the model's alphabet are false.
     """
-    if not model.frame.has_world(str(world)):
+    world = str(world)
+    if not model.frame.has_world(world):
         raise ValueError(f"unknown world {world!r}")
-    return _check(model, str(world), f)
+    return _check(model.valuation, model.frame._succ, world, f)
 
 
-def _check(model, w, f):
+def _check(val, succ, w, f):
     t = type(f)
     if t is Prop:
-        return f.letter in model.valuation[w]
+        return f.letter in val[w]
     if t is Not:
-        return not _check(model, w, f.operand)
+        return not _check(val, succ, w, f.operand)
     if t is Or:
-        return _check(model, w, f.left) or _check(model, w, f.right)
+        return _check(val, succ, w, f.left) or _check(val, succ, w, f.right)
     if t is And:
-        return _check(model, w, f.left) and _check(model, w, f.right)
+        return _check(val, succ, w, f.left) and _check(val, succ, w, f.right)
     if t is Diamond:
-        op = f.operand
-        return any(_check(model, v, op) for v in model.frame.successors(w, f.modality))
+        rows = succ.get(f.modality)
+        if rows:
+            op = f.operand
+            for v in rows.get(w, ()):
+                if _check(val, succ, v, op):
+                    return True
+        return False
     if t is Box:
-        op = f.operand
-        return all(_check(model, v, op) for v in model.frame.successors(w, f.modality))
+        rows = succ.get(f.modality)
+        if rows:
+            op = f.operand
+            for v in rows.get(w, ()):
+                if not _check(val, succ, v, op):
+                    return False
+        return True
     if t is Top:
         return True
     raise TypeError(f"not a formula: {f!r}")
@@ -291,10 +305,10 @@ def _frames(mods, k: int):
 
 
 def _kripke_frame(ws, succ) -> KripkeFrame:
-    return KripkeFrame(
-        ws, {m: [(ws[u], ws[v]) for u, row in enumerate(rows) for v in row]
-             for m, rows in succ.items()}
-    )
+    return KripkeFrame._direct(ws, {
+        m: {ws[u]: tuple(sorted([ws[v] for v in row])) for u, row in enumerate(rows) if row}
+        for m, rows in succ.items()
+    })
 
 
 def _valuation(ws, letters, mask: int) -> dict:
@@ -315,7 +329,7 @@ def enumerate_models(alphabet, modalities, max_worlds: int):
     mask is cell b in world-then-sorted-letter order).
     """
     letters = tuple(sorted(str(l) for l in set(alphabet)))
-    mods = tuple(sorted({_mod(m).name for m in modalities}))
+    mods = tuple(sorted({Modality(m) for m in modalities}))
     alpha = frozenset(letters)
     for k in range(1, max_worlds + 1):
         ws = _world_names(k)
@@ -378,9 +392,8 @@ def compile_formula(f: Formula) -> Program:
             push(g.left)
             push(g.right)
         elif t is Diamond or t is Box:
-            name = g.modality.name
-            mods.add(name)
-            emit((_DIAMOND if t is Diamond else _BOX, name))
+            mods.add(g.modality)
+            emit((_DIAMOND if t is Diamond else _BOX, g.modality))
             push(g.operand)
         elif t is Top:
             emit(_TOP_OP)

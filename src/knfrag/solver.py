@@ -23,6 +23,7 @@ from .syntax import (
     Diamond,
     Formula,
     InternalError,
+    Modality,
     Not,
     Or,
     Prop,
@@ -188,33 +189,24 @@ def _largest_tree(profile: list[int]) -> int:
     return size
 
 
-def _vtree_to_model(vtree, mods, letter_sets, alphabet) -> KripkeModel:
-    worlds = []
+def _tree_to_model(root, letters_of, modality_of, alphabet) -> KripkeModel:
+    """A tree of (key, [(label, child), ...]) nodes as a model on the worlds
+    w0, w1, ... in pre-order; a node's letters are `letters_of(key)` and an
+    edge's modality is `modality_of(label)`."""
     valuation = {}
-    succ = {m: {} for m in mods}
+    succ = {}
 
     def build(node):
-        mask, entries = node
-        name = f"w{len(worlds)}"
-        worlds.append(name)
-        valuation[name] = letter_sets[mask]
-        children = {}
+        key, entries = node
+        name = f"w{len(valuation)}"
+        valuation[name] = letters_of(key)
         for label, child in entries:
-            children.setdefault(mods[label], []).append(build(child))
-        for m, names in children.items():
-            succ[m][name] = tuple(names)
+            succ.setdefault(modality_of(label), {}).setdefault(name, []).append(build(child))
         return name
 
-    build(vtree)
-    relations = {
-        m: frozenset((u, v) for u, vs in table.items() for v in vs)
-        for m, table in succ.items()
-        if table
-    }
-    frame = KripkeFrame._direct(
-        tuple(worlds), relations, {m: t for m, t in succ.items() if t}
-    )
-    return KripkeModel._direct(frame, valuation, alphabet)
+    build(root)
+    table = {m: {u: tuple(sorted(vs)) for u, vs in rows.items()} for m, rows in succ.items()}
+    return KripkeModel._direct(KripkeFrame._direct(tuple(valuation), table), valuation, alphabet)
 
 
 def sat_bruteforce(
@@ -252,7 +244,8 @@ def sat_bruteforce(
                 count += 1
                 if count > model_cap:
                     raise CapExceeded(f"model cap {model_cap} exceeded")
-                model = _vtree_to_model((mask, body), mods, letter_sets, alphabet)
+                model = _tree_to_model((mask, body), letter_sets.__getitem__,
+                                       mods.__getitem__, alphabet)
                 if check(model, "w0", f):
                     return SatResult(SAT, PointedModel(model, "w0"))
     status = UNSAT if max_worlds >= _world_bound(profile) else UNKNOWN_AT_BOUND
@@ -268,23 +261,8 @@ def sat_tableau(f: Formula, node_cap: int = DEFAULT_NODE_CAP) -> SatResult:
     tree = _expand([to_nnf(f)], budget)
     if tree is None:
         return SatResult(UNSAT)
-    worlds = []
-    relations = {}
-    valuation = {}
-
-    def build(node):
-        atoms, children = node
-        name = f"w{len(worlds)}"
-        worlds.append(name)
-        valuation[name] = atoms
-        for mod, child in children:
-            cname = build(child)
-            relations.setdefault(mod, []).append((name, cname))
-        return name
-
-    build(tree)
-    alphabet = letters(f)
-    model = KripkeModel(KripkeFrame(worlds, relations), valuation, alphabet)
+    # The tableau's atoms and modalities are final: both maps return them as is.
+    model = _tree_to_model(tree, frozenset, Modality, letters(f))
     if not check(model, "w0", f):
         raise InternalError("tableau witness does not satisfy the formula")
     return SatResult(SAT, PointedModel(model, "w0"))

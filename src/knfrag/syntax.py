@@ -75,22 +75,26 @@ class InternalError(RuntimeError):
 _IDENT_RE = re.compile(r"_?[a-z][a-z0-9_]*\Z")
 
 
-@dataclass(frozen=True, order=True)
-class Modality:
-    """Index of an accessibility relation; identity is the name."""
+class Modality(str):
+    """Index of an accessibility relation: a validated name, and a `str` that
+    equals, hashes and sorts like it (`Modality("a") == "a"`).  Given a
+    Modality, `Modality(m)` returns `m` itself."""
 
-    name: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not _IDENT_RE.match(self.name):
-            raise ValueError(f"bad modality name: {self.name!r}")
+    def __new__(cls, name):
+        if isinstance(name, Modality):
+            return name
+        if not isinstance(name, str) or not _IDENT_RE.match(name):
+            raise ValueError(f"bad modality name: {name!r}")
+        return super().__new__(cls, name)
 
-    def __str__(self):
-        return self.name
+    @property
+    def name(self) -> str:
+        return str.__str__(self)
 
-
-def _mod(m) -> Modality:
-    return m if isinstance(m, Modality) else Modality(m)
+    def __repr__(self):
+        return f"Modality(name={self.name!r})"
 
 
 # --- Abstract syntax ---
@@ -141,7 +145,7 @@ class Diamond(Formula):
     operand: Formula
 
     def __post_init__(self):
-        object.__setattr__(self, "modality", _mod(self.modality))
+        object.__setattr__(self, "modality", Modality(self.modality))
 
 
 @dataclass(frozen=True)
@@ -150,7 +154,7 @@ class Box(Formula):
     operand: Formula
 
     def __post_init__(self):
-        object.__setattr__(self, "modality", _mod(self.modality))
+        object.__setattr__(self, "modality", Modality(self.modality))
 
 
 TOP = Top()
@@ -277,7 +281,7 @@ class Clause:
     positives: tuple[Formula, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "prefix", tuple(_mod(m) for m in self.prefix))
+        object.__setattr__(self, "prefix", tuple(Modality(m) for m in self.prefix))
         object.__setattr__(self, "negatives", _lit_tuple(self.negatives))
         object.__setattr__(self, "positives", _lit_tuple(self.positives))
         if not self.negatives and not self.positives:

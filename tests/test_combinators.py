@@ -8,6 +8,7 @@ from knfrag import (
     add_successor_world,
     check,
     intersect,
+    model_to_json,
     override_valuation,
     parse,
     product,
@@ -216,3 +217,77 @@ def test_empty_valuation_world_keeps_diamond_literals_stable():
         lit = random_literal(rng, rng.randint(0, 3), ("p", "q"), ("a",), allow_box=False)
         for old in base.frame.worlds:
             assert check(base, old, lit) == check(grown, old, lit)
+
+
+# --- Combinator frames against the public constructor ---
+
+# "(a!,b)" sorts before "(a,b)" although ("a", "b") < ("a!", "b"), and
+# "w10" sorts before "w2": successor rows follow text order, not pair order.
+_NAMES = ("a", "a!", "b", "w0", "w2", "w10", "_x0", "z,")
+
+
+def _named_model(rng):
+    worlds = rng.sample(_NAMES, rng.randint(1, 5))
+    relations = {
+        m: [(u, v) for u in worlds for v in worlds if rng.random() < 0.35]
+        for m in ("a", "b")
+    }
+    valuation = {w: {l for l in "pqr" if rng.random() < 0.5} for w in worlds}
+    return KripkeModel(KripkeFrame(worlds, relations), valuation, set("pqr"))
+
+
+def _pairs(frame):
+    return {str(m): set(ps) for m, ps in frame.relations.items()}
+
+
+def _assert_same_frame(model, worlds, pairs):
+    """`model`'s frame equals the one the public constructor builds from
+    `worlds` and the expected `pairs`, in every observable way."""
+    frame = model.frame
+    expected = KripkeFrame(worlds, pairs)
+    assert frame == expected and expected == frame
+    assert hash(frame) == hash(expected)
+    assert frame.worlds == expected.worlds
+    for w in frame.worlds:
+        for m in ("a", "b", "c"):
+            succ = frame.successors(w, m)
+            assert succ == expected.successors(w, m)
+            assert succ == tuple(sorted(v for u, v in pairs.get(m, ()) if u == w))
+    rebuilt = KripkeModel(expected, model.valuation, model.alphabet)
+    assert model_to_json(model) == model_to_json(rebuilt)
+    assert repr(model) == repr(rebuilt)
+
+
+def test_combinator_frames_match_the_public_constructor():
+    rng = random.Random(2024)
+    for _ in range(400):
+        m1, m2 = _named_model(rng), _named_model(rng)
+        p1, p2 = _pairs(m1.frame), _pairs(m2.frame)
+
+        prod = product(m1, m2)
+        _assert_same_frame(
+            prod,
+            [product_world(u, v) for u in m1.frame.worlds for v in m2.frame.worlds],
+            {m: {(product_world(u, v), product_world(u2, v2))
+                 for u, u2 in p1.get(m, ()) for v, v2 in p2.get(m, ())}
+             for m in ("a", "b")},
+        )
+
+        other = KripkeModel(m1.frame, {w: set("pq") for w in m1.frame.worlds}, set("pqr"))
+        _assert_same_frame(intersect(m1, other), m1.frame.worlds, p1)
+        grown = [w for w in m1.frame.worlds if rng.random() < 0.5]
+        _assert_same_frame(override_valuation(m1, "p", grown), m1.frame.worlds, p1)
+
+        w, m = rng.choice(m1.frame.worlds), rng.choice("abc")
+        added = add_successor_world(m1, w, m, {"q"})
+        fresh = added.frame.worlds[-1]
+        expected = {k: set(ps) for k, ps in p1.items()}
+        expected.setdefault(m, set()).add((w, fresh))
+        _assert_same_frame(added, m1.frame.worlds + (fresh,), expected)
+
+
+def test_product_rejects_colliding_world_names():
+    left = KripkeModel(KripkeFrame(["a,b", "a"]), {}, set())
+    right = KripkeModel(KripkeFrame(["c", "b,c"]), {}, set())
+    with pytest.raises(ValueError):
+        product(left, right)

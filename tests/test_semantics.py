@@ -11,11 +11,15 @@ from knfrag import (
     check,
     enumerate_extensions,
     enumerate_models,
+    intersect,
     is_extension,
     is_positive_literal,
     model_from_json,
     model_to_json,
+    override_valuation,
     parse,
+    product,
+    product_world,
     restrict_alphabet,
 )
 from helpers import enlarge_valuation, random_formula, random_literal, random_model, table_check
@@ -60,6 +64,24 @@ def test_check_agrees_with_table_filling_oracle():
         f = random_formula(rng, depth=4, letters=("p", "q", "r"), mods=("a", "b"))
         w = rng.choice(model.frame.worlds)
         assert check(model, w, f) == table_check(model, w, f)
+
+
+def test_check_agrees_with_table_filling_oracle_on_combined_models():
+    # The benchmark's modelcheck shape: 3,000 points of products of up to 25
+    # worlds with two modalities, and intersected and overridden models.
+    rng = random.Random(456)
+    for _ in range(1500):
+        m1, m2 = random_model(rng, max_worlds=5), random_model(rng, max_worlds=5)
+        f = random_formula(rng, depth=4, letters=("p", "q", "r"), mods=("a", "b"))
+        prod = product(m1, m2)
+        for _ in range(2):
+            w = product_world(rng.choice(m1.frame.worlds), rng.choice(m2.frame.worlds))
+            assert check(prod, w, f) == table_check(prod, w, f)
+        other = random_model(rng, frame=m1.frame)
+        grown = [w for w in m1.frame.worlds if rng.random() < 0.4]
+        for model in (intersect(m1, other), override_valuation(m1, rng.choice("pqr"), grown)):
+            w = rng.choice(model.frame.worlds)
+            assert check(model, w, f) == table_check(model, w, f)
 
 
 def test_positive_literal_monotone_under_enlargement():

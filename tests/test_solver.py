@@ -6,6 +6,7 @@ import pytest
 from knfrag import (
     And,
     InternalError,
+    KripkeFrame,
     Not,
     check,
     enumerate_models,
@@ -134,6 +135,20 @@ def test_tableau_witness_validates():
         result = sat_tableau(f)
         if result.status == SAT:
             assert check(result.witness.model, result.witness.world, f)
+
+
+def test_witness_frames_match_the_public_constructor():
+    # Eleven successors name w1..w11, whose text order is not numeric order.
+    f = parse(" & ".join(f"<a>p{i}" for i in range(11)) + " & <b>(<a>q & <b>T)")
+    for result in (sat_tableau(f), sat_bruteforce(parse("<a><b>p & <b>q"), 4)):
+        frame = result.witness.model.frame
+        assert frame == KripkeFrame(frame.worlds, frame.relations)
+        for w in frame.worlds:
+            for m in ("a", "b"):
+                expected = sorted(v for u, v in frame.relations.get(m, ()) if u == w)
+                assert frame.successors(w, m) == tuple(expected)
+    row = sat_tableau(f).witness.model.frame.successors("w0", "a")
+    assert len(row) == 11 and list(row) != sorted(row, key=lambda w: int(w[1:]))
 
 
 def test_tableau_branching_keeps_constraints():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -239,3 +240,44 @@ def test_fresh_letter_idents_parse():
     f = parse("~[a]_f0 & [a](_f0 | p)")
     assert letters(f) == {"_f0", "p"}
     assert parse(to_text(f)) == f
+
+
+# --- Modality: a validated name that is a str ---
+
+
+@pytest.mark.parametrize("bad", ["", "A", "1a", "a b", "a-b", "<a>", None, 3, b"a", ("a",)])
+def test_modality_rejects_bad_names_and_non_strings(bad):
+    with pytest.raises(ValueError):
+        Modality(bad)
+    with pytest.raises(ValueError):
+        Diamond(bad, TOP)
+
+
+def test_modality_contract():
+    a = Modality("a")
+    assert repr(a) == "Modality(name='a')"
+    assert a.name == "a" and type(a.name) is str and type(str(a)) is str
+    assert Modality(a) is a
+    assert sorted([Modality("b"), Modality("a1"), Modality("a"), Modality("_z")]) == [
+        Modality("_z"), Modality("a"), Modality("a1"), Modality("b")]
+    # The one deliberate change: a Modality now equals and hashes like its name.
+    assert a == "a" and hash(a) == hash("a") and {a: 1}["a"] == 1
+    for attribute in ("name", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, attribute, "b")
+    assert repr(parse("<a>[b_2]p")) == (
+        "Diamond(modality=Modality(name='a'), operand=Box(modality="
+        "Modality(name='b_2'), operand=Prop(letter='p')))")
+    assert Diamond("a", TOP) == Diamond(a, TOP) and hash(Diamond("a", TOP)) == hash(Diamond(a, TOP))
+
+
+def test_printed_text_is_unchanged():
+    # sha256 of the printed texts, recorded before Modality became a str.
+    rng = random.Random(77)
+    digest = hashlib.sha256()
+    for _ in range(2000):
+        f = random_formula(rng, depth=5, letters=("p", "q", "_f0"), mods=("a", "b", "c_1"))
+        text = to_text(f)
+        assert parse(text) == f
+        digest.update((text + "\n").encode())
+    assert digest.hexdigest() == "34a315ea32f395eb5b81f2f8e4b19ebca42221a21c827a1171c838e4500d55b9"
