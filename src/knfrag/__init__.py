@@ -24,6 +24,7 @@ from .expressiveness import (
     enumerate_fragment,
     parse_fragment_spec,
     replay_theorem,
+    replay_theorems,
     search_weak_translation,
     strong_translation_check,
     weak_equiv_check,

@@ -5,7 +5,8 @@ hierarchy.  Formulas come from the command line or stdin; models come from
 JSON files.  `--json` switches every verb to machine-readable output.
 
 Exit codes: 64 usage, 65 bad formula or model data, 66 unreadable file,
-69 resource cap, 70 internal error (a guarantee the library re-checks
+69 resource cap (a solver cap, or input nested too deeply for the
+recursion limit), 70 internal error (a guarantee the library re-checks
 failed, which is a bug in knfrag).  `sat` exits 0/1/2 for satisfiable /
 unsatisfiable / unknown at the bound; `check` exits 0/1 for true/false;
 `equiv` and `search` exit 0/1 for found/not.
@@ -23,7 +24,7 @@ import sys
 from .expressiveness import (
     EQUIVALENT_UP_TO_BOUND,
     THEOREM_IDS,
-    replay_theorem,
+    replay_theorems,
     search_weak_translation,
     strong_translation_check,
     weak_equiv_check,
@@ -136,7 +137,7 @@ def _cmd_sat(args) -> int:
     f = parse(_read_formula(args.formula))
     if args.engine == "brute":
         cap = args.cap if args.cap is not None else DEFAULT_MODEL_CAP
-        max_worlds = args.max_worlds or tree_model_bound(f)
+        max_worlds = tree_model_bound(f) if args.max_worlds is None else args.max_worlds
         result = sat_bruteforce(f, max_worlds, model_cap=cap)
     else:
         cap = args.cap if args.cap is not None else DEFAULT_NODE_CAP
@@ -195,20 +196,13 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify_paper(args) -> int:
-    ids = [args.id] if args.id else list(THEOREM_IDS)
-    all_pass = True
-    for theorem_id in ids:
-        report = replay_theorem(theorem_id)
+    reports = replay_theorems([args.id] if args.id else THEOREM_IDS)
+    for report in reports:
         for description, ok in report.steps:
-            print(json.dumps(
-                {"theorem": report.theorem, "step": description, "pass": ok},
-                sort_keys=True,
-            ))
-        print(json.dumps(
-            {"theorem": report.theorem, "overall": report.overall}, sort_keys=True
-        ))
-        all_pass = all_pass and report.overall
-    return 0 if all_pass else 1
+            print(json.dumps({"theorem": report.theorem, "step": description, "pass": ok},
+                             sort_keys=True))
+        print(json.dumps({"theorem": report.theorem, "overall": report.overall}, sort_keys=True))
+    return 0 if all(report.overall for report in reports) else 1
 
 
 def _cmd_hierarchy(args) -> int:
@@ -305,6 +299,9 @@ def main(argv=None) -> int:
     except InternalError as e:
         sys.stderr.write(f"internal error: {e}\n")
         return EX_SOFTWARE
+    except RecursionError:
+        sys.stderr.write("resource cap exceeded: input nested past the recursion limit\n")
+        return EX_UNAVAILABLE
     except ValueError as e:
         sys.stderr.write(f"error: {e}\n")
         return EX_DATAERR

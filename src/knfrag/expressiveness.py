@@ -7,11 +7,13 @@ verdict that is either equivalence-up-to-the-bound or a concrete pointed
 counterexample.  `search_weak_translation` refutes translatability claims
 by exhausting a clausal fragment up to a size bound.  `replay_theorem`
 re-runs the concrete model constructions behind each catalogued result and
-reports step-by-step outcomes.
+reports step-by-step outcomes; a corollary cites the results it rests on by
+id, and `replay_theorems` replays several ids in one run, each result once.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import count
 from itertools import product as iproduct
@@ -57,6 +59,7 @@ __all__ = [
     "enumerate_fragment",
     "parse_fragment_spec",
     "replay_theorem",
+    "replay_theorems",
 ]
 
 EQUIVALENT_UP_TO_BOUND = "EQUIVALENT_UP_TO_BOUND"
@@ -92,6 +95,8 @@ def weak_equiv_check(f: Formula, g: Formula, alphabet=None, max_worlds: int = 3)
     O(nodes * k * 2**(k*|alphabet|)) bits, with k the world count and at
     most 2**12 valuations per batch.
     """
+    if max_worlds < 1:
+        raise ValueError("max_worlds must be at least 1")
     pf, pg = compile_formula(f), compile_formula(g)
     used = pf.letters | pg.letters
     if alphabet is None:
@@ -121,6 +126,8 @@ def strong_translation_check(
     frame is O(nodes * k * 2**(k*(|alphabet| + |fresh|))) bits, with at
     most max(2**12, 2**(k*|fresh|)) valuations per batch.
     """
+    if max_worlds < 1:
+        raise ValueError("max_worlds must be at least 1")
     pf, pg = compile_formula(f), compile_formula(g)
     base_alpha = frozenset(alphabet) if alphabet is not None else pf.letters
     if not pf.letters <= base_alpha:
@@ -138,30 +145,21 @@ def strong_translation_check(
 # --- Fragment-bounded candidate enumeration ---
 
 
+_FRAGMENT_FLAGS = {"horn": (True, False), "krom": (False, True),  # name -> (horn, krom)
+                   "core": (True, True), "bool": (False, False)}
+
+
 def parse_fragment_spec(spec: str) -> FragmentDescriptor:
     """Required-property flags from a name like "horn", "krom-box",
     "core-diamond", or "bool" (no constraints)."""
     name = spec.strip().lower()
-    box_only = diamond_only = False
-    for suffix, flag in (("-box", "box"), ("-diamond", "dia"), ("-dia", "dia")):
-        if name.endswith(suffix):
-            name = name[: -len(suffix)]
-            if flag == "box":
-                box_only = True
-            else:
-                diamond_only = True
-            break
-    if name == "horn":
-        horn, krom = True, False
-    elif name == "krom":
-        horn, krom = False, True
-    elif name == "core":
-        horn, krom = True, True
-    elif name == "bool":
-        horn, krom = False, False
-    else:
+    suffix = next((s for s in ("-box", "-diamond", "-dia") if name.endswith(s)), "")
+    name = name[: len(name) - len(suffix)]
+    if name not in _FRAGMENT_FLAGS:
         raise ValueError(f"unknown fragment spec: {spec!r}")
-    return FragmentDescriptor(horn, krom, horn and krom, box_only, diamond_only)
+    horn, krom = _FRAGMENT_FLAGS[name]
+    return FragmentDescriptor(horn, krom, horn and krom,
+                              suffix == "-box", suffix.startswith("-dia"))
 
 
 def _formula_key(f):
@@ -311,6 +309,8 @@ def search_weak_translation(
     evaluated, plus one target value of k * 2**(k*|alphabet|) bits for each
     frame a candidate has reached.
     """
+    if max_worlds < 1:
+        raise ValueError("max_worlds must be at least 1")
     goal = compile_formula(target)
     if modalities is None:
         modalities = {"a"} | goal.modalities
@@ -530,11 +530,20 @@ def _replay_horndia_vs_horn() -> list:
     return steps.items
 
 
-def _equisat_agrees(original: Formula, translated: Formula) -> bool:
-    # Dual route: the small original goes to the exhaustive bounded oracle,
-    # the translated side (more letters, larger bound) to the tableau.
-    orig = sat_bruteforce(original, tree_model_bound(original))
-    return orig.status == sat_tableau(translated).status
+def _translation_steps(steps, translate, corpus, restriction):
+    # Equi-satisfiability by a dual route: the small original goes to the
+    # exhaustive bounded oracle, the translation (more letters, larger bound)
+    # to the tableau.
+    for text in corpus:
+        cf = recognize_clausal(parse(text))
+        out = translate(cf)
+        d = classify(out)
+        steps.add(f"translation of {text} lands in the {restriction}-restricted Krom fragment",
+                  d.krom and (d.box_only if restriction == "box" else d.diamond_only))
+        f = cf.to_formula()
+        steps.add(f"translation of {text} is equi-satisfiable",
+                  sat_bruteforce(f, tree_model_bound(f)).status
+                  == sat_tableau(out.to_formula()).status)
 
 
 def _replay_krombox_equiv() -> list:
@@ -544,14 +553,7 @@ def _replay_krombox_equiv() -> list:
     steps.add("the diamond literal rewrites to its two-clause form", template == expected)
 
     corpus = ["<a>p", "<a><b>p", "~<a>p", "<a>p | q", "[b]<a>p", "<a>p & ~<a>p"]
-    for text in corpus:
-        cf = recognize_clausal(parse(text))
-        out = krom_to_krom_box(cf)
-        d = classify(out)
-        steps.add(f"translation of {text} lands in the box-restricted Krom fragment",
-                  d.krom and d.box_only)
-        steps.add(f"translation of {text} is equi-satisfiable",
-                  _equisat_agrees(cf.to_formula(), out.to_formula()))
+    _translation_steps(steps, krom_to_krom_box, corpus, "box")
 
     # Same-alphabet separation: one added p-world flips the diamond target
     # while box-only literals keep their truth at old worlds.
@@ -581,14 +583,7 @@ def _replay_kromdia_equiv() -> list:
     steps.add("the negated box literal rewrites to its two-clause form", template == expected)
 
     corpus = ["[a]p", "[a][b]p", "~[a]p", "[a]p -> q", "<b>[a]p", "[a]p & ~[a]p"]
-    for text in corpus:
-        cf = recognize_clausal(parse(text))
-        out = krom_to_krom_diamond(cf)
-        d = classify(out)
-        steps.add(f"translation of {text} lands in the diamond-restricted Krom fragment",
-                  d.krom and d.diamond_only)
-        steps.add(f"translation of {text} is equi-satisfiable",
-                  _equisat_agrees(cf.to_formula(), out.to_formula()))
+    _translation_steps(steps, krom_to_krom_diamond, corpus, "diamond")
 
     # Same-alphabet separation: one added empty world flips the boxed target
     # while diamond-only literals keep their truth at old worlds.
@@ -611,20 +606,14 @@ def _replay_kromdia_equiv() -> list:
     return steps.items
 
 
-def _replay_horn_krom_incomparable() -> list:
+def _replay_horn_krom_incomparable(horn_vs_bool, krom_vs_bool) -> list:
     steps = _Steps()
     d_or = classify(recognize_clausal(parse("p | q")))
     steps.add("the disjunctive witness is Krom but not Horn", d_or.krom and not d_or.horn)
     d_imp = classify(recognize_clausal(parse("p & q -> r")))
     steps.add("the implicative witness is Horn but not Krom", d_imp.horn and not d_imp.krom)
-    steps.add(
-        "the Horn separation argument replays",
-        all(ok for _, ok in _replay_horn_vs_bool()),
-    )
-    steps.add(
-        "the Krom separation argument replays",
-        all(ok for _, ok in _replay_krom_vs_bool()),
-    )
+    steps.add("the Horn separation argument replays", horn_vs_bool)
+    steps.add("the Krom separation argument replays", krom_vs_bool)
     for text in ("<a>p", "p | q", "p & q -> r", "~p"):
         d = classify(recognize_clausal(parse(text)))
         steps.add(f"core status of {text} is the Horn-Krom conjunction",
@@ -632,53 +621,66 @@ def _replay_horn_krom_incomparable() -> list:
     return steps.items
 
 
-def _replay_box_dia_incomparable() -> list:
+def _replay_box_dia_incomparable(hornbox_vs_horn, horndia_vs_horn, krombox, kromdia) -> list:
     steps = _Steps()
     d_dia = classify(recognize_clausal(parse("<a>p")))
-    steps.add(
-        "the diamond witness lives in the diamond-restricted core fragment",
-        d_dia.core and d_dia.diamond_only and not d_dia.box_only,
-    )
+    steps.add("the diamond witness lives in the diamond-restricted core fragment",
+              d_dia.core and d_dia.diamond_only and not d_dia.box_only)
     d_box = classify(recognize_clausal(parse("[a]p -> q")))
-    steps.add(
-        "the box witness lives in the box-restricted core fragment",
-        d_box.core and d_box.box_only and not d_box.diamond_only,
-    )
-    steps.add(
-        "the intersection argument against a box-only translation replays",
-        all(ok for _, ok in _replay_hornbox_vs_horn()),
-    )
-    steps.add(
-        "the product argument against a diamond-only translation replays",
-        all(ok for _, ok in _replay_horndia_vs_horn()),
-    )
-    steps.add(
-        "the same-alphabet Krom-level separations replay",
-        all(ok for _, ok in _replay_krombox_equiv())
-        and all(ok for _, ok in _replay_kromdia_equiv()),
-    )
+    steps.add("the box witness lives in the box-restricted core fragment",
+              d_box.core and d_box.box_only and not d_box.diamond_only)
+    steps.add("the intersection argument against a box-only translation replays",
+              hornbox_vs_horn)
+    steps.add("the product argument against a diamond-only translation replays",
+              horndia_vs_horn)
+    steps.add("the same-alphabet Krom-level separations replay", krombox and kromdia)
     return steps.items
 
 
+# id -> (replay, ids of the results it cites).  A citing replay is passed
+# the overall verdict of each cited result, in citation order.
 _CATALOGUE = {
-    "horn-vs-bool": _replay_horn_vs_bool,
-    "krom-vs-bool": _replay_krom_vs_bool,
-    "intersection-closure": _replay_intersection_closure,
-    "hornbox-vs-horn": _replay_hornbox_vs_horn,
-    "product-closure": _replay_product_closure,
-    "horndia-vs-horn": _replay_horndia_vs_horn,
-    "krombox-equiv": _replay_krombox_equiv,
-    "kromdia-equiv": _replay_kromdia_equiv,
-    "horn-krom-incomparable": _replay_horn_krom_incomparable,
-    "box-dia-incomparable": _replay_box_dia_incomparable,
+    "horn-vs-bool": (_replay_horn_vs_bool, ()),
+    "krom-vs-bool": (_replay_krom_vs_bool, ()),
+    "intersection-closure": (_replay_intersection_closure, ()),
+    "hornbox-vs-horn": (_replay_hornbox_vs_horn, ()),
+    "product-closure": (_replay_product_closure, ()),
+    "horndia-vs-horn": (_replay_horndia_vs_horn, ()),
+    "krombox-equiv": (_replay_krombox_equiv, ()),
+    "kromdia-equiv": (_replay_kromdia_equiv, ()),
+    "horn-krom-incomparable": (_replay_horn_krom_incomparable, ("horn-vs-bool", "krom-vs-bool")),
+    "box-dia-incomparable": (_replay_box_dia_incomparable, (
+        "hornbox-vs-horn", "horndia-vs-horn", "krombox-equiv", "kromdia-equiv")),
 }
 
 THEOREM_IDS = tuple(_CATALOGUE)
 
+# Reports by id of the run in progress in this context; a new thread is in none.
+_RUN_REPORTS = ContextVar("replay_run_reports")
+
+
+def replay_theorems(theorem_ids) -> list:
+    """Reports for the ids, replayed in one run: each catalogued result is
+    replayed at most once, however many of the ids cite it."""
+    token = _RUN_REPORTS.set({})
+    try:
+        return [replay_theorem(theorem_id) for theorem_id in theorem_ids]
+    finally:
+        _RUN_REPORTS.reset(token)
+
 
 def replay_theorem(theorem_id: str) -> TheoremReport:
-    """Re-run one catalogued construction; see `THEOREM_IDS`."""
+    """Re-run one catalogued construction; see `THEOREM_IDS`.  The results
+    it cites are replayed first, once each per run; a call outside
+    `replay_theorems` is a run of its own."""
     if theorem_id not in _CATALOGUE:
         known = ", ".join(THEOREM_IDS)
         raise ValueError(f"unknown theorem id {theorem_id!r} (known: {known})")
-    return TheoremReport(theorem_id, _CATALOGUE[theorem_id]())
+    reports = _RUN_REPORTS.get(None)
+    if reports is None:
+        return replay_theorems([theorem_id])[0]
+    if theorem_id not in reports:
+        replay, cites = _CATALOGUE[theorem_id]
+        verdicts = [replay_theorem(cited).overall for cited in cites]
+        reports[theorem_id] = TheoremReport(theorem_id, replay(*verdicts))
+    return reports[theorem_id]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from itertools import combinations_with_replacement, product
 
 from knfrag import (
@@ -26,6 +27,7 @@ from knfrag import (
     formula_modalities,
     letters as formula_letters,
 )
+from knfrag import expressiveness
 
 
 # --- Independent truth oracle: table filling over all (subformula, world) ---
@@ -276,3 +278,22 @@ def reference_search(target, fragment, alphabet, size_bound, max_worlds, modalit
         if all(check(model, w, g) == truth for model, w, truth in points):
             return cf
     return None
+
+
+def count_replays(monkeypatch):
+    """Wrap every catalogue entry with a counter of its evaluations, safe
+    across threads; returns the counts by theorem id."""
+    lock = threading.Lock()
+    counts = dict.fromkeys(expressiveness.THEOREM_IDS, 0)
+
+    def counted(theorem_id, replay):
+        def wrapper(*verdicts):
+            with lock:
+                counts[theorem_id] += 1
+            return replay(*verdicts)
+        return wrapper
+
+    for theorem_id, (replay, cites) in list(expressiveness._CATALOGUE.items()):
+        monkeypatch.setitem(expressiveness._CATALOGUE, theorem_id,
+                            (counted(theorem_id, replay), cites))
+    return counts

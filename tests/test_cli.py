@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -11,9 +12,10 @@ import pytest
 from jsonschema import Draft7Validator
 from referencing import Registry, Resource
 
-from knfrag import model_to_json, KripkeFrame, KripkeModel
-from knfrag import cli
+from knfrag import model_to_json, KripkeFrame, KripkeModel, THEOREM_IDS
+from knfrag import cli, expressiveness
 from knfrag.cli import main
+from helpers import count_replays
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 SCHEMA_DIR = SRC_DIR / "knfrag" / "schemas"
@@ -235,6 +237,13 @@ def test_cap_does_not_clamp_the_world_bound():
     assert run(["--cap", "2", "sat", "--engine", "brute", "<a><a>T"])[0] == 69
 
 
+def test_sat_max_worlds_zero_is_not_the_full_bound():
+    # 0 is a bound like any other, not a request for the default.
+    code, out, err = run(["sat", "--engine", "brute", "--max-worlds", "0", "p"])
+    assert (code, out) == (65, "")
+    assert err == "error: max_worlds must be at least 1\n"
+
+
 def test_default_max_worlds_is_the_full_bound():
     # tree_model_bound is 12,356,631 here, above the default model cap, but
     # the enumerated class has at most 27 nodes and no model in it.
@@ -333,3 +342,102 @@ def test_shared_parser_across_threads(model_file):
     assert not any(t.is_alive() for t in threads)
     for i, want in enumerate(expected):
         assert got[i] == [want] * 200
+
+
+# --- bounds below one ---
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["equiv", "p", "q"],
+    ["equiv", "--mode", "strong", "p", "~p"],
+    ["search", "--fragment", "horn", "--size", "3", "p"],
+])
+def test_max_worlds_below_one_is_a_data_error(argv, bound):
+    code, out, err = run(argv + ["--max-worlds", bound])
+    assert (code, out) == (65, "")
+    assert err == "error: max_worlds must be at least 1\n"
+
+
+# --- input nested past the recursion limit ---
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "~" * 3000 + "p"],
+    ["sat", " & ".join(["p"] * 1000)],
+])
+def test_deep_input_is_a_resource_cap_without_traceback(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "knfrag.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 69
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("resource cap exceeded:")
+    assert done.stderr.count("\n") == 1
+
+
+# --- verify-paper: one run replays each catalogued result once ---
+
+# sha256 of `--json verify-paper` stdout, taken before corollaries cited
+# results by id; the output is the same byte for byte.
+VERIFY_PAPER_SHA256 = {
+    None: "a3ddeb22641f24aacbc69a1b92a4a84664a81521b9f07fb67055d1612a8236e8",
+    "horn-vs-bool": "381b6c83a1a0977ec2e17f6dd61fa3dfe09c769d7b221d7e16b5f46e6b79538f",
+    "krom-vs-bool": "6a36c25543b824eaedd416dbfb8594cbf18ded41d1290388d7aa6e3d695f8dc7",
+    "intersection-closure": "920ffe8ad3b744827589667c26eca6f7d4fa47dfa97c37603055387459bd47a9",
+    "hornbox-vs-horn": "9e629c4ed3b68b30c47fa25a262eb9025200a539f043842b447781b958d27c8a",
+    "product-closure": "a8962c44c7fc53b0656b55f98ccdf18f28a0f592300564d7af0bfadaf749c00c",
+    "horndia-vs-horn": "39fd1f9842842b4faa3c4b85452d3b3c116c62269fb486a1c01900af3d8f58af",
+    "krombox-equiv": "2e88c475e436e61d7d6d813e9de75e29a6979475aaed46572e4edc7f02efe6b6",
+    "kromdia-equiv": "886a3b859d0ece8cb91aa13d0c0d5dd39436a9d76957684d786e6ddde8235608",
+    "horn-krom-incomparable": "fab753ac7659117c38781e395ca9a90d07b4b7038d06bd2976f3a1edd04cd744",
+    "box-dia-incomparable": "4bda902f7fc937ef30e7155992f08f4655e85d0ee2cd2587107754558f8807ca",
+}
+
+
+def verify_paper(theorem_id=None):
+    return run(["--json", "verify-paper"] + (["--id", theorem_id] if theorem_id else []))
+
+
+@pytest.mark.parametrize("theorem_id", VERIFY_PAPER_SHA256)
+def test_verify_paper_output_is_pinned(theorem_id):
+    code, out, err = verify_paper(theorem_id)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_PAPER_SHA256[theorem_id]
+
+
+def test_verify_paper_pins_cover_the_catalogue():
+    assert set(VERIFY_PAPER_SHA256) == {None, *THEOREM_IDS}
+
+
+def test_verify_paper_replays_each_result_once(monkeypatch):
+    replay_counts = count_replays(monkeypatch)
+    assert verify_paper()[0] == 0
+    assert replay_counts == dict.fromkeys(THEOREM_IDS, 1)
+
+
+def test_verify_paper_id_replays_its_cited_results_once(monkeypatch):
+    replay_counts = count_replays(monkeypatch)
+    code, out, _ = verify_paper("box-dia-incomparable")
+    assert code == 0
+    assert {json.loads(line)["theorem"] for line in out.splitlines()} == {"box-dia-incomparable"}
+    cited = {"box-dia-incomparable", "hornbox-vs-horn", "horndia-vs-horn",
+             "krombox-equiv", "kromdia-equiv"}
+    assert replay_counts == {t: int(t in cited) for t in THEOREM_IDS}
+
+
+def test_verify_paper_memo_is_per_run(monkeypatch):
+    replay, cites = expressiveness._CATALOGUE["krombox-equiv"]
+    monkeypatch.setitem(expressiveness._CATALOGUE, "krombox-equiv",
+                        (lambda: [("patched to fail", False)], cites))
+    code, out, _ = verify_paper()
+    assert code == 1
+    overall = {line["theorem"]: line["overall"]
+               for line in map(json.loads, out.splitlines()) if "overall" in line}
+    assert [t for t, ok in overall.items() if not ok] == ["krombox-equiv", "box-dia-incomparable"]
+    monkeypatch.setitem(expressiveness._CATALOGUE, "krombox-equiv", (replay, cites))
+    for theorem_id in (None, "box-dia-incomparable"):
+        code, out, _ = verify_paper(theorem_id)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_PAPER_SHA256[theorem_id]

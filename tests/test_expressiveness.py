@@ -1,5 +1,7 @@
 import hashlib
 import random
+import sys
+import threading
 
 import pytest
 
@@ -21,12 +23,15 @@ from knfrag import (
     parse_fragment_spec,
     recognize_clausal,
     replay_theorem,
+    replay_theorems,
     search_weak_translation,
     strong_translation_check,
     weak_equiv_check,
 )
+from knfrag import expressiveness
 from knfrag.translate import krom_to_krom_box, krom_to_krom_diamond
 from helpers import (
+    count_replays,
     random_formula,
     reference_search,
     reference_strong,
@@ -348,3 +353,57 @@ def test_replay_report_shape():
     report = replay_theorem("hornbox-vs-horn")
     assert all(isinstance(d, str) and isinstance(ok, bool) for d, ok in report.steps)
     assert report.overall == all(ok for _, ok in report.steps)
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+@pytest.mark.parametrize("call", [
+    lambda bound: weak_equiv_check(parse("p"), parse("q"), max_worlds=bound),
+    lambda bound: strong_translation_check(parse("p"), parse("~p"), max_worlds=bound),
+    lambda bound: search_weak_translation(parse("p"), "horn", {"p"}, 3, max_worlds=bound),
+])
+def test_bounded_checks_reject_bounds_below_one(call, bound):
+    with pytest.raises(ValueError, match="max_worlds must be at least 1"):
+        call(bound)
+
+
+def test_replay_run_leaves_no_state():
+    with pytest.raises(ValueError):
+        replay_theorems(["horn-vs-bool", "no-such-result"])
+    assert expressiveness._RUN_REPORTS.get(None) is None
+    report = replay_theorem("box-dia-incomparable")
+    assert expressiveness._RUN_REPORTS.get(None) is None
+    assert report.overall
+
+
+def test_replay_theorems_matches_single_replays():
+    reports = replay_theorems(THEOREM_IDS)
+    assert [r.theorem for r in reports] == list(THEOREM_IDS)
+    assert reports == [replay_theorem(t) for t in THEOREM_IDS]
+
+
+def test_concurrent_runs_share_no_reports(monkeypatch):
+    # Each run replays each result once; runs in other threads do not save
+    # it any work, so every thread's runs count in full.
+    counts = count_replays(monkeypatch)
+    workers, runs = 6, 4
+    results = [[] for _ in range(workers)]
+    barrier = threading.Barrier(workers, timeout=60)
+
+    def worker(i):
+        barrier.wait()
+        for _ in range(runs):
+            results[i].append([r.overall for r in replay_theorems(THEOREM_IDS)])
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[[True] * len(THEOREM_IDS)] * runs] * workers
+    assert counts == dict.fromkeys(THEOREM_IDS, workers * runs)
