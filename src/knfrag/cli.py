@@ -7,9 +7,10 @@ JSON files.  `--json` switches every verb to machine-readable output.
 Exit codes: 64 usage, 65 bad formula or model data, 66 unreadable file,
 69 resource cap (a solver cap, or input nested too deeply for the
 recursion limit), 70 internal error (a guarantee the library re-checks
-failed, which is a bug in knfrag).  `sat` exits 0/1/2 for satisfiable /
-unsatisfiable / unknown at the bound; `check` exits 0/1 for true/false;
-`equiv` and `search` exit 0/1 for found/not.
+failed, which is a bug in knfrag), 73 unwritable `translate --sidecar`
+file.  `sat` exits 0/1/2 for satisfiable / unsatisfiable / unknown at the
+bound; `check` exits 0/1 for true/false; `equiv` and `search` exit 0/1 for
+found/not.
 
 The argument parser is built once, when the module is imported, and every
 `main` call parses into a fresh namespace, so calls share no state.
@@ -60,6 +61,7 @@ EX_DATAERR = 65
 EX_NOINPUT = 66
 EX_UNAVAILABLE = 69
 EX_SOFTWARE = 70
+EX_CANTCREAT = 73
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -134,6 +136,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_sat(args) -> int:
+    if args.max_worlds is not None and args.engine != "brute":
+        sys.stderr.write("knfrag sat: error: --max-worlds needs --engine brute\n")
+        return EX_USAGE
     f = parse(_read_formula(args.formula))
     if args.engine == "brute":
         cap = args.cap if args.cap is not None else DEFAULT_MODEL_CAP
@@ -156,9 +161,13 @@ def _cmd_translate(args) -> int:
     fresh = fresh_letters_of(cf, translated)
     sidecar = {"to": args.to, "formula": str(translated), "fresh_letters": fresh}
     if args.sidecar:
-        with open(args.sidecar, "w", encoding="utf-8") as handle:
-            json.dump(sidecar, handle, sort_keys=True)
-            handle.write("\n")
+        try:
+            with open(args.sidecar, "w", encoding="utf-8") as handle:
+                json.dump(sidecar, handle, sort_keys=True)
+                handle.write("\n")
+        except OSError as e:
+            sys.stderr.write(f"cannot write {args.sidecar}: {e.strerror or e}\n")
+            return EX_CANTCREAT
     _emit(args, sidecar, str(translated))
     return 0
 

@@ -311,6 +311,8 @@ def search_weak_translation(
     """
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
+    if formula_size_bound < 1:
+        raise ValueError("formula_size_bound must be at least 1")
     goal = compile_formula(target)
     if modalities is None:
         modalities = {"a"} | goal.modalities

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 
-from .syntax import And, Box, Diamond, Formula, Modality, Not, Or, Prop, Top
+from .syntax import And, Box, Diamond, Formula, Modality, Not, Or, Prop, Top, subformulas
 
 __all__ = [
     "KripkeFrame",
@@ -371,35 +371,28 @@ class Program:
 
 
 def compile_formula(f: Formula) -> Program:
-    """One iterative walk over f; deep formulas raise no RecursionError."""
+    """Post-order code for f: one instruction per node of `subformulas(f)`,
+    reversed.  Deep formulas raise no RecursionError."""
     code = []
     emit = code.append
     letters = set()
     mods = set()
-    stack = [f]
-    pop, push = stack.pop, stack.append
-    while stack:
-        g = pop()
+    for g in subformulas(f):
         t = type(g)
         if t is Prop:
             emit((_LETTER, g.letter))
             letters.add(g.letter)
         elif t is Not:
             emit(_NOT_OP)
-            push(g.operand)
         elif t is And or t is Or:
             emit(_AND_OP if t is And else _OR_OP)
-            push(g.left)
-            push(g.right)
         elif t is Diamond or t is Box:
             mods.add(g.modality)
             emit((_DIAMOND if t is Diamond else _BOX, g.modality))
-            push(g.operand)
         elif t is Top:
             emit(_TOP_OP)
         else:
             raise TypeError(f"not a formula: {g!r}")
-    # Pre-order with the right child first, reversed, is post-order.
     code.reverse()
     return Program(code, frozenset(letters), frozenset(mods))
 

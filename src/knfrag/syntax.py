@@ -57,6 +57,7 @@ __all__ = [
     "clause_letters",
     "clause_texts",
     "consequent_letters",
+    "subformulas",
     "letters",
     "formula_modalities",
     "node_count",
@@ -168,80 +169,60 @@ def is_positive_literal(f: Formula) -> bool:
     return isinstance(f, (Top, Prop))
 
 
+def subformulas(f: Formula) -> Iterator[Formula]:
+    """Every node of f in pre-order, each node before its children and the
+    right child before the left, so the stream reversed is post-order.
+    Iterative: deep formulas raise no RecursionError."""
+    stack = [f]
+    pop, push = stack.pop, stack.append
+    while stack:
+        g = pop()
+        yield g
+        t = type(g)
+        if t is And or t is Or:
+            push(g.left)
+            push(g.right)
+        elif t is Not or t is Diamond or t is Box:
+            push(g.operand)
+
+
+def _chain(f: Formula, cls, link=None) -> list[tuple[tuple | None, Formula]]:
+    """The leaves of the maximal `cls` (And or Or) subtree at f, left to
+    right, each with its path as a linked (parent, step) pair; `link` is
+    the path of f itself, None at the root."""
+    leaves = []
+    stack = [(link, f)]
+    while stack:
+        link, g = stack.pop()
+        if isinstance(g, cls):
+            stack.append(((link, "right"), g.right))
+            stack.append(((link, "left"), g.left))
+        else:
+            leaves.append((link, g))
+    return leaves
+
+
 def letters(f: Formula) -> frozenset[str]:
     """All propositional letters occurring in f."""
-    acc = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Prop):
-            acc.add(g.letter)
-        elif isinstance(g, Not):
-            stack.append(g.operand)
-        elif isinstance(g, (Or, And)):
-            stack.append(g.left)
-            stack.append(g.right)
-        elif isinstance(g, (Diamond, Box)):
-            stack.append(g.operand)
-    return frozenset(acc)
+    return frozenset({g.letter for g in subformulas(f) if type(g) is Prop})
 
 
 def formula_modalities(f: Formula) -> frozenset[Modality]:
     """All modalities occurring in f."""
-    acc = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Not):
-            stack.append(g.operand)
-        elif isinstance(g, (Or, And)):
-            stack.append(g.left)
-            stack.append(g.right)
-        elif isinstance(g, (Diamond, Box)):
-            acc.add(g.modality)
-            stack.append(g.operand)
-    return frozenset(acc)
+    return frozenset({g.modality for g in subformulas(f) if type(g) in (Diamond, Box)})
 
 
 def node_count(f: Formula) -> int:
     """Number of constructors in f (atoms count as one each)."""
-    n = 0
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        n += 1
-        if isinstance(g, Not):
-            stack.append(g.operand)
-        elif isinstance(g, (Or, And)):
-            stack.append(g.left)
-            stack.append(g.right)
-        elif isinstance(g, (Diamond, Box)):
-            stack.append(g.operand)
-    return n
-
-
-def _has_node(f: Formula, cls) -> bool:
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, cls):
-            return True
-        if isinstance(g, Not):
-            stack.append(g.operand)
-        elif isinstance(g, (Or, And)):
-            stack.append(g.left)
-            stack.append(g.right)
-        elif isinstance(g, (Diamond, Box)):
-            stack.append(g.operand)
-    return False
+    return sum(1 for _ in subformulas(f))
 
 
 def has_diamond(f: Formula) -> bool:
-    return _has_node(f, Diamond)
+    return any(isinstance(g, Diamond) for g in subformulas(f))
 
 
 def has_box(f: Formula) -> bool:
-    return _has_node(f, Box)
+    return any(isinstance(g, Box) for g in subformulas(f))
 
 
 def modal_depth(lit: Formula) -> int:
@@ -378,10 +359,9 @@ def classify(cf: ClausalFormula) -> FragmentDescriptor:
     """
     horn = all(len(c.positives) <= 1 for c in cf.clauses)
     krom = all(len(c.negatives) + len(c.positives) <= 2 for c in cf.clauses)
-    all_lits = [l for c in cf.clauses for l in c.negatives + c.positives]
-    box_only = not any(has_diamond(l) for l in all_lits)
-    diamond_only = not any(has_box(l) for l in all_lits)
-    return FragmentDescriptor(horn, krom, horn and krom, box_only, diamond_only)
+    kinds = {type(g) for c in cf.clauses for l in c.negatives + c.positives
+             for g in subformulas(l)}
+    return FragmentDescriptor(horn, krom, horn and krom, Diamond not in kinds, Box not in kinds)
 
 
 # --- Parsing ---
@@ -522,16 +502,10 @@ class _Parser:
         self.fail(("T", "F", "ident", "(", "~", "<", "["))
 
 
-def _and_chain(f: Formula) -> list[Formula]:
-    if isinstance(f, And):
-        return _and_chain(f.left) + _and_chain(f.right)
-    return [f]
-
-
 def _desugar_implies(antecedent: Formula, consequent: Formula) -> Formula:
     # An implication whose antecedent is a conjunction desugars clause-style
     # (~a | ~b | c), so implicative clause text reads back as a clause.
-    disjuncts = [Not(g) for g in _and_chain(antecedent)] + [consequent]
+    disjuncts = [Not(g) for _, g in _chain(antecedent, And)] + [consequent]
     return reduce(Or, disjuncts)
 
 
@@ -624,35 +598,32 @@ class NotClausalError(ValueError):
         self.offending = offending
 
 
-def _or_chain_with_paths(f, path) -> Iterator[tuple[tuple, Formula]]:
-    if isinstance(f, Or):
-        yield from _or_chain_with_paths(f.left, path + ("left",))
-        yield from _or_chain_with_paths(f.right, path + ("right",))
-    else:
-        yield path, f
+def _path(link) -> tuple[str, ...]:
+    """The steps of a linked (parent, step) path, root first."""
+    steps = []
+    while link is not None:
+        link, step = link
+        steps.append(step)
+    return tuple(reversed(steps))
 
 
-def _recognize_clause(f: Formula, path) -> Clause:
+def _recognize_clause(f: Formula, link) -> Clause:
     if is_positive_literal(f):
         return Clause((), (), (f,))
-    if isinstance(f, Not) and is_positive_literal(f.operand):
-        return Clause((), (f.operand,), ())
-    if isinstance(f, Box):
-        inner = _recognize_clause(f.operand, path + ("operand",))
-        return Clause((f.modality,) + inner.prefix, inner.negatives, inner.positives)
-    if isinstance(f, Or):
-        negatives, positives = [], []
-        for subpath, d in _or_chain_with_paths(f, path):
-            if is_positive_literal(d):
-                positives.append(d)
-            elif isinstance(d, Not) and is_positive_literal(d.operand):
-                negatives.append(d.operand)
-            else:
-                raise NotClausalError(
-                    f"disjunct is not a literal: {to_text(d)}", subpath, d
-                )
-        return Clause((), tuple(negatives), tuple(positives))
-    raise NotClausalError(f"not a clause: {to_text(f)}", path, f)
+    prefix = []
+    while isinstance(f, Box):
+        prefix.append(f.modality)
+        f, link = f.operand, (link, "operand")
+    negatives, positives = [], []
+    for leaf, d in _chain(f, Or, link):
+        if is_positive_literal(d):
+            positives.append(d)
+        elif isinstance(d, Not) and is_positive_literal(d.operand):
+            negatives.append(d.operand)
+        else:
+            what = "disjunct is not a literal" if isinstance(f, Or) else "not a clause"
+            raise NotClausalError(f"{what}: {to_text(d)}", _path(leaf), d)
+    return Clause(tuple(prefix), tuple(negatives), tuple(positives))
 
 
 def recognize_clausal(f: Formula) -> ClausalFormula:
@@ -663,17 +634,4 @@ def recognize_clausal(f: Formula) -> ClausalFormula:
     positive literal are absorbed into the literal (the literal-as-clause
     reading), not the prefix.  Raises `NotClausalError` otherwise.
     """
-    clauses = []
-    conjuncts = []
-
-    def walk(g, path):
-        if isinstance(g, And):
-            walk(g.left, path + ("left",))
-            walk(g.right, path + ("right",))
-        else:
-            conjuncts.append((path, g))
-
-    walk(f, ())
-    for path, g in conjuncts:
-        clauses.append(_recognize_clause(g, path))
-    return ClausalFormula(tuple(clauses))
+    return ClausalFormula(tuple(_recognize_clause(g, link) for link, g in _chain(f, And)))

@@ -65,16 +65,15 @@ class FreshLetterSource:
 
 
 def _offending_count(lit: Formula, bad) -> int:
-    """Modal constructors in `lit` whose subtree contains a `bad` one."""
-
-    def walk(g):
-        if isinstance(g, (Diamond, Box)):
-            inner_count, inner_bad = walk(g.operand)
-            contains = inner_bad or isinstance(g, bad)
-            return inner_count + (1 if contains else 0), contains
-        return 0, False
-
-    return walk(lit)[0]
+    """Modal constructors in `lit` whose subtree contains a `bad` one: those
+    at or above the innermost `bad` constructor of the modal chain."""
+    count = depth = 0
+    while isinstance(lit, (Diamond, Box)):
+        depth += 1
+        if isinstance(lit, bad):
+            count = depth
+        lit = lit.operand
+    return count
 
 
 def _find_offending(clause: Clause, bad):

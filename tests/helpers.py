@@ -17,6 +17,7 @@ from knfrag import (
     KripkeModel,
     Modality,
     Not,
+    NotClausalError,
     Or,
     Prop,
     TOP,
@@ -25,7 +26,9 @@ from knfrag import (
     enumerate_fragment,
     enumerate_models,
     formula_modalities,
+    is_positive_literal,
     letters as formula_letters,
+    to_text,
 )
 from knfrag import expressiveness
 
@@ -77,6 +80,130 @@ def table_check(model, world, f):
                 value = True
             table[(g, w)] = value
     return table[(f, world)]
+
+
+# --- Reference walkers: the hand-written traversals `subformulas` replaced ---
+
+
+def reference_letters(f):
+    acc = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Prop):
+            acc.add(g.letter)
+        elif isinstance(g, Not):
+            stack.append(g.operand)
+        elif isinstance(g, (Or, And)):
+            stack.append(g.left)
+            stack.append(g.right)
+        elif isinstance(g, (Diamond, Box)):
+            stack.append(g.operand)
+    return frozenset(acc)
+
+
+def reference_modalities(f):
+    acc = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Not):
+            stack.append(g.operand)
+        elif isinstance(g, (Or, And)):
+            stack.append(g.left)
+            stack.append(g.right)
+        elif isinstance(g, (Diamond, Box)):
+            acc.add(g.modality)
+            stack.append(g.operand)
+    return frozenset(acc)
+
+
+def reference_node_count(f):
+    n = 0
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        n += 1
+        if isinstance(g, Not):
+            stack.append(g.operand)
+        elif isinstance(g, (Or, And)):
+            stack.append(g.left)
+            stack.append(g.right)
+        elif isinstance(g, (Diamond, Box)):
+            stack.append(g.operand)
+    return n
+
+
+def reference_has_node(f, cls):
+    """`has_diamond` is `reference_has_node(f, Diamond)`, `has_box` likewise."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, cls):
+            return True
+        if isinstance(g, Not):
+            stack.append(g.operand)
+        elif isinstance(g, (Or, And)):
+            stack.append(g.left)
+            stack.append(g.right)
+        elif isinstance(g, (Diamond, Box)):
+            stack.append(g.operand)
+    return False
+
+
+def reference_offending_count(lit, bad):
+    def walk(g):
+        if isinstance(g, (Diamond, Box)):
+            inner_count, inner_bad = walk(g.operand)
+            contains = inner_bad or isinstance(g, bad)
+            return inner_count + (1 if contains else 0), contains
+        return 0, False
+
+    return walk(lit)[0]
+
+
+def _reference_or_chain(f, path):
+    if isinstance(f, Or):
+        yield from _reference_or_chain(f.left, path + ("left",))
+        yield from _reference_or_chain(f.right, path + ("right",))
+    else:
+        yield path, f
+
+
+def _reference_clause(f, path):
+    if is_positive_literal(f):
+        return Clause((), (), (f,))
+    if isinstance(f, Not) and is_positive_literal(f.operand):
+        return Clause((), (f.operand,), ())
+    if isinstance(f, Box):
+        inner = _reference_clause(f.operand, path + ("operand",))
+        return Clause((f.modality,) + inner.prefix, inner.negatives, inner.positives)
+    if isinstance(f, Or):
+        negatives, positives = [], []
+        for subpath, d in _reference_or_chain(f, path):
+            if is_positive_literal(d):
+                positives.append(d)
+            elif isinstance(d, Not) and is_positive_literal(d.operand):
+                negatives.append(d.operand)
+            else:
+                raise NotClausalError(f"disjunct is not a literal: {to_text(d)}", subpath, d)
+        return Clause((), tuple(negatives), tuple(positives))
+    raise NotClausalError(f"not a clause: {to_text(f)}", path, f)
+
+
+def reference_recognize_clausal(f):
+    """The recursive reader: copies the path tuple at every level."""
+    conjuncts = []
+
+    def walk(g, path):
+        if isinstance(g, And):
+            walk(g.left, path + ("left",))
+            walk(g.right, path + ("right",))
+        else:
+            conjuncts.append((path, g))
+
+    walk(f, ())
+    return ClausalFormula(tuple(_reference_clause(g, path) for path, g in conjuncts))
 
 
 # --- Random generators (plain seeded random, no framework) ---

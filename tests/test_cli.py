@@ -13,6 +13,7 @@ from jsonschema import Draft7Validator
 from referencing import Registry, Resource
 
 from knfrag import model_to_json, KripkeFrame, KripkeModel, THEOREM_IDS
+from knfrag import classify, parse, recognize_clausal
 from knfrag import cli, expressiveness
 from knfrag.cli import main
 from helpers import count_replays
@@ -262,13 +263,15 @@ def test_internal_error_exit_code(monkeypatch):
 # --- the parser built once at import ---
 
 
-def run_module(*flags):
+def run_process(argv, flags=()):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *flags, "-m", "knfrag.cli", "--json", "parse", "p & q"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    return subprocess.run([sys.executable, *flags, "-m", "knfrag.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def run_module(*flags):
+    return run_process(["--json", "parse", "p & q"], flags)
 
 
 def test_cli_runs_without_docstrings():
@@ -367,14 +370,77 @@ def test_max_worlds_below_one_is_a_data_error(argv, bound):
     ["sat", " & ".join(["p"] * 1000)],
 ])
 def test_deep_input_is_a_resource_cap_without_traceback(argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-m", "knfrag.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+    done = run_process(argv)
     assert done.returncode == 69
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("resource cap exceeded:")
     assert done.stderr.count("\n") == 1
+
+
+# --- long flat conjunctions: classify and translate walk them iteratively ---
+
+FLAT_CLAUSES = 10_000
+FLAT_INPUT = " & ".join(f"(p{i} | <a>q{i})" for i in range(FLAT_CLAUSES))
+
+
+def run_flat(monkeypatch, argv):
+    monkeypatch.setattr("sys.stdin", io.StringIO(FLAT_INPUT))
+    code, out, err = run(argv)
+    assert (code, err) == (0, "")
+    return out
+
+
+def test_classify_flat_conjunction(monkeypatch):
+    payload = json.loads(run_flat(monkeypatch, ["--json", "classify"]))
+    assert payload == {"horn": False, "krom": True, "core": False,
+                       "box_only": False, "diamond_only": True, "clauses": FLAT_CLAUSES}
+
+
+@pytest.mark.parametrize("to, clauses, flag", [
+    ("box", 2 * FLAT_CLAUSES, "box_only"),
+    ("diamond", FLAT_CLAUSES, "diamond_only"),
+])
+def test_translate_flat_conjunction(monkeypatch, to, clauses, flag):
+    out = run_flat(monkeypatch, ["translate", "--to", to, "-"])
+    cf = recognize_clausal(parse(out))
+    assert len(cf.clauses) == clauses
+    fragment = classify(cf)
+    assert fragment.krom and getattr(fragment, flag)
+
+
+# --- option and bound checks ---
+
+
+@pytest.mark.parametrize("engine", [[], ["--engine", "tableau"]])
+@pytest.mark.parametrize("bound", ["0", "-5", "3"])
+def test_sat_max_worlds_needs_the_brute_engine(engine, bound):
+    for text in ("p", "p & ~p"):
+        code, out, err = run(["sat", *engine, "--max-worlds", bound, text])
+        assert (code, out) == (64, "")
+        assert err == "knfrag sat: error: --max-worlds needs --engine brute\n"
+
+
+def test_sat_max_worlds_with_the_brute_engine_is_unchanged():
+    argv = ["sat", "--engine", "brute", "--max-worlds"]
+    assert run(argv + ["3", "<a>p"])[:2] == (0, run(["sat", "--engine", "brute", "<a>p"])[1])
+    assert run(argv + ["3", "p & ~p"])[:2] == (1, "UNSAT\n")
+    for bound in ("0", "-5"):
+        assert run(argv + [bound, "p"]) == (65, "", "error: max_worlds must be at least 1\n")
+
+
+def test_unwritable_sidecar_is_a_cantcreat_exit():
+    path = "/nonexistent/dir/x.json"
+    done = run_process(["translate", "--to", "box", "<a>p", "--sidecar", path])
+    assert (done.returncode, done.stdout) == (73, "")
+    assert "Traceback" not in done.stderr and done.stderr.count("\n") == 1
+    assert done.stderr == f"cannot write {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_search_size_below_one_is_a_data_error(size):
+    code, out, err = run(["search", "--fragment", "horn", "--size", size, "p | q"])
+    assert (code, out) == (65, "")
+    assert err == "error: formula_size_bound must be at least 1\n"
 
 
 # --- verify-paper: one run replays each catalogued result once ---

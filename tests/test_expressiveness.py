@@ -366,6 +366,12 @@ def test_bounded_checks_reject_bounds_below_one(call, bound):
         call(bound)
 
 
+@pytest.mark.parametrize("size", [0, -3])
+def test_search_rejects_size_bounds_below_one(size):
+    with pytest.raises(ValueError, match="formula_size_bound must be at least 1"):
+        search_weak_translation(parse("p | q"), "horn", {"p", "q"}, size)
+
+
 def test_replay_run_leaves_no_state():
     with pytest.raises(ValueError):
         replay_theorems(["horn-vs-bool", "no-such-result"])

@@ -5,9 +5,11 @@ import random
 import pytest
 
 from knfrag import (
+    And,
     KripkeFrame,
     KripkeModel,
     PointedModel,
+    Prop,
     check,
     enumerate_extensions,
     enumerate_models,
@@ -22,7 +24,15 @@ from knfrag import (
     product_world,
     restrict_alphabet,
 )
-from helpers import enlarge_valuation, random_formula, random_literal, random_model, table_check
+from knfrag.semantics import compile_formula
+from helpers import (
+    enlarge_valuation,
+    formulas_up_to_size,
+    random_formula,
+    random_literal,
+    random_model,
+    table_check,
+)
 
 
 @pytest.fixture
@@ -209,3 +219,20 @@ def test_enumerate_models_no_modalities():
     models = list(enumerate_models({"p", "q"}, set(), 1))
     assert len(models) == 4
     assert all(not m.frame.relations for m in models)
+
+
+def test_compiled_code_stream_is_pinned():
+    # sha256 of the stack code, recorded while compile_formula still had a
+    # walker of its own.
+    formulas = formulas_up_to_size(5)
+    digest = hashlib.sha256()
+    for f in formulas:
+        code = compile_formula(f).code
+        digest.update((" ".join(f"{op}:{arg}" for op, arg in code) + "\n").encode())
+    assert len(formulas) == 818
+    assert digest.hexdigest() == "dbab6154b2c61e1bdda4573caf566fa4f31bdf4e04915d1a2755ac63c8d31074"
+
+
+def test_compile_rejects_a_non_formula_node():
+    with pytest.raises(TypeError, match="not a formula"):
+        compile_formula(And(Prop("p"), "q"))

@@ -10,6 +10,7 @@ from knfrag import (
     Clause,
     ClausalFormula,
     Diamond,
+    FragmentDescriptor,
     Modality,
     Not,
     NotClausalError,
@@ -20,14 +21,30 @@ from knfrag import (
     classify,
     clause_letters,
     consequent_letters,
+    formula_modalities,
+    has_box,
+    has_diamond,
     is_positive_literal,
     letters,
     modal_depth,
+    node_count,
     parse,
     recognize_clausal,
     to_text,
 )
-from helpers import random_clause, random_formula
+from knfrag.syntax import subformulas
+from helpers import (
+    formulas_up_to_size,
+    krom_corpus,
+    random_clause,
+    random_formula,
+    reference_has_node,
+    reference_letters,
+    reference_modalities,
+    reference_node_count,
+    reference_recognize_clausal,
+    subformulas_postorder,
+)
 
 
 def test_parse_disjunction():
@@ -281,3 +298,83 @@ def test_printed_text_is_unchanged():
         assert parse(text) == f
         digest.update((text + "\n").encode())
     assert digest.hexdigest() == "34a315ea32f395eb5b81f2f8e4b19ebca42221a21c827a1171c838e4500d55b9"
+
+
+# --- one walker: `subformulas` against the hand-written walkers it replaced ---
+
+
+def assert_walkers_match_reference(f):
+    postorder = list(subformulas(f))[::-1]
+    assert len(postorder) == len(subformulas_postorder(f))
+    assert all(g is h for g, h in zip(postorder, subformulas_postorder(f)))
+    assert type(letters(f)) is frozenset and letters(f) == reference_letters(f)
+    assert type(formula_modalities(f)) is frozenset
+    assert formula_modalities(f) == reference_modalities(f)
+    assert node_count(f) == reference_node_count(f)
+    assert has_diamond(f) is reference_has_node(f, Diamond)
+    assert has_box(f) is reference_has_node(f, Box)
+    try:
+        expected = reference_recognize_clausal(f)
+    except NotClausalError as e:
+        with pytest.raises(NotClausalError) as err:
+            recognize_clausal(f)
+        assert (str(err.value), err.value.path) == (str(e), e.path)
+        assert err.value.offending is e.offending
+        return
+    cf = recognize_clausal(f)
+    assert cf == expected
+    lits = [l for c in cf.clauses for l in c.negatives + c.positives]
+    horn = all(len(c.positives) <= 1 for c in cf.clauses)
+    krom = all(len(c.negatives) + len(c.positives) <= 2 for c in cf.clauses)
+    assert classify(cf) == FragmentDescriptor(
+        horn, krom, horn and krom,
+        not any(reference_has_node(l, Diamond) for l in lits),
+        not any(reference_has_node(l, Box) for l in lits),
+    )
+
+
+def test_walkers_match_reference_on_small_formulas():
+    for f in formulas_up_to_size(5):
+        assert_walkers_match_reference(f)
+
+
+def test_walkers_match_reference_on_krom_corpus():
+    for cf in krom_corpus():
+        assert_walkers_match_reference(cf.to_formula())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_walkers_match_reference_hypothesis(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    assert_walkers_match_reference(random_formula(rng, depth=5, mods=("a", "b")))
+    clauses = tuple(random_clause(rng, ("p", "q"), ("a", "b")) for _ in range(rng.randint(1, 4)))
+    assert_walkers_match_reference(ClausalFormula(clauses).to_formula())
+
+
+def test_recognize_flat_conjunction_needs_no_recursion():
+    f = Or(Prop("p0"), Diamond("a", Prop("q0")))
+    for i in range(1, 10_000):
+        f = And(f, Or(Prop(f"p{i}"), Diamond("a", Prop(f"q{i}"))))
+    cf = recognize_clausal(f)
+    assert len(cf.clauses) == 10_000
+    assert cf.clauses[-1].positives == (Prop("p9999"), Diamond("a", Prop("q9999")))
+    assert classify(cf) == FragmentDescriptor(False, True, False, False, True)
+    assert letters(f) == {f"{x}{i}" for x in "pq" for i in range(10_000)}
+    assert node_count(f) == 5 * 10_000 - 1
+
+
+def test_recognize_deep_box_prefix_needs_no_recursion():
+    f = Or(Not(Prop("p")), Prop("q"))
+    for _ in range(2000):
+        f = Box("a", f)
+    (clause,) = recognize_clausal(f).clauses
+    assert clause.prefix == ("a",) * 2000
+    assert (clause.negatives, clause.positives) == ((Prop("p"),), (Prop("q"),))
+    g = And(Prop("p"), Prop("q"))
+    for _ in range(3000):
+        g = Box("b", g)
+    with pytest.raises(NotClausalError) as err:
+        recognize_clausal(g)
+    assert err.value.path == ("operand",) * 3000
+    assert err.value.offending == And(Prop("p"), Prop("q"))

@@ -27,11 +27,12 @@ from knfrag import (
 from knfrag.solver import sat_bruteforce, sat_tableau, tree_model_bound
 from knfrag.translate import (
     FreshLetterSource,
+    _offending_count,
     fresh_letters_of,
     krom_to_krom_box,
     krom_to_krom_diamond,
 )
-from helpers import krom_corpus
+from helpers import formulas_up_to_size, krom_corpus, random_formula, reference_offending_count
 
 
 def rc(text):
@@ -104,8 +105,6 @@ def _step_count(cf, out):
 
 
 def _offending_total(cf, bad):
-    from knfrag.translate import _offending_count
-
     return sum(
         _offending_count(l, bad) for c in cf.clauses for l in c.negatives + c.positives
     )
@@ -227,3 +226,34 @@ def test_translation_rechecks_its_fragment(monkeypatch, translate):
     monkeypatch.setattr("knfrag.translate.classify", lambda cf: fake)
     with pytest.raises(InternalError):
         translate(rc("<a>p | [a]q"))
+
+
+# --- the offending count walks the modal chain in a loop ---
+
+
+def assert_offending_count_matches_reference(f):
+    for bad in (Diamond, Box):
+        assert _offending_count(f, bad) == reference_offending_count(f, bad)
+
+
+def test_offending_count_matches_reference():
+    for f in formulas_up_to_size(5):
+        assert_offending_count_matches_reference(f)
+    for cf in krom_corpus():
+        for lit in (l for c in cf.clauses for l in c.negatives + c.positives):
+            assert_offending_count_matches_reference(lit)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_offending_count_matches_reference_hypothesis(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    assert_offending_count_matches_reference(random_formula(rng, depth=5))
+
+
+def test_offending_count_of_a_long_modal_chain():
+    lit = Prop("p")
+    for i in range(3000):
+        lit = (Diamond if i == 1000 else Box)("a", lit)
+    assert _offending_count(lit, Diamond) == 2000
+    assert _offending_count(lit, Box) == 3000
