@@ -162,33 +162,20 @@ def parse_fragment_spec(spec: str) -> FragmentDescriptor:
                               suffix == "-box", suffix.startswith("-dia"))
 
 
-def _formula_key(f):
-    if isinstance(f, Prop):
-        return (1, f.letter)
-    if isinstance(f, Diamond):
-        return (2, f.modality, _formula_key(f.operand))
-    if isinstance(f, Box):
-        return (3, f.modality, _formula_key(f.operand))
-    return (0,)  # Top
-
-
 def _literals_by_size(max_size, alphabet, mods, allow_dia, allow_box):
+    """Literals by size, each row sorted (T, letters, diamonds, boxes; then
+    modality; then operand) because the row below it and `mods` are."""
     by_size = {1: [TOP] + [Prop(l) for l in alphabet]}
+    kinds = [kind for kind, allowed in ((Diamond, allow_dia), (Box, allow_box)) if allowed]
     for s in range(2, max_size + 1):
-        row = []
-        for m in mods:
-            if allow_dia:
-                row.extend(Diamond(m, l) for l in by_size[s - 1])
-            if allow_box:
-                row.extend(Box(m, l) for l in by_size[s - 1])
-        by_size[s] = row
+        by_size[s] = [kind(m, l) for kind in kinds for m in mods for l in by_size[s - 1]]
     return by_size
 
 
 def _side_multisets(pool, count, budget):
     """Non-decreasing `count`-tuples from `pool` with sizes summing to `budget`.
 
-    `pool` is a list of (size, key, literal) sorted by (size, key)."""
+    `pool` is a list of (size, literal) in ascending size, then canonical order."""
     out = []
 
     def pick(start, remaining, left, chosen):
@@ -200,7 +187,7 @@ def _side_multisets(pool, count, budget):
             size = pool[i][0]
             if size > remaining - (left - 1):
                 break
-            chosen.append(pool[i][2])
+            chosen.append(pool[i][1])
             pick(i, remaining - size, left - 1, chosen)
             chosen.pop()
 
@@ -216,10 +203,7 @@ def _clauses_up_to(size_bound, alphabet, mods, req):
         allow_dia=not req.box_only,
         allow_box=not req.diamond_only,
     )
-    pool = sorted(
-        ((s, _formula_key(l), l) for s, row in lits.items() for l in row),
-        key=lambda t: (t[0], t[1]),
-    )
+    pool = [(s, l) for s, row in lits.items() for l in row]
     max_m = 1 if req.horn else size_bound
     clauses = []
     for prefix_len in range(0, size_bound):
@@ -249,14 +233,9 @@ def _clauses_up_to(size_bound, alphabet, mods, req):
     return clauses
 
 
-def enumerate_fragment(alphabet, modalities, size_bound, fragment):
-    """All clausal formulas of a fragment up to a size bound.
-
-    Size is the constructor count of the rendered formula, prefix boxes
-    included.  Literal and clause multisets are kept in a canonical order,
-    so reorderings of the same clause body appear once.  Yields in
-    ascending size, then text order.
-    """
+def _fragment_candidates(alphabet, modalities, size_bound, fragment):
+    """A fragment's clause pool up to a size bound, and its formulas as
+    tuples of pool indices in the order of `enumerate_fragment`."""
     req = fragment if isinstance(fragment, FragmentDescriptor) else parse_fragment_spec(fragment)
     alphabet = tuple(sorted(str(l) for l in set(alphabet)))
     mods = tuple(sorted({Modality(m) for m in modalities}))
@@ -269,11 +248,11 @@ def enumerate_fragment(alphabet, modalities, size_bound, fragment):
 
     def pick(start, budget, chosen, parts):
         for i in range(start, len(clause_pool)):
-            size, text, part, clause = clause_pool[i]
+            size, text, part, _ = clause_pool[i]
             cost = size if not chosen else size + 1  # +1 for the conjunction node
             if cost > budget:
                 break  # the pool is sorted by size
-            chosen.append(clause)
+            chosen.append(i)
             parts.append(part)
             total = size_bound - (budget - cost)
             key = " & ".join(parts) if len(parts) > 1 else text
@@ -284,8 +263,20 @@ def enumerate_fragment(alphabet, modalities, size_bound, fragment):
 
     pick(0, size_bound, [], [])
     results.sort(key=itemgetter(0, 1))
-    for _, _, clauses in results:
-        yield ClausalFormula(clauses)
+    return [clause for *_, clause in clause_pool], [picks for _, _, picks in results]
+
+
+def enumerate_fragment(alphabet, modalities, size_bound, fragment):
+    """All clausal formulas of a fragment up to a size bound.
+
+    Size is the constructor count of the rendered formula, prefix boxes
+    included.  Literal and clause multisets are kept in a canonical order,
+    so reorderings of the same clause body appear once.  Yields in
+    ascending size, then text order.
+    """
+    pool, candidates = _fragment_candidates(alphabet, modalities, size_bound, fragment)
+    for picks in candidates:
+        yield ClausalFormula(tuple(pool[j] for j in picks))
 
 
 def search_weak_translation(
@@ -300,14 +291,19 @@ def search_weak_translation(
     or None when the exhaustive search refutes every candidate.
 
     Candidates range over one generic modality (plus any in the target)
-    unless `modalities` says otherwise.  The target is evaluated once per
-    frame, under all valuations at once, and the frames are kept for the
-    whole search; each candidate is compiled once and compared frame by
-    frame in the order of `enumerate_models`, so the first agreeing
-    candidate is the same as with a model-by-model check.  Memory is
-    O(nodes * k * 2**(k*|alphabet|)) bits per frame while a candidate is
-    evaluated, plus one target value of k * 2**(k*|alphabet|) bits for each
-    frame a candidate has reached.
+    unless `modalities` says otherwise; a target that mentions a letter
+    outside `alphabet`, or a modality outside an explicit `modalities`,
+    raises `ValueError`.  The target is evaluated once per frame, under
+    all valuations at once, and the frames are kept for the whole search.
+    A candidate's value on a batch is the AND of its pool clauses' values,
+    and each pool clause is compiled and evaluated on a batch once, when a
+    candidate reaching that batch first needs it.  Candidates are compared
+    frame by frame in the order of `enumerate_models`, so the first
+    agreeing candidate is the same as with a model-by-model check.  Memory
+    is, for each frame a candidate has reached, one target value and one
+    value per pool clause evaluated there, each of k * 2**(k*|alphabet|)
+    bits, plus O(nodes * k * 2**(k*|alphabet|)) bits while a clause is
+    evaluated.
     """
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
@@ -318,23 +314,33 @@ def search_weak_translation(
         modalities = {"a"} | goal.modalities
     mods = frozenset(str(m) for m in modalities)
     alphabet = frozenset(str(l) for l in alphabet)
+    if not goal.letters <= alphabet:
+        raise ValueError("target mentions letters outside the alphabet")
+    if not goal.modalities <= mods:
+        raise ValueError("target mentions modalities outside the search's modalities")
+    pool, candidates = _fragment_candidates(alphabet, mods, formula_size_bound, fragment)
     batches = valuation_batches(alphabet, mods, max_worlds)
-    seen = []  # (batch, target value), extended as candidates get past them
+    seen = []  # (batch, target value, {pool index: clause value}), extended as needed
 
-    def agrees(program):
+    def agrees(picks):
         for i in count():
             if i == len(seen):
                 batch = next(batches, None)
                 if batch is None:
                     return True
-                seen.append((batch, batch.value(goal)))
-            batch, truth = seen[i]
-            if batch.value(program) != truth:
+                seen.append((batch, batch.value(goal), {}))
+            batch, truth, values = seen[i]
+            value = -1
+            for j in picks:
+                if j not in values:
+                    values[j] = batch.value(compile_formula(pool[j].to_formula()))
+                value &= values[j]
+            if value != truth:
                 return False
 
-    for cf in enumerate_fragment(alphabet, mods, formula_size_bound, fragment):
-        if agrees(compile_formula(cf.to_formula())):
-            return cf
+    for picks in candidates:
+        if agrees(picks):
+            return ClausalFormula(tuple(pool[j] for j in picks))
     return None
 
 

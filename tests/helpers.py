@@ -206,6 +206,18 @@ def reference_recognize_clausal(f):
     return ClausalFormula(tuple(_reference_clause(g, path) for path, g in conjuncts))
 
 
+def reference_formula_key(f):
+    """The recursive sort key that once ordered the fragment's literal pool:
+    T, letters, diamonds, boxes; then modality; then operand."""
+    if isinstance(f, Prop):
+        return (1, f.letter)
+    if isinstance(f, Diamond):
+        return (2, f.modality, reference_formula_key(f.operand))
+    if isinstance(f, Box):
+        return (3, f.modality, reference_formula_key(f.operand))
+    return (0,)  # Top
+
+
 # --- Random generators (plain seeded random, no framework) ---
 
 

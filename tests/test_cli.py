@@ -443,6 +443,13 @@ def test_search_size_below_one_is_a_data_error(size):
     assert err == "error: formula_size_bound must be at least 1\n"
 
 
+def test_search_target_outside_the_alphabet_is_a_data_error():
+    code, out, err = run(["search", "--fragment", "horn", "--size", "3", "--alphabet", "p",
+                          "p | q"])
+    assert (code, out) == (65, "")
+    assert err == "error: target mentions letters outside the alphabet\n"
+
+
 # --- verify-paper: one run replays each catalogued result once ---
 
 # sha256 of `--json verify-paper` stdout, taken before corollaries cited

@@ -2,6 +2,8 @@ import hashlib
 import random
 import sys
 import threading
+import tracemalloc
+from itertools import product
 
 import pytest
 
@@ -33,6 +35,7 @@ from knfrag.translate import krom_to_krom_box, krom_to_krom_diamond
 from helpers import (
     count_replays,
     random_formula,
+    reference_formula_key,
     reference_search,
     reference_strong,
     reference_weak_equiv,
@@ -235,6 +238,75 @@ def test_search_matches_the_scalar_loop(target, fragment, alphabet, size, worlds
     expected = reference_search(f, fragment, alphabet, size, worlds)
     assert (expected is not None) == found
     assert search_weak_translation(f, fragment, alphabet, size, max_worlds=worlds) == expected
+
+
+SEARCH_FRAGMENTS = ("horn", "krom", "core", "horn-box", "krom-diamond", "core-box", "bool")
+
+
+@pytest.mark.parametrize("fragment", SEARCH_FRAGMENTS)
+def test_search_matches_the_scalar_loop_on_random_targets(fragment, monkeypatch):
+    # Each third target is drawn from the fragment at size 4, so it is found;
+    # the others are random and searched at size 3.  Every fourth case is
+    # repeated with frames split into several valuation batches.
+    rng = random.Random(f"search-corpus-{fragment}")
+    alphabet = {"p", "q"}
+    outcomes = set()
+    for i in range(16):
+        mods = ("a",) if i % 2 else ("a", "b")
+        if i % 3 == 0:
+            size = 4
+            target = rng.choice(list(enumerate_fragment(alphabet, mods, 4, fragment))).to_formula()
+        else:
+            size = 3
+            target = random_formula(rng, 3, ("p", "q"), mods)
+        expected = reference_search(target, fragment, alphabet, size, 2, set(mods))
+        case = (str(target), fragment, mods, size)
+        assert search_weak_translation(
+            target, fragment, alphabet, size, max_worlds=2, modalities=set(mods)
+        ) == expected, case
+        if i % 4 == 0:
+            with monkeypatch.context() as patched:
+                patched.setattr("knfrag.semantics._CHUNK_CELLS", 2)
+                assert search_weak_translation(
+                    target, fragment, alphabet, size, max_worlds=2, modalities=set(mods)
+                ) == expected, case
+        outcomes.add(expected is not None)
+    assert outcomes == {True, False}
+
+
+def test_krom_refutation_memory_stays_bounded():
+    # One value per pool clause and reached batch; compiled clause programs
+    # are not kept: the size-7 Krom refutation peaks near 4 MB, and near 6 MB
+    # with every pool clause's program cached for the whole search.
+    tracemalloc.start()
+    try:
+        found = search_weak_translation(
+            parse("p & q -> r"), "krom", {"p", "q", "r"}, 7, max_worlds=3
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found is None
+    assert peak < 5_000_000, peak
+
+
+@pytest.mark.parametrize("target, modalities, message", [
+    ("p | q", None, "target mentions letters outside the alphabet"),
+    ("<b>p", {"a"}, "target mentions modalities outside the search's modalities"),
+])
+def test_search_rejects_targets_outside_its_language(target, modalities, message):
+    with pytest.raises(ValueError, match=message):
+        search_weak_translation(parse(target), "horn", {"p"}, 3, max_worlds=2,
+                                modalities=modalities)
+
+
+def test_literal_pool_keeps_the_sorted_order():
+    for alphabet, mods, allow_dia, allow_box in product(
+        (("p",), ("p", "q")), (("a",), ("a", "b")), (False, True), (False, True)
+    ):
+        rows = expressiveness._literals_by_size(7, alphabet, mods, allow_dia, allow_box)
+        pool = [(size, l) for size, row in rows.items() for l in row]
+        assert pool == sorted(pool, key=lambda t: (t[0], reference_formula_key(t[1])))
 
 
 def test_weak_equiv_deep_formula_needs_no_recursion():
