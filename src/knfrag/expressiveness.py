@@ -173,7 +173,7 @@ def _literals_by_size(max_size, alphabet, mods, allow_dia, allow_box):
 
 
 def _side_multisets(pool, count, budget):
-    """Non-decreasing `count`-tuples from `pool` with sizes summing to `budget`.
+    """Non-decreasing `count`-tuples of `pool` indices whose sizes sum to `budget`.
 
     `pool` is a list of (size, literal) in ascending size, then canonical order."""
     out = []
@@ -187,7 +187,7 @@ def _side_multisets(pool, count, budget):
             size = pool[i][0]
             if size > remaining - (left - 1):
                 break
-            chosen.append(pool[i][1])
+            chosen.append(i)
             pick(i, remaining - size, left - 1, chosen)
             chosen.pop()
 
@@ -196,6 +196,8 @@ def _side_multisets(pool, count, budget):
 
 
 def _clauses_up_to(size_bound, alphabet, mods, req):
+    """The fragment's literals, and its clauses up to the size bound as
+    (size, prefix, negative literal indices, positive literal indices)."""
     lits = _literals_by_size(
         size_bound,
         alphabet,
@@ -224,46 +226,46 @@ def _clauses_up_to(size_bound, alphabet, mods, req):
                         for neg_total in range(n, total - m + 1):
                             for negs in _side_multisets(pool, n, neg_total):
                                 for poss in _side_multisets(pool, m, total - neg_total):
-                                    clauses.append(
-                                        (
-                                            connective_cost + total,
-                                            Clause(prefix, negs, poss),
-                                        )
-                                    )
-    return clauses
+                                    clauses.append((connective_cost + total, prefix, negs, poss))
+    return [l for _, l in pool], clauses
 
 
-def _fragment_candidates(alphabet, modalities, size_bound, fragment):
-    """A fragment's clause pool up to a size bound, and its formulas as
-    tuples of pool indices in the order of `enumerate_fragment`."""
+def _fragment_layers(alphabet, modalities, size_bound, fragment):
+    """A fragment's literals, its clause pool up to a size bound sorted by
+    size only, and layers[s]: its formulas of size s as pool index tuples."""
     req = fragment if isinstance(fragment, FragmentDescriptor) else parse_fragment_spec(fragment)
     alphabet = tuple(sorted(str(l) for l in set(alphabet)))
     mods = tuple(sorted({Modality(m) for m in modalities}))
-    # Each pool clause is rendered once, alone and as a conjunct; a result's
-    # text is built from those, exactly as `str(ClausalFormula)` renders it.
-    clause_pool = [(size, *clause_texts(clause), clause)
-                   for size, clause in _clauses_up_to(size_bound, alphabet, mods, req)]
-    clause_pool.sort(key=itemgetter(0, 1))
-    results = []
+    lits, pool = _clauses_up_to(size_bound, alphabet, mods, req)
+    pool.sort(key=itemgetter(0))
+    layers = [[] for _ in range(size_bound + 1)]
 
-    def pick(start, budget, chosen, parts):
-        for i in range(start, len(clause_pool)):
-            size, text, part, _ = clause_pool[i]
-            cost = size if not chosen else size + 1  # +1 for the conjunction node
+    def pick(start, budget, chosen):
+        for i in range(start, len(pool)):
+            cost = pool[i][0] if not chosen else pool[i][0] + 1  # +1 for the conjunction node
             if cost > budget:
                 break  # the pool is sorted by size
             chosen.append(i)
-            parts.append(part)
-            total = size_bound - (budget - cost)
-            key = " & ".join(parts) if len(parts) > 1 else text
-            results.append((total, key, tuple(chosen)))
-            pick(i, budget - cost, chosen, parts)
+            layers[size_bound - budget + cost].append(tuple(chosen))
+            pick(i, budget - cost, chosen)
             chosen.pop()
-            parts.pop()
 
-    pick(0, size_bound, [], [])
-    results.sort(key=itemgetter(0, 1))
-    return [clause for *_, clause in clause_pool], [picks for _, _, picks in results]
+    pick(0, size_bound, [])
+    return lits, pool, layers
+
+
+def _text_order(lits, pool, built, picks):
+    """A candidate's text, which is its key in `enumerate_fragment`'s order,
+    and its clauses in (size, text) order.  `built` maps a pool index to
+    its `Clause` and `clause_texts`, made on first need."""
+    for j in picks:
+        if j not in built:
+            _, prefix, negs, poss = pool[j]
+            clause = Clause(prefix, tuple(lits[i] for i in negs), tuple(lits[i] for i in poss))
+            built[j] = (clause, *clause_texts(clause))
+    order = sorted(picks, key=lambda j: (pool[j][0], built[j][1]))
+    key = " & ".join(built[j][2] for j in order) if len(order) > 1 else built[order[0]][1]
+    return key, tuple(built[j][0] for j in order)
 
 
 def enumerate_fragment(alphabet, modalities, size_bound, fragment):
@@ -274,9 +276,13 @@ def enumerate_fragment(alphabet, modalities, size_bound, fragment):
     so reorderings of the same clause body appear once.  Yields in
     ascending size, then text order.
     """
-    pool, candidates = _fragment_candidates(alphabet, modalities, size_bound, fragment)
-    for picks in candidates:
-        yield ClausalFormula(tuple(pool[j] for j in picks))
+    lits, pool, layers = _fragment_layers(alphabet, modalities, size_bound, fragment)
+    built = {}
+    for layer in layers:
+        ordered = sorted((_text_order(lits, pool, built, picks) for picks in layer),
+                         key=itemgetter(0))
+        for _, clauses in ordered:
+            yield ClausalFormula(clauses)
 
 
 def search_weak_translation(
@@ -295,15 +301,16 @@ def search_weak_translation(
     outside `alphabet`, or a modality outside an explicit `modalities`,
     raises `ValueError`.  The target is evaluated once per frame, under
     all valuations at once, and the frames are kept for the whole search.
-    A candidate's value on a batch is the AND of its pool clauses' values,
-    and each pool clause is compiled and evaluated on a batch once, when a
-    candidate reaching that batch first needs it.  Candidates are compared
-    frame by frame in the order of `enumerate_models`, so the first
-    agreeing candidate is the same as with a model-by-model check.  Memory
-    is, for each frame a candidate has reached, one target value and one
-    value per pool clause evaluated there, each of k * 2**(k*|alphabet|)
-    bits, plus O(nodes * k * 2**(k*|alphabet|)) bits while a clause is
-    evaluated.
+    Candidates are tried in size layers, each layer whole; of a layer's
+    agreeing candidates the one with the least text is returned, which is
+    the first agreeing one of `enumerate_fragment`.  No other text is
+    rendered.  A candidate's value on a batch is the AND of its clauses'
+    values, and a clause's value is the OR of its literals' values (the
+    negative ones complemented) under its prefix boxes, as `Batch.value`
+    computes it; each literal is compiled and evaluated on a batch once.
+    Memory is, for each frame a candidate has reached, one target value
+    and one value per literal and pool clause evaluated there, each of
+    k * 2**(k*|alphabet|) bits.
     """
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
@@ -318,9 +325,23 @@ def search_weak_translation(
         raise ValueError("target mentions letters outside the alphabet")
     if not goal.modalities <= mods:
         raise ValueError("target mentions modalities outside the search's modalities")
-    pool, candidates = _fragment_candidates(alphabet, mods, formula_size_bound, fragment)
+    lits, pool, layers = _fragment_layers(alphabet, mods, formula_size_bound, fragment)
     batches = valuation_batches(alphabet, mods, max_worlds)
-    seen = []  # (batch, target value, {pool index: clause value}), extended as needed
+    seen = []  # (batch, target value, {literal index: value}, {pool index: value})
+
+    def clause_value(batch, lit_values, j):
+        _, prefix, negs, poss = pool[j]
+        for i in negs + poss:
+            if i not in lit_values:
+                lit_values[i] = batch.value(compile_formula(lits[i]))
+        value = 0
+        for i in negs:
+            value |= batch.layout.full ^ lit_values[i]
+        for i in poss:
+            value |= lit_values[i]
+        for m in reversed(prefix):
+            value = batch._modal(True, m, value)
+        return value
 
     def agrees(picks):
         for i in count():
@@ -328,19 +349,21 @@ def search_weak_translation(
                 batch = next(batches, None)
                 if batch is None:
                     return True
-                seen.append((batch, batch.value(goal), {}))
-            batch, truth, values = seen[i]
+                seen.append((batch, batch.value(goal), {}, {}))
+            batch, truth, lit_values, values = seen[i]
             value = -1
             for j in picks:
                 if j not in values:
-                    values[j] = batch.value(compile_formula(pool[j].to_formula()))
+                    values[j] = clause_value(batch, lit_values, j)
                 value &= values[j]
             if value != truth:
                 return False
 
-    for picks in candidates:
-        if agrees(picks):
-            return ClausalFormula(tuple(pool[j] for j in picks))
+    built = {}
+    for layer in layers:
+        found = [_text_order(lits, pool, built, picks) for picks in layer if agrees(picks)]
+        if found:
+            return ClausalFormula(min(found, key=itemgetter(0))[1])
     return None
 
 

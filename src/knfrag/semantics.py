@@ -460,7 +460,7 @@ class Batch:
 
     def value(self, program: Program) -> int:
         """The program's truth at every world under every valuation of the block."""
-        lits, succ, full = self.lits, self.succ, self.layout.full
+        lits, full = self.lits, self.layout.full
         stack = []
         push, pop = stack.append, stack.pop
         for op, arg in program.code:
@@ -475,15 +475,14 @@ class Batch:
             elif op == _TOP:
                 push(full)
             else:
-                rows = succ.get(arg)
-                if rows is None:
-                    pop()
-                    push(0 if op == _DIAMOND else full)
-                else:
-                    push(self._modal(op == _BOX, pop(), rows))
+                push(self._modal(op == _BOX, arg, pop()))
         return pop()
 
-    def _modal(self, box, x, rows):
+    def _modal(self, box, modality, x):
+        """[modality]x if `box`, else <modality>x."""
+        rows = self.succ.get(modality)
+        if rows is None:
+            return self.layout.full if box else 0
         n, ones = self.layout.n, self.layout.ones
         parts = [(x >> w * n) & ones for w in range(len(rows))]
         out = 0

@@ -560,10 +560,14 @@ def to_text(f) -> str:
         return f"<{f.modality}>" + _wrap(f.operand, _PREC_UNARY)
     if isinstance(f, Box):
         return f"[{f.modality}]" + _wrap(f.operand, _PREC_UNARY)
-    if isinstance(f, And):
-        return f"{_wrap(f.left, _PREC_AND)} & {_wrap(f.right, _PREC_AND + 1)}"
-    if isinstance(f, Or):
-        return f"{_wrap(f.left, _PREC_OR)} | {_wrap(f.right, _PREC_OR + 1)}"
+    if isinstance(f, (And, Or)):
+        # The left spine in a loop, so a long flat chain needs no recursion.
+        cls, rights = type(f), []
+        op, prec = (" & ", _PREC_AND) if cls is And else (" | ", _PREC_OR)
+        while type(f) is cls:
+            rights.append(f.right)
+            f = f.left
+        return op.join([_wrap(f, prec)] + [_wrap(g, prec + 1) for g in reversed(rights)])
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -377,7 +377,7 @@ def test_deep_input_is_a_resource_cap_without_traceback(argv):
     assert done.stderr.count("\n") == 1
 
 
-# --- long flat conjunctions: classify and translate walk them iteratively ---
+# --- long flat conjunctions: parse, classify and translate walk them iteratively ---
 
 FLAT_CLAUSES = 10_000
 FLAT_INPUT = " & ".join(f"(p{i} | <a>q{i})" for i in range(FLAT_CLAUSES))
@@ -388,6 +388,12 @@ def run_flat(monkeypatch, argv):
     code, out, err = run(argv)
     assert (code, err) == (0, "")
     return out
+
+
+def test_parse_flat_conjunction(monkeypatch):
+    out = run_flat(monkeypatch, ["parse", "-"])
+    # `==` on the And chain itself would recurse; its clauses compare flat
+    assert recognize_clausal(parse(out)) == recognize_clausal(parse(FLAT_INPUT))
 
 
 def test_classify_flat_conjunction(monkeypatch):

@@ -275,9 +275,9 @@ def test_search_matches_the_scalar_loop_on_random_targets(fragment, monkeypatch)
 
 
 def test_krom_refutation_memory_stays_bounded():
-    # One value per pool clause and reached batch; compiled clause programs
-    # are not kept: the size-7 Krom refutation peaks near 4 MB, and near 6 MB
-    # with every pool clause's program cached for the whole search.
+    # No candidate text, `Clause` or compiled clause program is kept: the
+    # size-7 Krom refutation peaks near 1.6 MB; a text key per candidate,
+    # sorted before the search, took it near 3.9 MB.
     tracemalloc.start()
     try:
         found = search_weak_translation(
@@ -287,7 +287,41 @@ def test_krom_refutation_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert found is None
-    assert peak < 5_000_000, peak
+    assert peak < 3_000_000, peak
+
+
+def test_search_breaks_ties_in_a_layer_by_text():
+    # `[a]~T` and `~<a>T` both have size 3 and agree with the target; the
+    # search tries the whole layer and returns the one whose text is least.
+    target = parse("~<a>T")
+    found = search_weak_translation(target, "horn", {"p", "q"}, 4, max_worlds=2)
+    assert str(found) == "[a]~T"
+    first = next(cf for cf in enumerate_fragment({"p", "q"}, {"a"}, 4, "horn")
+                 if weak_equiv_check(target, cf.to_formula(), {"p", "q"}, 2).status
+                 == EQUIVALENT_UP_TO_BOUND)
+    assert found == first
+
+
+def test_krom_refutation_renders_no_text_and_compiles_no_clause(monkeypatch):
+    def no_text(clause):
+        raise AssertionError(f"rendered {clause}")
+
+    compiled = []
+    compile_formula = expressiveness.compile_formula
+
+    def counting_compile(f):
+        compiled.append(f)
+        return compile_formula(f)
+
+    monkeypatch.setattr(expressiveness, "clause_texts", no_text)
+    monkeypatch.setattr(expressiveness, "compile_formula", counting_compile)
+    found = search_weak_translation(
+        parse("p & q -> r"), "krom", {"p", "q", "r"}, 7, max_worlds=3
+    )
+    assert found is None
+    # the target and literals only: one compile per literal and reached batch,
+    # where compiling each of the 3,972 pool clauses took 3,973 calls
+    assert len(compiled) < 1000, len(compiled)
 
 
 @pytest.mark.parametrize("target, modalities, message", [
