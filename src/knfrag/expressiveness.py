@@ -172,32 +172,36 @@ def _literals_by_size(max_size, alphabet, mods, allow_dia, allow_box):
     return by_size
 
 
-def _side_multisets(pool, count, budget):
-    """Non-decreasing `count`-tuples of `pool` indices whose sizes sum to `budget`.
+def _multisets(sizes, budget, most):
+    """rows[t] for each total t up to `budget`: the non-decreasing tuples of
+    at most `most` indices into the ascending `sizes` whose sizes sum to t,
+    in depth-first order (a tuple before its extensions)."""
+    rows = [[] for _ in range(budget + 1)]
+    rows[0].append(())
 
-    `pool` is a list of (size, literal) in ascending size, then canonical order."""
-    out = []
-
-    def pick(start, remaining, left, chosen):
-        if left == 0:
-            if remaining == 0:
-                out.append(tuple(chosen))
+    def extend(start, total, chosen):
+        if len(chosen) == most:
             return
-        for i in range(start, len(pool)):
-            size = pool[i][0]
-            if size > remaining - (left - 1):
-                break
-            chosen.append(i)
-            pick(i, remaining - size, left - 1, chosen)
-            chosen.pop()
+        for i in range(start, len(sizes)):
+            t = total + sizes[i]
+            if t > budget:
+                break  # the sizes ascend
+            picked = chosen + (i,)
+            rows[t].append(picked)
+            extend(i, t, picked)
 
-    pick(0, budget, count, [])
-    return out
+    extend(0, 0, ())
+    return rows
 
 
 def _clauses_up_to(size_bound, alphabet, mods, req):
     """The fragment's literals, and its clauses up to the size bound as
-    (size, prefix, negative literal indices, positive literal indices)."""
+    (size, prefix, negative literal indices, positive literal indices).
+
+    Each side's literal multisets come from one `_multisets` call, bucketed
+    by (count, cost): a negative literal costs its size plus two (its `Not`
+    and an `Or`), a positive one its size plus one, so a clause's size is
+    its prefix length plus both costs minus one."""
     lits = _literals_by_size(
         size_bound,
         alphabet,
@@ -206,52 +210,44 @@ def _clauses_up_to(size_bound, alphabet, mods, req):
         allow_box=not req.diamond_only,
     )
     pool = [(s, l) for s, row in lits.items() for l in row]
-    max_m = 1 if req.horn else size_bound
+
+    def buckets(extra, most):
+        out = {}
+        rows = _multisets([s + extra for s, _ in pool], size_bound + 1, most)
+        for cost, row in enumerate(rows):
+            for picks in row:
+                out.setdefault((len(picks), cost), []).append(picks)
+        return out.items()
+
+    widest = 2 if req.krom else size_bound
+    negatives, positives = buckets(2, widest), buckets(1, 1 if req.horn else widest)
+    pairs = [(n, m, neg_cost + pos_cost - 1, negs, poss)
+             for (n, neg_cost), negs in negatives for (m, pos_cost), poss in positives
+             if 1 <= n + m and not (req.krom and n + m > 2)]
     clauses = []
     for prefix_len in range(0, size_bound):
         for prefix in iproduct(mods, repeat=prefix_len):
-            for n in range(0, size_bound + 1):
-                for m in range(0, max_m + 1):
-                    if n + m < 1:
-                        continue
-                    if req.krom and n + m > 2:
-                        continue
-                    if prefix_len and n == 0 and m == 1:
-                        continue  # same clause as the box-extended bare literal
-                    connective_cost = prefix_len + n + (n + m - 1)
-                    lit_budget = size_bound - connective_cost
-                    if lit_budget < n + m:
-                        continue
-                    for total in range(n + m, lit_budget + 1):
-                        for neg_total in range(n, total - m + 1):
-                            for negs in _side_multisets(pool, n, neg_total):
-                                for poss in _side_multisets(pool, m, total - neg_total):
-                                    clauses.append((connective_cost + total, prefix, negs, poss))
+            for n, m, body_size, negs, poss in pairs:
+                if prefix_len and n == 0 and m == 1:
+                    continue  # same clause as the box-extended bare literal
+                if prefix_len + body_size <= size_bound:
+                    clauses.extend((prefix_len + body_size, prefix, ns, ps)
+                                   for ns in negs for ps in poss)
     return [l for _, l in pool], clauses
 
 
 def _fragment_layers(alphabet, modalities, size_bound, fragment):
     """A fragment's literals, its clause pool up to a size bound sorted by
-    size only, and layers[s]: its formulas of size s as pool index tuples."""
+    size only, and layers[s]: its formulas of size s as pool index tuples.
+    k clauses take k - 1 conjunctions, so layer s is the multisets whose
+    clause sizes plus one sum to s + 1."""
     req = fragment if isinstance(fragment, FragmentDescriptor) else parse_fragment_spec(fragment)
     alphabet = tuple(sorted(str(l) for l in set(alphabet)))
     mods = tuple(sorted({Modality(m) for m in modalities}))
     lits, pool = _clauses_up_to(size_bound, alphabet, mods, req)
     pool.sort(key=itemgetter(0))
-    layers = [[] for _ in range(size_bound + 1)]
-
-    def pick(start, budget, chosen):
-        for i in range(start, len(pool)):
-            cost = pool[i][0] if not chosen else pool[i][0] + 1  # +1 for the conjunction node
-            if cost > budget:
-                break  # the pool is sorted by size
-            chosen.append(i)
-            layers[size_bound - budget + cost].append(tuple(chosen))
-            pick(i, budget - cost, chosen)
-            chosen.pop()
-
-    pick(0, size_bound, [])
-    return lits, pool, layers
+    rows = _multisets([size + 1 for size, *_ in pool], size_bound + 1, size_bound + 1)
+    return lits, pool, rows[1:]
 
 
 def _text_order(lits, pool, built, picks):

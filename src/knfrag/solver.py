@@ -90,28 +90,30 @@ def to_nnf(f: Formula) -> Formula:
     return Diamond(g.modality, to_nnf(Not(g.operand)))
 
 
-def _diamond_profile(nnf: Formula) -> list[int]:
-    """Diamond occurrences of an NNF formula at each modal depth.
+def _diamond_profile(f: Formula) -> list[int]:
+    """Diamond occurrences of f's NNF at each modal depth, read off f itself.
 
-    Entry d counts the diamonds that sit under exactly d modal operators;
-    the list runs from depth 0 to the modal nesting depth, so its length
-    is the nesting depth plus one and its last entry is 0.
+    Entry d counts the diamonds under an even number of negations and the
+    boxes under an odd number (those NNF turns into diamonds) that sit
+    under exactly d modal operators; the list runs from depth 0 to the
+    modal nesting depth, so its length is the nesting depth plus one and
+    its last entry is 0.
     """
     counts = [0]
-    stack = [(nnf, 0)]
+    stack = [(f, 0, False)]
     while stack:
-        g, d = stack.pop()
+        g, d, negated = stack.pop()
         if isinstance(g, (Diamond, Box)):
-            if isinstance(g, Diamond):
+            if isinstance(g, Diamond) != negated:
                 counts[d] += 1
             if d + 1 == len(counts):
                 counts.append(0)
-            stack.append((g.operand, d + 1))
+            stack.append((g.operand, d + 1, negated))
         elif isinstance(g, (Or, And)):
-            stack.append((g.left, d))
-            stack.append((g.right, d))
+            stack.append((g.left, d, negated))
+            stack.append((g.right, d, negated))
         elif isinstance(g, Not):
-            stack.append((g.operand, d))
+            stack.append((g.operand, d, not negated))
     return counts
 
 
@@ -125,7 +127,7 @@ def tree_model_bound(f: Formula) -> int:
     at most B worlds: sum of D^k for k up to the modal nesting depth,
     where D counts diamond occurrences after NNF (at least 1).  B is a
     count of worlds, never clamped by a count of models."""
-    return _world_bound(_diamond_profile(to_nnf(f)))
+    return _world_bound(_diamond_profile(f))
 
 
 # --- Canonical tree-model enumeration ---
@@ -229,7 +231,7 @@ def sat_bruteforce(
         raise ValueError("max_worlds must be at least 1")
     alpha = tuple(sorted(letters(f)))
     mods = tuple(sorted(formula_modalities(f)))
-    profile = _diamond_profile(to_nnf(f))
+    profile = _diamond_profile(f)
     alphabet = frozenset(alpha)
     letter_sets = [
         frozenset(alpha[j] for j in range(len(alpha)) if mask >> j & 1)

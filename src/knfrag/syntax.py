@@ -26,7 +26,7 @@ and print in implicative form (`p & q -> r`).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import reduce
 from typing import Iterable, Iterator
 
@@ -340,13 +340,7 @@ class FragmentDescriptor:
     diamond_only: bool
 
     def as_dict(self) -> dict:
-        return {
-            "horn": self.horn,
-            "krom": self.krom,
-            "core": self.core,
-            "box_only": self.box_only,
-            "diamond_only": self.diamond_only,
-        }
+        return asdict(self)
 
 
 def classify(cf: ClausalFormula) -> FragmentDescriptor:

@@ -77,7 +77,9 @@ def _offending_count(lit: Formula, bad) -> int:
 
 
 def _find_offending(clause: Clause, bad):
-    for side, lits in (("neg", clause.negatives), ("pos", clause.positives)):
+    """(side, index, literal) of the first offending literal, side 0 for
+    the negatives and 1 for the positives; None if there is none."""
+    for side, lits in enumerate((clause.negatives, clause.positives)):
         for i, lit in enumerate(lits):
             if _offending_count(lit, bad):
                 return side, i, lit
@@ -88,33 +90,21 @@ def _rewrite_step(clause: Clause, side, index, lit, bad, fresh):
     """One elimination or peeling step; returns (rewritten, defining) clauses."""
     good = Box if bad is Diamond else Diamond
     p = Prop(fresh.next())
-    negatives, positives = list(clause.negatives), list(clause.positives)
+    sides = [list(clause.negatives), list(clause.positives)]
+    defining = [(), ()]
     if isinstance(lit, bad):
         # Outermost constructor is the offending kind: swap sides under a
         # guard of the other kind and define the guard one step deeper.
-        alpha, inner = lit.modality, lit.operand
-        guard = good(alpha, p)
-        if side == "pos":
-            del positives[index]
-            negatives.insert(0, guard)
-            defining = Clause(clause.prefix + (alpha,), (), (p, inner))
-        else:
-            del negatives[index]
-            positives.insert(0, guard)
-            defining = Clause(clause.prefix + (alpha,), (p, inner), ())
+        del sides[side][index]
+        sides[1 - side].insert(0, good(lit.modality, p))
+        defining[side] = (p, lit.operand)
     else:
         # Outermost constructor is the harmless kind with offenders below:
         # name its operand and recurse on the defining clause later.
-        beta, operand = lit.modality, lit.operand
-        replacement = good(beta, p)
-        if side == "pos":
-            positives[index] = replacement
-            defining = Clause(clause.prefix + (beta,), (p,), (operand,))
-        else:
-            negatives[index] = replacement
-            defining = Clause(clause.prefix + (beta,), (operand,), (p,))
-    rewritten = Clause(clause.prefix, tuple(negatives), tuple(positives))
-    return rewritten, defining
+        sides[side][index] = good(lit.modality, p)
+        defining[side], defining[1 - side] = (lit.operand,), (p,)
+    rewritten = Clause(clause.prefix, tuple(sides[0]), tuple(sides[1]))
+    return rewritten, Clause(clause.prefix + (lit.modality,), *defining)
 
 
 def _eliminate(cf: ClausalFormula, bad) -> ClausalFormula:

@@ -218,6 +218,94 @@ def reference_formula_key(f):
     return (0,)  # Top
 
 
+def reference_diamond_profile(nnf):
+    """Diamond occurrences of an NNF formula at each modal depth: the
+    profile the brute-force bound once took from a `to_nnf` copy."""
+    counts = [0]
+    stack = [(nnf, 0)]
+    while stack:
+        g, d = stack.pop()
+        if isinstance(g, (Diamond, Box)):
+            if isinstance(g, Diamond):
+                counts[d] += 1
+            if d + 1 == len(counts):
+                counts.append(0)
+            stack.append((g.operand, d + 1))
+        elif isinstance(g, (Or, And)):
+            stack.append((g.left, d))
+            stack.append((g.right, d))
+        elif isinstance(g, Not):
+            stack.append((g.operand, d))
+    return counts
+
+
+def reference_fragment_layers(alphabet, modalities, size_bound, fragment):
+    """The literals, clause pool and size layers of a fragment, built by the
+    two recursive pickers and the loop nest that `_multisets` replaced.
+    Pool entries are (size, prefix, negative indices, positive indices)
+    into the literals; layer s holds the size-s formulas as pool index
+    tuples."""
+    req = expressiveness.parse_fragment_spec(fragment)
+    alphabet = tuple(sorted(str(l) for l in set(alphabet)))
+    mods = tuple(sorted({Modality(m) for m in modalities}))
+    lits = expressiveness._literals_by_size(
+        size_bound, alphabet, mods, allow_dia=not req.box_only, allow_box=not req.diamond_only
+    )
+    sized = [(s, l) for s, row in lits.items() for l in row]
+
+    def side_multisets(count, budget):
+        out = []
+
+        def pick(start, remaining, left, chosen):
+            if left == 0:
+                if remaining == 0:
+                    out.append(tuple(chosen))
+                return
+            for i in range(start, len(sized)):
+                size = sized[i][0]
+                if size > remaining - (left - 1):
+                    break
+                chosen.append(i)
+                pick(i, remaining - size, left - 1, chosen)
+                chosen.pop()
+
+        pick(0, budget, count, [])
+        return out
+
+    max_m = 1 if req.horn else size_bound
+    pool = []
+    for prefix_len in range(0, size_bound):
+        for prefix in product(mods, repeat=prefix_len):
+            for n in range(0, size_bound + 1):
+                for m in range(0, max_m + 1):
+                    if n + m < 1 or req.krom and n + m > 2:
+                        continue
+                    if prefix_len and n == 0 and m == 1:
+                        continue
+                    connective_cost = prefix_len + n + (n + m - 1)
+                    lit_budget = size_bound - connective_cost
+                    for total in range(n + m, lit_budget + 1):
+                        for neg_total in range(n, total - m + 1):
+                            for negs in side_multisets(n, neg_total):
+                                for poss in side_multisets(m, total - neg_total):
+                                    pool.append((connective_cost + total, prefix, negs, poss))
+    pool.sort(key=lambda clause: clause[0])
+    layers = [[] for _ in range(size_bound + 1)]
+
+    def pick(start, budget, chosen):
+        for i in range(start, len(pool)):
+            cost = pool[i][0] if not chosen else pool[i][0] + 1
+            if cost > budget:
+                break
+            chosen.append(i)
+            layers[size_bound - budget + cost].append(tuple(chosen))
+            pick(i, budget - cost, chosen)
+            chosen.pop()
+
+    pick(0, size_bound, [])
+    return [l for _, l in sized], pool, layers
+
+
 # --- Random generators (plain seeded random, no framework) ---
 
 

@@ -83,6 +83,13 @@ def test_classify_verb():
     }
 
 
+def test_classify_plain_keeps_the_field_order():
+    code, out, _ = run(["classify", "p & q -> r"])
+    assert code == 0
+    assert out.strip() == ("horn=True, krom=False, core=False, box_only=True, "
+                           "diamond_only=True, clauses=1")
+
+
 def test_classify_rejects_non_clausal():
     code, _, err = run(["classify", "~(p | q)"])
     assert code == 65 and "clausal" in err

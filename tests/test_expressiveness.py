@@ -36,6 +36,7 @@ from helpers import (
     count_replays,
     random_formula,
     reference_formula_key,
+    reference_fragment_layers,
     reference_search,
     reference_strong,
     reference_weak_equiv,
@@ -341,6 +342,39 @@ def test_literal_pool_keeps_the_sorted_order():
         rows = expressiveness._literals_by_size(7, alphabet, mods, allow_dia, allow_box)
         pool = [(size, l) for size, row in rows.items() for l in row]
         assert pool == sorted(pool, key=lambda t: (t[0], reference_formula_key(t[1])))
+
+
+def _canonical_layers(lits, pool, layers, ids):
+    """The pool as a sorted list of clause ids, and each layer as a sorted
+    list of candidates, a candidate being the sorted tuple of its clause
+    ids; `ids` numbers each (size, prefix, negatives, positives) once."""
+    keys = [ids.setdefault((size, prefix, tuple(lits[i] for i in negs),
+                            tuple(lits[i] for i in poss)), len(ids))
+            for size, prefix, negs, poss in pool]
+    return sorted(keys), [sorted(tuple(sorted(keys[j] for j in picks)) for picks in layer)
+                          for layer in layers]
+
+
+def assert_layers_match_reference(alphabet, mods, size, fragment):
+    ids = {}
+    got = _canonical_layers(*expressiveness._fragment_layers(alphabet, mods, size, fragment), ids)
+    want = _canonical_layers(*reference_fragment_layers(alphabet, mods, size, fragment), ids)
+    assert got == want, (alphabet, mods, size, fragment)
+
+
+@pytest.mark.parametrize("fragment", [name + suffix for name in ("horn", "krom", "core", "bool")
+                                      for suffix in ("", "-box", "-diamond")])
+def test_fragment_layers_match_the_reference(fragment):
+    for alphabet, mods, size in product(((), ("p",), ("p", "q")), (("a",), ("a", "b")),
+                                        range(1, 7)):
+        assert_layers_match_reference(alphabet, mods, size, fragment)
+
+
+def test_krom_layers_at_size_7_match_the_reference():
+    assert_layers_match_reference(("p", "q", "r"), ("a",), 7, "krom")
+    _, pool, layers = expressiveness._fragment_layers(("p", "q", "r"), ("a",), 7, "krom")
+    assert len(pool) == 3972
+    assert [len(layer) for layer in layers] == [0, 4, 12, 48, 166, 606, 2012, 6788]
 
 
 def test_weak_equiv_deep_formula_needs_no_recursion():

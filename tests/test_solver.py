@@ -2,6 +2,7 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from knfrag import (
     And,
@@ -20,11 +21,19 @@ from knfrag.solver import (
     UNKNOWN_AT_BOUND,
     UNSAT,
     CapExceeded,
+    _diamond_profile,
+    _world_bound,
     sat_bruteforce,
     sat_tableau,
     tree_model_bound,
 )
-from helpers import formulas_up_to_size, random_formula, table_check
+from helpers import (
+    formulas_up_to_size,
+    krom_corpus,
+    random_formula,
+    reference_diamond_profile,
+    table_check,
+)
 
 
 def test_nnf_pushes_negation_to_atoms():
@@ -68,6 +77,32 @@ def test_tree_model_bound_counts_negated_boxes():
     assert tree_model_bound(parse("~[a]p")) == 2
     # box-only formulas still get a positive bound
     assert tree_model_bound(parse("[a][a]p")) == 3
+
+
+# --- the bound is read off the formula, with no NNF copy ---
+
+
+def assert_profile_matches_the_nnf_copy(f):
+    expected = reference_diamond_profile(to_nnf(f))
+    assert _diamond_profile(f) == expected
+    assert tree_model_bound(f) == _world_bound(expected)
+
+
+def test_profile_matches_the_nnf_copy_on_corpora():
+    rng = random.Random(5204)
+    corpus = (formulas_up_to_size(5)
+              + [cf.to_formula() for cf in krom_corpus()]
+              + [random_formula(rng, depth=5) for _ in range(3000)])
+    assert len(corpus) == 5204
+    for f in corpus:
+        assert_profile_matches_the_nnf_copy(f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_profile_matches_the_nnf_copy_hypothesis(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    assert_profile_matches_the_nnf_copy(random_formula(rng, depth=6, mods=("a", "b")))
 
 
 def test_bruteforce_unsat_propositional():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from knfrag import (
     FragmentDescriptor,
     InternalError,
     Not,
+    NotClausalError,
     check,
     classify,
     enumerate_extensions,
@@ -257,3 +259,29 @@ def test_offending_count_of_a_long_modal_chain():
         lit = (Diamond if i == 1000 else Box)("a", lit)
     assert _offending_count(lit, Diamond) == 2000
     assert _offending_count(lit, Box) == 3000
+
+
+# --- the printed translations are pinned ---
+
+
+def _krom_inputs():
+    yield from krom_corpus()
+    for f in formulas_up_to_size(5):
+        try:
+            cf = recognize_clausal(f)
+        except NotClausalError:
+            continue
+        if classify(cf).krom:
+            yield cf
+
+
+def test_translations_are_pinned():
+    # sha256 of both translations of each input, printed one a line,
+    # recorded from the rewriting that spelled out all four side cases.
+    digest, count = hashlib.sha256(), 0
+    for cf in _krom_inputs():
+        for translate in (krom_to_krom_box, krom_to_krom_diamond):
+            digest.update(str(translate(cf)).encode() + b"\n")
+            count += 1
+    assert count == 3592
+    assert digest.hexdigest() == "e312b82e8e4353fdf4ee80496204852a89b6a143d34f69866069c4235a2e3a0b"
