@@ -78,9 +78,18 @@ class Verdict:
     counterexample: Counterexample | None = None
 
 
-def _counterexample(batch, diff, left, right_key) -> Verdict:
-    pointed, a = batch.first_difference(diff, left)
-    return Verdict(COUNTEREXAMPLE, Counterexample(pointed, {"left": a, right_key: not a}))
+def _first_disagreement(pf, pg, alphabet, fresh, max_worlds, right_key) -> Verdict:
+    """The first point, in the order of `enumerate_models` over `alphabet`,
+    where pf disagrees with "some assignment to `fresh` satisfies pg", with
+    pf's truth under "left" and the other side's under `right_key`.  With no
+    fresh letters `exists_fresh` is the identity: pointwise agreement."""
+    for batch in valuation_batches(alphabet, pf.modalities | pg.modalities, max_worlds, fresh):
+        left = batch.exists_fresh(batch.value(pf))
+        diff = left ^ batch.exists_fresh(batch.value(pg))
+        if diff:
+            pointed, a = batch.first_difference(diff, left)
+            return Verdict(COUNTEREXAMPLE, Counterexample(pointed, {"left": a, right_key: not a}))
+    return Verdict(EQUIVALENT_UP_TO_BOUND)
 
 
 def weak_equiv_check(f: Formula, g: Formula, alphabet=None, max_worlds: int = 3) -> Verdict:
@@ -105,12 +114,7 @@ def weak_equiv_check(f: Formula, g: Formula, alphabet=None, max_worlds: int = 3)
         alphabet = frozenset(str(l) for l in alphabet)
         if not used <= alphabet:
             raise ValueError("formulas mention letters outside the alphabet")
-    for batch in valuation_batches(alphabet, pf.modalities | pg.modalities, max_worlds):
-        left = batch.value(pf)
-        diff = left ^ batch.value(pg)
-        if diff:
-            return _counterexample(batch, diff, left, "right")
-    return Verdict(EQUIVALENT_UP_TO_BOUND)
+    return _first_disagreement(pf, pg, alphabet, (), max_worlds, "right")
 
 
 def strong_translation_check(
@@ -133,13 +137,7 @@ def strong_translation_check(
     if not pf.letters <= base_alpha:
         raise ValueError("f mentions letters outside its alphabet")
     fresh = pg.letters - base_alpha
-    mods = pf.modalities | pg.modalities
-    for batch in valuation_batches(base_alpha, mods, max_worlds, fresh):
-        left = batch.exists_fresh(batch.value(pf))
-        diff = left ^ batch.exists_fresh(batch.value(pg))
-        if diff:
-            return _counterexample(batch, diff, left, "extended_right")
-    return Verdict(EQUIVALENT_UP_TO_BOUND)
+    return _first_disagreement(pf, pg, base_alpha, fresh, max_worlds, "extended_right")
 
 
 # --- Fragment-bounded candidate enumeration ---

@@ -233,10 +233,13 @@ def sat_bruteforce(
     mods = tuple(sorted(formula_modalities(f)))
     profile = _diamond_profile(f)
     alphabet = frozenset(alpha)
-    letter_sets = [
-        frozenset(alpha[j] for j in range(len(alpha)) if mask >> j & 1)
-        for mask in range(1 << len(alpha))
-    ]
+    letter_sets = {}  # mask -> letter set, built when a tree first needs it
+
+    def letters_of(mask):
+        if mask not in letter_sets:
+            letter_sets[mask] = frozenset(a for j, a in enumerate(alpha) if mask >> j & 1)
+        return letter_sets[mask]
+
     memo = {}
     count = 0
     for n in range(1, min(max_worlds, _largest_tree(profile)) + 1):
@@ -246,8 +249,7 @@ def sat_bruteforce(
                 count += 1
                 if count > model_cap:
                     raise CapExceeded(f"model cap {model_cap} exceeded")
-                model = _tree_to_model((mask, body), letter_sets.__getitem__,
-                                       mods.__getitem__, alphabet)
+                model = _tree_to_model((mask, body), letters_of, mods.__getitem__, alphabet)
                 if check(model, "w0", f):
                     return SatResult(SAT, PointedModel(model, "w0"))
     status = UNSAT if max_worlds >= _world_bound(profile) else UNKNOWN_AT_BOUND

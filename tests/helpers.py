@@ -31,6 +31,7 @@ from knfrag import (
     to_text,
 )
 from knfrag import expressiveness
+from knfrag.solver import sat_tableau
 
 
 # --- Independent truth oracle: table filling over all (subformula, world) ---
@@ -488,6 +489,32 @@ def reference_strong(f, g, max_worlds, alphabet=None):
             if a != b:
                 return COUNTEREXAMPLE, model, w, {"left": a, "extended_right": b}
     return EQUIVALENT_UP_TO_BOUND, None, None, None
+
+
+def reference_conservative(cf, out):
+    """Whether `out`, a translation of the clausal formula `cf`, is
+    conservative, by scalar loops over `enumerate_models` and `check`.
+    Forward: every model of cf with up to 3 worlds extends, over the fresh
+    letters (`enumerate_extensions`), to a model of out at the same world.
+    Converse: models of out satisfy cf, which reads only the base alphabet;
+    checked on every model with up to 2 worlds, and certified in general by
+    the tableau's UNSAT for out and not cf."""
+    f, g = cf.to_formula(), out.to_formula()
+    fresh = sorted(out.alphabet() - cf.alphabet())
+    for model in enumerate_models(cf.alphabet(), {"a"}, 3):
+        extensions = None
+        for w in model.frame.worlds:
+            if not check(model, w, f):
+                continue
+            if extensions is None:
+                extensions = list(enumerate_extensions(model, fresh))
+            if not any(check(ext, w, g) for ext in extensions):
+                return False
+    for model in enumerate_models(out.alphabet(), {"a"}, 2):
+        for w in model.frame.worlds:
+            if check(model, w, g) and not check(model, w, f):
+                return False
+    return sat_tableau(And(g, Not(f))).status == "UNSAT"
 
 
 def reference_search(target, fragment, alphabet, size_bound, max_worlds, modalities=None):

@@ -11,13 +11,10 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 from knfrag import (
-    And,
+    EQUIVALENT_UP_TO_BOUND,
     KripkeFrame,
     KripkeModel,
-    Not,
     check,
-    enumerate_extensions,
-    enumerate_models,
     intersect,
     is_positive_literal,
     parse,
@@ -26,6 +23,7 @@ from knfrag import (
     recognize_clausal,
     replay_theorem,
     search_weak_translation,
+    strong_translation_check,
     THEOREM_IDS,
 )
 from knfrag.hierarchy import hierarchy_dot
@@ -40,6 +38,7 @@ from helpers import (
     random_horndia_formula,
     random_literal,
     random_model,
+    reference_conservative,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "hierarchy.dot"
@@ -132,35 +131,6 @@ def _decide_original(f):
     return sat_bruteforce(f, tree_model_bound(f)).status
 
 
-def _conservative_forward(cf, out, max_worlds=3):
-    """Every small model of the input extends, over the fresh letters, to a
-    model of the output (searched by extension enumeration)."""
-    f, g = cf.to_formula(), out.to_formula()
-    fresh = sorted(out.alphabet() - cf.alphabet())
-    for model in enumerate_models(cf.alphabet(), {"a"}, max_worlds):
-        extensions = None
-        for w in model.frame.worlds:
-            if not check(model, w, f):
-                continue
-            if extensions is None:
-                extensions = list(enumerate_extensions(model, fresh))
-            if not any(check(ext, w, g) for ext in extensions):
-                return False
-    return True
-
-
-def _conservative_converse(cf, out, max_worlds=2):
-    """Models of the output satisfy the input (which only reads the base
-    alphabet): checked exhaustively on small models and certified in
-    general by unsatisfiability of output-and-not-input."""
-    f, g = cf.to_formula(), out.to_formula()
-    for model in enumerate_models(out.alphabet(), {"a"}, max_worlds):
-        for w in model.frame.worlds:
-            if check(model, w, g) and not check(model, w, f):
-                return False
-    return sat_tableau(And(g, Not(f))).status == "UNSAT"
-
-
 def test_translation_correctness():
     corpus = krom_corpus()
     started = time.perf_counter()
@@ -174,27 +144,32 @@ def test_translation_correctness():
 
     box_cases = ["<a>p", "~<a>p", "<a>p | q", "[a]<a>p", "<a><a>p", "~<a>q | p"]
     dia_cases = ["[a]p", "~[a]p", "[a]p -> q", "<a>[a]p", "[a][a]p", "~[a]q | p"]
-    started = time.perf_counter()
-    conservative_failures = []
-    for text in box_cases:
+    cases = [(text, krom_to_krom_box) for text in box_cases]
+    cases += [(text, krom_to_krom_diamond) for text in dia_cases]
+    scalar_failures, scalar_elapsed = [], 0.0
+    strong_failures, strong_elapsed = [], 0.0
+    for text, translate in cases:
         cf = recognize_clausal(parse(text))
-        out = krom_to_krom_box(cf)
-        if not (_conservative_forward(cf, out) and _conservative_converse(cf, out)):
-            conservative_failures.append(text)
-    for text in dia_cases:
-        cf = recognize_clausal(parse(text))
-        out = krom_to_krom_diamond(cf)
-        if not (_conservative_forward(cf, out) and _conservative_converse(cf, out)):
-            conservative_failures.append(text)
-    conserve_elapsed = time.perf_counter() - started
+        out = translate(cf)
+        started = time.perf_counter()
+        if not reference_conservative(cf, out):
+            scalar_failures.append(text)
+        scalar_elapsed += time.perf_counter() - started
+        started = time.perf_counter()
+        verdict = strong_translation_check(cf.to_formula(), out.to_formula(), 3)
+        if verdict.status != EQUIVALENT_UP_TO_BOUND:
+            strong_failures.append(text)
+        strong_elapsed += time.perf_counter() - started
 
     _report(
         "translation equi-satisfiability and model conservativity",
-        mismatches == 0 and not conservative_failures,
+        mismatches == 0 and not scalar_failures and not strong_failures,
         f"{len(corpus)} corpus formulas x2 directions in {equisat_elapsed:.1f}s, "
-        f"0 mismatches expected, got {mismatches}; "
-        f"{len(box_cases) + len(dia_cases)} conservativity cases in {conserve_elapsed:.1f}s"
-        + (f", failing: {conservative_failures}" if conservative_failures else ""),
+        f"0 mismatches expected, got {mismatches}; {len(cases)} conservativity "
+        f"cases by the scalar oracle in {scalar_elapsed:.1f}s and by the "
+        f"bitsliced strong check at 3 worlds in {strong_elapsed:.2f}s"
+        + (f", scalar failing: {scalar_failures}" if scalar_failures else "")
+        + (f", strong failing: {strong_failures}" if strong_failures else ""),
     )
 
 

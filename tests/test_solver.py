@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -245,9 +246,32 @@ def test_bruteforce_cap_bounds_memory():
     assert peak < 8_000_000
 
 
+def test_bruteforce_builds_letter_sets_only_for_the_trees_it_counts():
+    # 2**24 letter sets would take gigabytes; a cap of one tree stops the
+    # walk at the second tree, after one letter set has been built.
+    f = parse(" & ".join(f"p{i}" for i in range(24)))
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        with pytest.raises(CapExceeded):
+            sat_bruteforce(f, 1, model_cap=1)
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert elapsed < 0.1
+
+
 # First witnesses of formulas whose per-depth branching is smaller than
-# their diamond count, as the global-branching enumerator found them.
+# their diamond count, as the global-branching enumerator found them, and
+# of `<a>(p | q)`, whose witness shows that mask bit 0 names the first
+# letter in sorted order.
 PINNED_WITNESSES = {
+    "<a>(p | q)": {
+        "alphabet": ["p", "q"], "designated": "w0", "relations": {"a": [["w0", "w1"]]},
+        "valuation": {"w1": ["p"]}, "worlds": ["w0", "w1"],
+    },
     "<a>(<a>p & <a>q) & <a>r": {
         "alphabet": ["p", "q", "r"], "designated": "w0",
         "relations": {"a": [["w0", "w1"], ["w1", "w2"]]},
@@ -279,6 +303,29 @@ def test_bruteforce_first_witness_pinned(text):
     assert result.status == SAT
     witness = model_to_json(result.witness.model, result.witness.world)
     assert witness == PINNED_WITNESSES[text]
+
+
+# Two different formulas with the same NNF: after NNF, each conjunct is
+# `<a>p` (or `<a>(p | q)`), and the tableau expands the repeated diamond
+# once, so its witness has one successor, not two.
+PINNED_TABLEAU_WITNESSES = {
+    "<a>p & ~[a]~p": {
+        "alphabet": ["p"], "designated": "w0", "relations": {"a": [["w0", "w1"]]},
+        "valuation": {"w1": ["p"]}, "worlds": ["w0", "w1"],
+    },
+    "<a>(p | q) & ~[a](~p & ~q)": {
+        "alphabet": ["p", "q"], "designated": "w0", "relations": {"a": [["w0", "w1"]]},
+        "valuation": {"w1": ["p"]}, "worlds": ["w0", "w1"],
+    },
+}
+
+
+@pytest.mark.parametrize("text", sorted(PINNED_TABLEAU_WITNESSES))
+def test_tableau_witness_pinned_where_conjuncts_share_an_nnf(text):
+    result = sat_tableau(parse(text))
+    assert result.status == SAT
+    witness = model_to_json(result.witness.model, result.witness.world)
+    assert witness == PINNED_TABLEAU_WITNESSES[text]
 
 
 def test_engines_agree_on_multimodal_corpus():
