@@ -28,7 +28,7 @@ from .semantics import (
     compile_formula,
     valuation_batches,
 )
-from .solver import sat_bruteforce, sat_tableau, tree_model_bound
+from .solver import _multisets, sat_bruteforce, sat_tableau, tree_model_bound
 from .syntax import (
     Box,
     Clause,
@@ -133,7 +133,7 @@ def strong_translation_check(
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
     pf, pg = compile_formula(f), compile_formula(g)
-    base_alpha = frozenset(alphabet) if alphabet is not None else pf.letters
+    base_alpha = pf.letters if alphabet is None else frozenset(str(l) for l in alphabet)
     if not pf.letters <= base_alpha:
         raise ValueError("f mentions letters outside its alphabet")
     fresh = pg.letters - base_alpha
@@ -168,28 +168,6 @@ def _literals_by_size(max_size, alphabet, mods, allow_dia, allow_box):
     for s in range(2, max_size + 1):
         by_size[s] = [kind(m, l) for kind in kinds for m in mods for l in by_size[s - 1]]
     return by_size
-
-
-def _multisets(sizes, budget, most):
-    """rows[t] for each total t up to `budget`: the non-decreasing tuples of
-    at most `most` indices into the ascending `sizes` whose sizes sum to t,
-    in depth-first order (a tuple before its extensions)."""
-    rows = [[] for _ in range(budget + 1)]
-    rows[0].append(())
-
-    def extend(start, total, chosen):
-        if len(chosen) == most:
-            return
-        for i in range(start, len(sizes)):
-            t = total + sizes[i]
-            if t > budget:
-                break  # the sizes ascend
-            picked = chosen + (i,)
-            rows[t].append(picked)
-            extend(i, t, picked)
-
-    extend(0, 0, ())
-    return rows
 
 
 def _clauses_up_to(size_bound, alphabet, mods, req):

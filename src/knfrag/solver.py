@@ -133,6 +133,28 @@ def tree_model_bound(f: Formula) -> int:
 # --- Canonical tree-model enumeration ---
 
 
+def _multisets(sizes, budget, most):
+    """rows[t] for each total t up to `budget`: the non-decreasing tuples of
+    at most `most` indices into the ascending `sizes` whose sizes sum to t,
+    in depth-first order (a tuple before its extensions)."""
+    rows = [[] for _ in range(budget + 1)]
+    rows[0].append(())
+
+    def extend(start, total, chosen):
+        if len(chosen) == most:
+            return
+        for i in range(start, len(sizes)):
+            t = total + sizes[i]
+            if t > budget:
+                break  # the sizes ascend
+            picked = chosen + (i,)
+            rows[t].append(picked)
+            extend(i, t, picked)
+
+    extend(0, 0, ())
+    return rows
+
+
 def _bodies(n: int, level: int, profile, n_labels: int, n_letters: int, memo) -> list:
     """Sorted child-entry tuples for a node at `level` whose subtree has
     exactly n nodes, with at most profile[level] children."""
@@ -147,24 +169,8 @@ def _bodies(n: int, level: int, profile, n_labels: int, n_letters: int, memo) ->
             for label in range(n_labels):
                 pool.append((size, (label, sub)))
     pool.sort()
-    bodies = []
-
-    def pick(budget, count, start, chosen):
-        if budget == 0:
-            bodies.append(tuple(chosen))
-            return
-        if count == 0:
-            return
-        for i in range(start, len(pool)):
-            size, entry = pool[i]
-            if size > budget:
-                break
-            chosen.append(entry)
-            pick(budget - size, count - 1, i, chosen)
-            chosen.pop()
-
-    pick(n - 1, branch, 0, [])
-    return bodies
+    rows = _multisets([size for size, _ in pool], n - 1, branch)
+    return [tuple(pool[i][1] for i in picks) for picks in rows[n - 1]]
 
 
 def _vtrees(n: int, level: int, profile, n_labels: int, n_letters: int, memo) -> list:

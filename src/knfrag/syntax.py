@@ -15,6 +15,8 @@ desugars into negation and disjunction; `<a>` / `[a]` are the diamond and
 box indexed by modality `a`.  Idents with a leading underscore are reserved
 for machine-generated letters (the parser accepts them so that translated
 formulas read back, but users should not introduce them).
+`parse` and `to_text` are loops over explicit stacks, so no nesting depth
+or chain length meets the interpreter's recursion limit.
 
 A *positive literal* is built from `T`, letters, diamonds and boxes only.
 A *clause* is a (possibly empty) chain of boxes over a disjunction of
@@ -404,96 +406,10 @@ def _tokenize(text):
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens, alphabet=None):
-        self.tokens = tokens
-        self.pos = 0
-        self.alphabet = alphabet
-
-    def peek(self):
-        return self.tokens[self.pos][0]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        if self.peek() != kind:
-            self.fail((kind,))
-        return self.advance()
-
-    def fail(self, expected):
-        kind, lexeme, line, col = self.tokens[self.pos]
-        shown = lexeme or "end of input"
-        raise ParseError(
-            f"expected {' or '.join(expected)}, found {shown!r}",
-            line,
-            col,
-            expected,
-        )
-
-    def formula(self):
-        return self.imp()
-
-    def imp(self):
-        left = self.disj()
-        if self.peek() == "arrow":
-            self.advance()
-            right = self.imp()
-            return _desugar_implies(left, right)
-        return left
-
-    def disj(self):
-        f = self.conj()
-        while self.peek() == "|":
-            self.advance()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self):
-        f = self.unary()
-        while self.peek() == "&":
-            self.advance()
-            f = And(f, self.unary())
-        return f
-
-    def unary(self):
-        kind = self.peek()
-        if kind == "~":
-            self.advance()
-            return Not(self.unary())
-        if kind == "<":
-            self.advance()
-            name = self.expect("ident")[1]
-            self.expect(">")
-            return Diamond(Modality(name), self.unary())
-        if kind == "[":
-            self.advance()
-            name = self.expect("ident")[1]
-            self.expect("]")
-            return Box(Modality(name), self.unary())
-        return self.atom()
-
-    def atom(self):
-        kind, lexeme, line, col = self.tokens[self.pos]
-        if kind == "T":
-            self.advance()
-            return TOP
-        if kind == "F":
-            self.advance()
-            return BOTTOM
-        if kind == "ident":
-            self.advance()
-            if self.alphabet is not None and lexeme not in self.alphabet:
-                raise ParseError(f"letter {lexeme!r} not in the declared alphabet", line, col)
-            return Prop(lexeme)
-        if kind == "(":
-            self.advance()
-            f = self.formula()
-            self.expect(")")
-            return f
-        self.fail(("T", "F", "ident", "(", "~", "<", "["))
+def _fail(token, expected):
+    _, lexeme, line, col = token
+    shown = lexeme or "end of input"
+    raise ParseError(f"expected {' or '.join(expected)}, found {shown!r}", line, col, expected)
 
 
 def _desugar_implies(antecedent: Formula, consequent: Formula) -> Formula:
@@ -503,66 +419,124 @@ def _desugar_implies(antecedent: Formula, consequent: Formula) -> Formula:
     return reduce(Or, disjuncts)
 
 
+# Binary operator token -> (precedence, constructor); `->` groups to the right.
+_BINARY = {"arrow": (0, _desugar_implies), "|": (1, Or), "&": (2, And)}
+
+
 def parse(text: str, alphabet=None) -> Formula:
     """Parse `text` into a formula.
 
     If `alphabet` is given, letters outside it are rejected.  Raises
     `ParseError` with line/column and the expected-token set on bad input.
+    One loop by operator precedence: `pending` holds the (left operand,
+    precedence, constructor) of each binary operator awaiting its right
+    operand, `prefixes` the unary operators awaiting theirs, and `opened`
+    the (pending, prefixes) saved at each `(`.
     """
-    parser = _Parser(_tokenize(text), alphabet)
-    f = parser.formula()
-    if parser.peek() != "end":
-        parser.fail(("end",))
-    return f
+    tokens = _tokenize(text)
+    pending, prefixes, opened = [], [], []
+    i = 0
+    while True:
+        kind, lexeme, line, col = tokens[i]
+        i += 1
+        if kind == "ident":
+            if alphabet is not None and lexeme not in alphabet:
+                raise ParseError(f"letter {lexeme!r} not in the declared alphabet", line, col)
+            f = Prop(lexeme)
+        elif kind == "T":
+            f = TOP
+        elif kind == "F":
+            f = BOTTOM
+        elif kind == "~":
+            prefixes.append((Not, None))
+            continue
+        elif kind == "(":
+            opened.append((pending, prefixes))
+            pending, prefixes = [], []
+            continue
+        elif kind == "<" or kind == "[":
+            close = ">" if kind == "<" else "]"
+            if tokens[i][0] != "ident":
+                _fail(tokens[i], ("ident",))
+            if tokens[i + 1][0] != close:
+                _fail(tokens[i + 1], (close,))
+            prefixes.append((Diamond if kind == "<" else Box, Modality(tokens[i][1])))
+            i += 2
+            continue
+        else:
+            _fail(tokens[i - 1], ("T", "F", "ident", "(", "~", "<", "["))
+        # f is a whole operand: apply its prefixes, then read the operator
+        # after it; a `)` or the end makes the group's value the operand.
+        while True:
+            while prefixes:
+                cls, m = prefixes.pop()
+                f = cls(f) if m is None else cls(m, f)
+            kind = tokens[i][0]
+            prec, make = _BINARY.get(kind, (-1, None))  # -1: a group ends
+            floor = prec or 1  # an `->` reduces only the tighter operators
+            while pending and pending[-1][1] >= floor:
+                left, _, join = pending.pop()
+                f = join(left, f)
+            if make is not None:
+                pending.append((f, prec, make))
+                i += 1
+                break
+            if kind == ")" and opened:
+                pending, prefixes = opened.pop()
+                i += 1
+            elif kind == "end" and not opened:
+                return f
+            else:
+                _fail(tokens[i], (")",) if opened else ("end",))
 
 
 # --- Printing ---
 
-_PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3
-
-
-def _prec(f: Formula) -> int:
-    if isinstance(f, Or):
-        return _PREC_OR
-    if isinstance(f, And):
-        return _PREC_AND
-    return _PREC_UNARY
-
-
-def _wrap(f: Formula, need: int) -> str:
-    s = to_text(f)
-    return f"({s})" if _prec(f) < need else s
+_OPERATORS = {And: (2, " & "), Or: (1, " | ")}
 
 
 def to_text(f) -> str:
     """Canonical text; reparsing yields a structurally identical value.
 
     Accepts formulas, clauses and clausal formulas; clauses print in
-    implicative form.
+    implicative form.  One loop over a stack of literal strings and
+    (node, precedence its position needs) items, with no recursion: a
+    left operand needs its operator's precedence, a right one one more,
+    the operand of a prefix 3, and a conjunction or disjunction below the
+    precedence its position needs is parenthesised.
     """
     if isinstance(f, (Clause, ClausalFormula)):
         return str(f)
-    if isinstance(f, Top):
-        return "T"
-    if isinstance(f, Prop):
-        return f.letter
-    if isinstance(f, Not):
-        if isinstance(f.operand, Top):
-            return "F"
-        return "~" + _wrap(f.operand, _PREC_UNARY)
-    if isinstance(f, Diamond):
-        return f"<{f.modality}>" + _wrap(f.operand, _PREC_UNARY)
-    if isinstance(f, Box):
-        return f"[{f.modality}]" + _wrap(f.operand, _PREC_UNARY)
-    if isinstance(f, (And, Or)):
-        # The left spine in a loop, so a long flat chain needs no recursion.
-        cls, rights = type(f), []
-        op, prec = (" & ", _PREC_AND) if cls is And else (" | ", _PREC_OR)
-        while type(f) is cls:
-            rights.append(f.right)
-            f = f.left
-        return op.join([_wrap(f, prec)] + [_wrap(g, prec + 1) for g in reversed(rights)])
-    raise TypeError(f"not a formula: {f!r}")
+    out = []
+    stack = [(f, 0)]
+    pop, push, emit = stack.pop, stack.append, out.append
+    while stack:
+        item = pop()
+        if type(item) is str:
+            emit(item)
+            continue
+        g, need = item
+        t = type(g)
+        if t is Prop:
+            emit(g.letter)
+        elif t is Top:
+            emit("T")
+        elif t is Not and type(g.operand) is Top:
+            emit("F")
+        elif t is Not or t is Diamond or t is Box:
+            emit("~" if t is Not else f"<{g.modality}>" if t is Diamond else f"[{g.modality}]")
+            push((g.operand, 3))
+        elif t is And or t is Or:
+            prec, op = _OPERATORS[t]
+            if prec < need:
+                emit("(")
+                push(")")
+            push((g.right, prec + 1))
+            push(op)
+            push((g.left, prec))
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return "".join(out)
 
 
 def _clause_text(c: Clause) -> str:
@@ -570,7 +544,7 @@ def _clause_text(c: Clause) -> str:
     if n == 0:
         body = " | ".join(to_text(l) for l in c.positives)
     elif m == 0:
-        body = " | ".join("~" + _wrap(l, _PREC_UNARY) for l in c.negatives)
+        body = " | ".join("~" + to_text(l) for l in c.negatives)
     else:
         ante = " & ".join(to_text(l) for l in c.negatives)
         cons = " | ".join(to_text(l) for l in c.positives)

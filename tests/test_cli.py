@@ -270,10 +270,10 @@ def test_internal_error_exit_code(monkeypatch):
 # --- the parser built once at import ---
 
 
-def run_process(argv, flags=()):
+def run_process(argv, flags=(), input=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *flags, "-m", "knfrag.cli", *argv],
+    return subprocess.run([sys.executable, *flags, "-m", "knfrag.cli", *argv], input=input,
                           capture_output=True, text=True, env=env, timeout=60)
 
 
@@ -373,7 +373,7 @@ def test_max_worlds_below_one_is_a_data_error(argv, bound):
 
 
 @pytest.mark.parametrize("argv", [
-    ["parse", "~" * 3000 + "p"],
+    ["sat", "~" * 3000 + "p"],
     ["sat", " & ".join(["p"] * 1000)],
 ])
 def test_deep_input_is_a_resource_cap_without_traceback(argv):
@@ -382,6 +382,50 @@ def test_deep_input_is_a_resource_cap_without_traceback(argv):
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("resource cap exceeded:")
     assert done.stderr.count("\n") == 1
+
+
+# --- deep input: the verbs that only parse, print and walk read it in loops ---
+
+DEEP = {
+    "negations": "~" * 3000 + "p",
+    "negations-1e5": "~" * 100_000 + "p",
+    "parentheses": "(" * 1200 + "p" + ")" * 1200,
+    "parentheses-1e5": "(" * 100_000 + "p" + ")" * 100_000,
+    "diamonds": "<a>" * 3000 + "p",
+    "and-or": "(" * 3000 + "p" + "".join(") & q" if i % 2 else ") | q" for i in range(3000)),
+}
+SEARCH = ["search", "--fragment", "horn", "--size", "3", "-"]
+
+
+# Short ids: a test id holding the text would reach the child's environment.
+# `printed` is the expected output, "same" for the input itself, or None.
+@pytest.mark.parametrize("argv, deep, code, printed", [
+    (["parse", "-"], "negations", 0, "same"),
+    (["parse", "-"], "negations-1e5", 0, "same"),
+    (["parse", "-"], "parentheses-1e5", 0, "p"),
+    (["parse", "-"], "diamonds", 0, "same"),
+    (["classify", "-"], "negations", 65, None),
+    (["classify", "-"], "parentheses", 0, None),
+    (["classify", "-"], "diamonds", 0, None),
+    (["classify", "-"], "and-or", 65, None),
+    (["equiv", "-", "p"], "negations", 0, None),
+    (["equiv", "-", "p"], "parentheses", 0, None),
+    (["equiv", "-", "p"], "diamonds", 1, None),
+    (["equiv", "-", "p"], "and-or", 1, None),
+    (SEARCH, "negations", 0, "p"),
+    (SEARCH, "parentheses", 0, "p"),
+    (SEARCH, "and-or", 0, "q"),
+    (["translate", "--to", "box", "-"], "negations", 65, None),
+    (["translate", "--to", "box", "-"], "parentheses", 0, "p"),
+    (["translate", "--to", "diamond", "-"], "and-or", 65, None),
+], ids=lambda value: value[0] if isinstance(value, list) else None)
+def test_deep_input_is_answered_without_traceback(argv, deep, code, printed):
+    done = run_process(argv, input=DEEP[deep])
+    assert done.returncode == code
+    assert "Traceback" not in done.stderr
+    assert done.stderr.count("\n") == (code == 65)
+    if printed is not None:
+        assert done.stdout == (DEEP[deep] if printed == "same" else printed) + "\n"
 
 
 # --- long flat conjunctions: parse, classify and translate walk them iteratively ---

@@ -506,6 +506,18 @@ def test_bounded_checks_reject_bounds_below_one(call, bound):
         call(bound)
 
 
+@pytest.mark.parametrize("letter", [str, Prop], ids=["str", "Prop"])
+@pytest.mark.parametrize("call", [
+    lambda f, alphabet: weak_equiv_check(f, f, alphabet, 1),
+    lambda f, alphabet: strong_translation_check(f, f, 1, alphabet=alphabet),
+], ids=["weak", "strong"])
+def test_bounded_checks_read_an_alphabet_alike(call, letter):
+    alphabet = [letter("p")]
+    assert call(parse("p"), alphabet).status == EQUIVALENT_UP_TO_BOUND
+    with pytest.raises(ValueError, match="outside"):
+        call(parse("p | q"), alphabet)
+
+
 @pytest.mark.parametrize("size", [0, -3])
 def test_search_rejects_size_bounds_below_one(size):
     with pytest.raises(ValueError, match="formula_size_bound must be at least 1"):

@@ -1,5 +1,10 @@
 import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,11 +84,27 @@ def test_parse_constants():
 
 
 def test_parse_error_position_and_expected():
+    operand = ("T", "F", "ident", "(", "~", "<", "[")
+    cases = [
+        ("p | ", 1, 5, operand),
+        ("", 1, 1, operand),
+        ("p &\n  )", 2, 3, operand),
+        ("<T>p", 1, 2, ("ident",)),
+        ("<a]p", 1, 3, (">",)),
+        ("[a>p", 1, 3, ("]",)),
+        ("p q", 1, 3, ("end",)),
+        ("p)", 1, 2, ("end",)),
+        ("((p) q)", 1, 6, (")",)),
+        ("(p", 1, 3, (")",)),
+    ]
+    for text, line, column, expected in cases:
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.line, err.value.column, err.value.expected) == (line, column, expected)
     with pytest.raises(ParseError) as err:
-        parse("p | ")
-    assert err.value.line == 1
-    assert err.value.column == 5
-    assert err.value.expected
+        parse("(p |\n ~r)", alphabet={"p", "q"})
+    assert str(err.value) == "letter 'r' not in the declared alphabet at 2:3"
+    assert err.value.expected == ()
 
 
 def test_parse_error_on_garbage():
@@ -298,6 +319,64 @@ def test_printed_text_is_unchanged():
         assert parse(text) == f
         digest.update((text + "\n").encode())
     assert digest.hexdigest() == "34a315ea32f395eb5b81f2f8e4b19ebca42221a21c827a1171c838e4500d55b9"
+
+
+SOUP = ("p", "q", "r", "_f0", "T", "F", "~", "&", "|", "->", "(", ")", "<a>", "[b_1]",
+        "<", ">", "[", "]", "a", " ", "\n", "?")
+
+
+def parse_outcome(text, alphabet):
+    try:
+        return "ok " + to_text(parse(text, alphabet))
+    except ParseError as e:
+        return f"error {e} {e.line}:{e.column} {e.expected}"
+
+
+def test_parse_results_are_unchanged():
+    # sha256 of the printed formula or the error's message, position and
+    # expected tokens, recorded before `parse` and `to_text` became loops.
+    rng = random.Random(1961)
+    texts = [to_text(random_formula(rng, depth=rng.randint(1, 6), letters=("p", "q", "r"),
+                                    mods=("a", "b_1"))) for _ in range(1000)]
+    texts += ["".join(rng.choice(SOUP) for _ in range(rng.randint(0, 16))) for _ in range(4000)]
+    digest = hashlib.sha256()
+    for text in texts:
+        for alphabet in (None, {"p", "q"}):
+            digest.update((parse_outcome(text, alphabet) + "\n").encode())
+    assert digest.hexdigest() == "b0f4900b0efbcc82698c4fff9de1880ddf0e6333602dd4526a4d5a89c92e4972"
+
+
+def test_parse_and_print_deep_input_need_no_recursion():
+    # Texts, not formulas, are compared: `==` on the nodes still recurses.
+    script = (
+        "import json, sys\n"
+        "from knfrag import parse, to_text\n"
+        "texts = json.load(sys.stdin)\n"
+        "sys.setrecursionlimit(120)\n"
+        "printed = [to_text(parse(text)) for text in texts]\n"
+        "reprinted = [to_text(parse(text)) for text in printed]\n"
+        "json.dump([printed, reprinted], sys.stdout)\n"
+    )
+    mixed, mixed_printed = "(" * 2000 + "p", "p"
+    for i in range(2000):
+        mixed += ") & q" if i % 2 else ") | q"
+        mixed_printed = f"({mixed_printed}) & q" if i % 2 else f"{mixed_printed} | q"
+    texts, expected = zip(
+        ("~" * 100_000 + "p", "~" * 100_000 + "p"),
+        ("(" * 100_000 + "p" + ")" * 100_000, "p"),
+        ("<a>" * 20_000 + "p", "<a>" * 20_000 + "p"),
+        ("([b]~" * 10_000 + "p" + ")" * 10_000, "[b]~" * 10_000 + "p"),
+        ("p -> " * 5_000 + "q", "~p | (" * 4_999 + "~p | q" + ")" * 4_999),
+        (mixed, mixed_printed),
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], input=json.dumps(texts),
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    printed, reprinted = json.loads(done.stdout)
+    assert printed == list(expected)
+    assert reprinted == printed
 
 
 # --- one walker: `subformulas` against the hand-written walkers it replaced ---
