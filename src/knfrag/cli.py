@@ -234,7 +234,7 @@ def _build_parser() -> _ArgumentParser:
         "--cap",
         type=int,
         default=None,
-        help="resource ceiling for the solvers (enumerated trees or tableau nodes)",
+        help="resource ceiling for sat only (enumerated trees or tableau nodes)",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -294,6 +294,9 @@ _PARSER = _build_parser()
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
+    if args.cap is not None and args.verb != "sat":
+        sys.stderr.write(f"knfrag {args.verb}: error: --cap applies to sat only\n")
+        return EX_USAGE
     try:
         return args.func(args)
     except ParseError as e:

@@ -66,13 +66,13 @@ EQUIVALENT_UP_TO_BOUND = "EQUIVALENT_UP_TO_BOUND"
 COUNTEREXAMPLE = "COUNTEREXAMPLE"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Counterexample:
     pointed: PointedModel
     details: dict
 
 
-@dataclass
+@dataclass(frozen=True)
 class Verdict:
     status: str
     counterexample: Counterexample | None = None
@@ -342,10 +342,10 @@ def search_weak_translation(
 # --- Theorem replays ---
 
 
-@dataclass
+@dataclass(frozen=True)
 class TheoremReport:
     theorem: str
-    steps: list
+    steps: tuple
 
     @property
     def overall(self) -> bool:
@@ -658,6 +658,33 @@ _CATALOGUE = {
 
 THEOREM_IDS = tuple(_CATALOGUE)
 
+# The hierarchy `hierarchy.hierarchy_dot` draws, each part in DOT order.  An
+# edge runs from the stronger fragment to the weaker, "solid" with fresh
+# letters allowed and "dashed" on one alphabet, and names the results above
+# it rests on; the Krom cluster is one class by the results it names.  No
+# replay yet witnesses KromBox -> coreBox or KromDia -> coreDia.
+_HIERARCHY = {
+    "nodes": ("Bool", "Horn", "Krom", "core", "HornBox", "HornDia", "KromBox", "KromDia",
+              "coreBox", "coreDia"),
+    "cluster": (("Krom", "KromBox", "KromDia"), ("krombox-equiv", "kromdia-equiv")),
+    "edges": (
+        ("Horn", "HornBox", "solid", ("intersection-closure", "hornbox-vs-horn")),
+        ("Horn", "HornDia", "solid", ("product-closure", "horndia-vs-horn")),
+        ("core", "coreBox", "solid", ("intersection-closure", "hornbox-vs-horn")),
+        ("core", "coreDia", "solid", ("product-closure", "horndia-vs-horn")),
+        ("KromBox", "coreBox", "solid", ()),
+        ("KromDia", "coreDia", "solid", ()),
+        ("Bool", "Horn", "dashed", ("horn-vs-bool",)),
+        ("Bool", "Krom", "dashed", ("krom-vs-bool",)),
+        ("Horn", "core", "dashed", ("krom-vs-bool",)),
+        ("Krom", "core", "dashed", ("horn-vs-bool",)),
+        ("Krom", "KromBox", "dashed", ("krombox-equiv",)),
+        ("Krom", "KromDia", "dashed", ("kromdia-equiv",)),
+        ("HornBox", "coreBox", "dashed", ("krom-vs-bool",)),
+        ("HornDia", "coreDia", "dashed", ("krom-vs-bool",)),
+    ),
+}
+
 # Reports by id of the run in progress in this context; a new thread is in none.
 _RUN_REPORTS = ContextVar("replay_run_reports")
 
@@ -685,5 +712,5 @@ def replay_theorem(theorem_id: str) -> TheoremReport:
     if theorem_id not in reports:
         replay, cites = _CATALOGUE[theorem_id]
         verdicts = [replay_theorem(cited).overall for cited in cites]
-        reports[theorem_id] = TheoremReport(theorem_id, replay(*verdicts))
+        reports[theorem_id] = TheoremReport(theorem_id, tuple(replay(*verdicts)))
     return reports[theorem_id]

@@ -3,52 +3,22 @@
 Solid edges point from a strictly more expressive fragment to a weaker one
 (fresh letters allowed in translations); dashed edges carry the weak
 (same-alphabet) relation.  The three Krom fragments are equally expressive
-once fresh letters are allowed, so they share a cluster.
+once fresh letters are allowed, so they share a cluster.  Nodes, cluster
+and edges come from the table beside the replay catalogue in
+`expressiveness`, where each edge names the results it rests on.
 """
 
 from __future__ import annotations
 
+from .expressiveness import _HIERARCHY
+
 __all__ = ["hierarchy_dot"]
-
-_NODES = (
-    ("Bool", "Bool"),
-    ("Horn", "Horn"),
-    ("Krom", "Krom"),
-    ("core", "core"),
-    ("HornBox", "Horn□"),
-    ("HornDia", "Horn◇"),
-    ("KromBox", "Krom□"),
-    ("KromDia", "Krom◇"),
-    ("coreBox", "core□"),
-    ("coreDia", "core◇"),
-)
-
-_DASHED = (
-    ("Bool", "Horn"),
-    ("Bool", "Krom"),
-    ("Horn", "core"),
-    ("Krom", "core"),
-    ("Krom", "KromBox"),
-    ("Krom", "KromDia"),
-    ("HornBox", "coreBox"),
-    ("HornDia", "coreDia"),
-)
-
-_SOLID = (
-    ("Horn", "HornBox"),
-    ("Horn", "HornDia"),
-    ("core", "coreBox"),
-    ("core", "coreDia"),
-    ("KromBox", "coreBox"),
-    ("KromDia", "coreDia"),
-)
-
-_CLUSTER = ("Krom", "KromBox", "KromDia")
 
 
 def hierarchy_dot() -> str:
     """The fragment hierarchy as a DOT digraph (fixed, byte-stable text)."""
-    labels = dict(_NODES)
+    cluster, _ = _HIERARCHY["cluster"]
+    labels = {n: n.replace("Box", "□").replace("Dia", "◇") for n in _HIERARCHY["nodes"]}
     lines = [
         "digraph fragment_hierarchy {",
         '  // solid edge: "is more expressive"',
@@ -58,16 +28,10 @@ def hierarchy_dot() -> str:
         "  subgraph cluster_krom_equal {",
         '    label="≡";',
     ]
-    for node in _CLUSTER:
-        lines.append(f'    {node} [label="{labels[node]}"];')
+    lines += [f'    {node} [label="{labels[node]}"];' for node in cluster]
     lines.append("  }")
-    for node, label in _NODES:
-        if node in _CLUSTER:
-            continue
-        lines.append(f'  {node} [label="{label}"];')
-    for src, dst in _SOLID:
-        lines.append(f"  {src} -> {dst} [style=solid];")
-    for src, dst in _DASHED:
-        lines.append(f"  {src} -> {dst} [style=dashed];")
+    lines += [f'  {node} [label="{label}"];' for node, label in labels.items()
+              if node not in cluster]
+    lines += [f"  {src} -> {dst} [style={style}];" for src, dst, style, _ in _HIERARCHY["edges"]]
     lines.append("}")
     return "\n".join(lines) + "\n"

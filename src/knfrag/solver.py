@@ -58,7 +58,7 @@ class CapExceeded(RuntimeError):
     """The configured resource ceiling was hit before a verdict."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SatResult:
     status: str
     witness: PointedModel | None = None
@@ -197,22 +197,23 @@ def _largest_tree(profile: list[int]) -> int:
     return size
 
 
-def _tree_to_model(root, letters_of, modality_of, alphabet) -> KripkeModel:
-    """A tree of (key, [(label, child), ...]) nodes as a model on the worlds
-    w0, w1, ... in pre-order; a node's letters are `letters_of(key)` and an
-    edge's modality is `modality_of(label)`."""
+def _tree_to_model(root_letters, entries, letters_of, modality_of, alphabet) -> KripkeModel:
+    """A root with letters `root_letters` over a tree of (key, [(label,
+    child), ...]) nodes as a model on the worlds w0, w1, ... in pre-order;
+    a child's letters are `letters_of(key)` and an edge's modality is
+    `modality_of(label)`."""
     valuation = {}
     succ = {}
 
-    def build(node):
-        key, entries = node
+    def build(letters, entries):
         name = f"w{len(valuation)}"
-        valuation[name] = letters_of(key)
-        for label, child in entries:
-            succ.setdefault(modality_of(label), {}).setdefault(name, []).append(build(child))
+        valuation[name] = letters
+        for label, (key, child) in entries:
+            row = succ.setdefault(modality_of(label), {}).setdefault(name, [])
+            row.append(build(letters_of(key), child))
         return name
 
-    build(root)
+    build(root_letters, entries)
     table = {m: {u: tuple(sorted(vs)) for u, vs in rows.items()} for m, rows in succ.items()}
     return KripkeModel._direct(KripkeFrame._direct(tuple(valuation), table), valuation, alphabet)
 
@@ -239,23 +240,25 @@ def sat_bruteforce(
     mods = tuple(sorted(formula_modalities(f)))
     profile = _diamond_profile(f)
     alphabet = frozenset(alpha)
-    letter_sets = {}  # mask -> letter set, built when a tree first needs it
+    child_sets = {}  # child masks only, which the memoized subtree lists hold anyway
 
     def letters_of(mask):
-        if mask not in letter_sets:
-            letter_sets[mask] = frozenset(a for j, a in enumerate(alpha) if mask >> j & 1)
-        return letter_sets[mask]
+        if mask not in child_sets:
+            child_sets[mask] = frozenset(a for j, a in enumerate(alpha) if mask >> j & 1)
+        return child_sets[mask]
 
     memo = {}
     count = 0
     for n in range(1, min(max_worlds, _largest_tree(profile)) + 1):
         bodies = _bodies(n, 0, profile, len(mods), len(alpha), memo)
         for mask in range(1 << len(alpha)):
+            # Root masks stream: one letter set each, built before its trees.
+            root_letters = frozenset(a for j, a in enumerate(alpha) if mask >> j & 1)
             for body in bodies:
                 count += 1
                 if count > model_cap:
                     raise CapExceeded(f"model cap {model_cap} exceeded")
-                model = _tree_to_model((mask, body), letters_of, mods.__getitem__, alphabet)
+                model = _tree_to_model(root_letters, body, letters_of, mods.__getitem__, alphabet)
                 if check(model, "w0", f):
                     return SatResult(SAT, PointedModel(model, "w0"))
     status = UNSAT if max_worlds >= _world_bound(profile) else UNKNOWN_AT_BOUND
@@ -272,7 +275,7 @@ def sat_tableau(f: Formula, node_cap: int = DEFAULT_NODE_CAP) -> SatResult:
     if tree is None:
         return SatResult(UNSAT)
     # The tableau's atoms and modalities are final: both maps return them as is.
-    model = _tree_to_model(tree, frozenset, Modality, letters(f))
+    model = _tree_to_model(*tree, frozenset, Modality, letters(f))
     if not check(model, "w0", f):
         raise InternalError("tableau witness does not satisfy the formula")
     return SatResult(SAT, PointedModel(model, "w0"))

@@ -477,6 +477,22 @@ def test_sat_max_worlds_needs_the_brute_engine(engine, bound):
         assert err == "knfrag sat: error: --max-worlds needs --engine brute\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--cap", "0", "parse", "p"],
+    ["--cap", "1", "classify", "p"],
+    ["--cap", "1", "check", "no-such-model.json", "p"],
+    ["--cap", "1", "translate", "--to", "box", "<a>p"],
+    ["--cap", "1", "equiv", "p", "q"],
+    ["--cap", "1", "search", "--fragment", "horn", "--size", "3", "p | q"],
+    ["--cap", "1", "verify-paper"],
+    ["--cap", "1", "hierarchy"],
+], ids=lambda argv: argv[2])
+def test_cap_applies_to_sat_only(argv):
+    code, out, err = run(argv)
+    assert (code, out) == (64, "")
+    assert err == f"knfrag {argv[2]}: error: --cap applies to sat only\n"
+
+
 def test_sat_max_worlds_with_the_brute_engine_is_unchanged():
     argv = ["sat", "--engine", "brute", "--max-worlds"]
     assert run(argv + ["3", "<a>p"])[:2] == (0, run(["sat", "--engine", "brute", "<a>p"])[1])

@@ -3,6 +3,7 @@ import random
 import sys
 import threading
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from itertools import product
 
 import pytest
@@ -31,6 +32,7 @@ from knfrag import (
     weak_equiv_check,
 )
 from knfrag import expressiveness
+from knfrag.solver import sat_tableau
 from knfrag.translate import krom_to_krom_box, krom_to_krom_diamond
 from helpers import (
     count_replays,
@@ -491,6 +493,7 @@ def test_replay_unknown_id():
 
 def test_replay_report_shape():
     report = replay_theorem("hornbox-vs-horn")
+    assert type(report.steps) is tuple
     assert all(isinstance(d, str) and isinstance(ok, bool) for d, ok in report.steps)
     assert report.overall == all(ok for _, ok in report.steps)
 
@@ -565,3 +568,54 @@ def test_concurrent_runs_share_no_reports(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert results == [[[True] * len(THEOREM_IDS)] * runs] * workers
     assert counts == dict.fromkeys(THEOREM_IDS, workers * runs)
+
+
+@pytest.mark.parametrize("record, field", [
+    (lambda: sat_tableau(parse("p")), "status"),
+    (lambda: weak_equiv_check(parse("p"), parse("q"), max_worlds=1), "status"),
+    (lambda: weak_equiv_check(parse("p"), parse("q"), max_worlds=1).counterexample, "details"),
+    (lambda: replay_theorem("horn-vs-bool"), "steps"),
+], ids=["SatResult", "Verdict", "Counterexample", "TheoremReport"])
+def test_result_records_are_frozen(record, field):
+    with pytest.raises(FrozenInstanceError):
+        setattr(record(), field, None)
+
+
+# Fragment pairs that no path of the hierarchy may join, in either
+# direction, and the result that separates each pair.
+INCOMPARABLE = {
+    ("Horn", "Krom"): "horn-krom-incomparable",
+    ("HornBox", "HornDia"): "box-dia-incomparable",
+    ("coreBox", "coreDia"): "box-dia-incomparable",
+}
+
+
+def reachable(edges, start):
+    seen, stack = set(), [start]
+    while stack:
+        node = stack.pop()
+        for src, dst, _, _ in edges:
+            if src == node and dst not in seen:
+                seen.add(dst)
+                stack.append(dst)
+    return seen
+
+
+def test_hierarchy_edges_rest_on_catalogued_results():
+    table = expressiveness._HIERARCHY
+    nodes, (cluster, cluster_ids), edges = table["nodes"], table["cluster"], table["edges"]
+    assert set(cluster) <= set(nodes)
+    assert all(src in nodes and dst in nodes and style in ("solid", "dashed")
+               for src, dst, style, _ in edges)
+    in_table = set(cluster_ids).union(*(ids for _, _, _, ids in edges))
+    cited = in_table | set(INCOMPARABLE.values())
+    assert cited <= set(THEOREM_IDS)
+    assert all(report.overall for report in replay_theorems(sorted(cited)))
+    # The closure witness `p | q` of these two edges is replayed nowhere yet.
+    assert [(src, dst) for src, dst, _, ids in edges if not ids] == [
+        ("KromBox", "coreBox"), ("KromDia", "coreDia")]
+    citing_none = [t for t in THEOREM_IDS if not expressiveness._CATALOGUE[t][1]]
+    assert len(citing_none) == 8
+    assert [t for t in citing_none if t not in in_table] == []
+    for (a, b), theorem in INCOMPARABLE.items():
+        assert b not in reachable(edges, a) and a not in reachable(edges, b), theorem

@@ -263,6 +263,20 @@ def test_bruteforce_builds_letter_sets_only_for_the_trees_it_counts():
     assert elapsed < 0.1
 
 
+def test_bruteforce_memory_does_not_grow_with_the_trees_it_counts():
+    # Root masks are streamed and keep no letter set once their trees are
+    # counted, so 10,000 one-world trees fit in well under a megabyte.
+    f = parse(" & ".join(f"p{i}" for i in range(24)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            sat_bruteforce(f, 1, model_cap=10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 # First witnesses of formulas whose per-depth branching is smaller than
 # their diamond count, as the global-branching enumerator found them, and
 # of `<a>(p | q)`, whose witness shows that mask bit 0 names the first
