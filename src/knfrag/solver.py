@@ -13,7 +13,6 @@ carries a witness that is re-validated with `check` before being returned.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .semantics import KripkeFrame, KripkeModel, PointedModel, check
@@ -236,6 +235,8 @@ def sat_bruteforce(
     """
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
+    if model_cap < 1:
+        raise ValueError("model_cap must be at least 1")
     alpha = tuple(sorted(letters(f)))
     mods = tuple(sorted(formula_modalities(f)))
     profile = _diamond_profile(f)
@@ -270,8 +271,9 @@ def sat_bruteforce(
 
 def sat_tableau(f: Formula, node_cap: int = DEFAULT_NODE_CAP) -> SatResult:
     """Complete satisfiability test; SAT verdicts carry a finite tree witness."""
-    budget = [node_cap]
-    tree = _expand([to_nnf(f)], budget)
+    if node_cap < 1:
+        raise ValueError("node_cap must be at least 1")
+    tree = _expand([to_nnf(f)], [node_cap])
     if tree is None:
         return SatResult(UNSAT)
     # The tableau's atoms and modalities are final: both maps return them as is.
@@ -281,58 +283,56 @@ def sat_tableau(f: Formula, node_cap: int = DEFAULT_NODE_CAP) -> SatResult:
     return SatResult(SAT, PointedModel(model, "w0"))
 
 
-def _expand(pending, budget, pos=(), neg=(), boxes=None, diamonds=()):
+def _expand(pending, budget):
     """Saturate one world; returns (atoms, children) or None on a clash.
 
-    `pending` holds NNF formulas still to add to this world; the remaining
-    arguments carry facts already established (so disjunction branches keep
-    them).  Every box is collected before any diamond is expanded, so each
-    successor sees all universal constraints.  Disjunctions branch
-    left-first, which makes witnesses deterministic.
+    One branch state serves every disjunction: the queue read from `head`,
+    `lits` (letter -> truth), the boxes and the diamonds.  A disjunction
+    saves their sizes with its right disjunct and takes the left; a clash,
+    here or in a successor, cuts them back and takes the latest saved one.
     """
-    queue = deque(pending)
-    pos, neg = set(pos), set(neg)
-    boxes = {m: list(v) for m, v in (boxes or {}).items()}
-    diamonds = list(diamonds)
-    seen = set()
-    while queue:
-        g = queue.popleft()
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise CapExceeded("tableau node cap exceeded")
-        if g in seen:
-            continue
-        seen.add(g)
-        t = type(g)
-        if t is Top:
-            continue
-        if t is Prop:
-            if g.letter in neg:
-                return None
-            pos.add(g.letter)
-        elif t is Not:
-            op = g.operand
-            if isinstance(op, Top) or op.letter in pos:
-                return None
-            neg.add(op.letter)
-        elif t is And:
-            queue.append(g.left)
-            queue.append(g.right)
-        elif t is Or:
-            rest = list(queue)
-            for disjunct in (g.left, g.right):
-                r = _expand(rest + [disjunct], budget, pos, neg, boxes, diamonds)
-                if r is not None:
-                    return r
-            return None
-        elif t is Diamond:
-            diamonds.append(g)
+    queue, head, lits, boxes, diamonds, choices, seen = list(pending), 0, {}, [], [], [], set()
+    while True:
+        while head < len(queue):
+            g = queue[head]
+            head += 1
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise CapExceeded("tableau node cap exceeded")
+            if g in seen:
+                continue
+            seen.add(g)
+            t = type(g)
+            if t is Prop and not lits.setdefault(g.letter, True):
+                break
+            elif t is Not and (type(g.operand) is Top or lits.setdefault(g.operand.letter, False)):
+                break
+            elif t is And:
+                queue += (g.left, g.right)
+            elif t is Or:
+                choices.append((head, len(queue), len(lits), len(boxes), len(diamonds), g.right))
+                queue.append(g.left)
+                seen = set()  # each branch expands a formula once, counted from its start
+            elif t is Diamond:
+                diamonds.append(g)
+            elif t is Box:
+                boxes.append(g)
         else:
-            boxes.setdefault(g.modality, []).append(g.operand)
-    children = []
-    for d in diamonds:
-        sub = _expand([d.operand] + boxes.get(d.modality, []), budget)
-        if sub is None:
+            scopes = {}  # box operands by modality, grouped once per saturated world
+            for b in boxes:
+                scopes.setdefault(b.modality, []).append(b.operand)
+            children = []
+            for d in diamonds:
+                sub = _expand([d.operand] + scopes.get(d.modality, []), budget)
+                if sub is None:
+                    break
+                children.append((d.modality, sub))
+            else:
+                return (frozenset(a for a, true in lits.items() if true), tuple(children))
+        if not choices:
             return None
-        children.append((d.modality, sub))
-    return (frozenset(pos), tuple(children))
+        head, n_queue, n_lits, n_boxes, n_diamonds, right = choices.pop()
+        queue[n_queue:], boxes[n_boxes:], diamonds[n_diamonds:] = [right], [], []
+        while len(lits) > n_lits:
+            lits.popitem()  # a dict pops its newest key first
+        seen = set()

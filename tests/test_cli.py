@@ -369,6 +369,14 @@ def test_max_worlds_below_one_is_a_data_error(argv, bound):
     assert err == "error: max_worlds must be at least 1\n"
 
 
+@pytest.mark.parametrize("bound", ["0", "-1"])
+@pytest.mark.parametrize("engine, name", [([], "node_cap"), (["--engine", "brute"], "model_cap")])
+def test_cap_below_one_is_a_data_error(engine, name, bound):
+    code, out, err = run(["--cap", bound, "sat", *engine, "p"])
+    assert (code, out) == (65, "")
+    assert err == f"error: {name} must be at least 1\n"
+
+
 # --- input nested past the recursion limit ---
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import time
 import tracemalloc
@@ -7,9 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from knfrag import (
     And,
+    Diamond,
     InternalError,
     KripkeFrame,
     Not,
+    Or,
+    Prop,
     check,
     enumerate_models,
     letters,
@@ -28,6 +33,7 @@ from knfrag.solver import (
     sat_tableau,
     tree_model_bound,
 )
+from knfrag.translate import krom_to_krom_box, krom_to_krom_diamond
 from helpers import (
     formulas_up_to_size,
     krom_corpus,
@@ -152,6 +158,14 @@ def test_bruteforce_cap():
         sat_bruteforce(parse("<a>p & <a>q & <a>r & ~p & ~q & ~r"), 20, model_cap=10)
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_caps_below_one_are_value_errors(cap):
+    with pytest.raises(ValueError, match="node_cap must be at least 1"):
+        sat_tableau(parse("p"), node_cap=cap)
+    with pytest.raises(ValueError, match="model_cap must be at least 1"):
+        sat_bruteforce(parse("p"), 1, model_cap=cap)
+
+
 def test_tableau_trivia():
     result = sat_tableau(parse("T"))
     assert result.status == SAT
@@ -191,6 +205,38 @@ def test_tableau_branching_keeps_constraints():
     result = sat_tableau(parse("<a>(p | q) & [a]~p"))
     assert result.status == SAT
     assert check(result.witness.model, result.witness.world, parse("<a>q"))
+
+
+def _tableau_pin_corpus():
+    yield from formulas_up_to_size(5)
+    yield from formulas_up_to_size(4, letters=("p", "q"), mods=("a", "b"))
+    for cf in krom_corpus():
+        for g in (cf, krom_to_krom_box(cf), krom_to_krom_diamond(cf)):
+            yield g.to_formula()
+    rng = random.Random(8732)
+    for _ in range(3000):
+        yield random_formula(rng, depth=5, letters=("p", "q"), mods=("a", "b"))
+
+
+def test_tableau_answers_are_pinned():
+    # sha256 of each formula's status, witness JSON and whether node caps
+    # of 5 and 40 raise, one a line, recorded from the tableau that called
+    # itself once per disjunct.
+    digest, count = hashlib.sha256(), 0
+    for f in _tableau_pin_corpus():
+        result = sat_tableau(f)
+        witness = result.witness and model_to_json(result.witness.model, result.witness.world)
+        capped = []
+        for cap in (5, 40):
+            try:
+                sat_tableau(f, node_cap=cap)
+            except CapExceeded:
+                capped.append(cap)
+        line = json.dumps([result.status, witness, capped], sort_keys=True)
+        digest.update(line.encode() + b"\n")
+        count += 1
+    assert count == 8732
+    assert digest.hexdigest() == "e4b1699bd95febaeba725e08da67f6a4ea07671fcc5a81effdc85d1701c994a2"
 
 
 def test_engines_agree_on_small_corpus():
@@ -319,9 +365,13 @@ def test_bruteforce_first_witness_pinned(text):
     assert witness == PINNED_WITNESSES[text]
 
 
-# Two different formulas with the same NNF: after NNF, each conjunct is
-# `<a>p` (or `<a>(p | q)`), and the tableau expands the repeated diamond
-# once, so its witness has one successor, not two.
+# The tableau expands a formula once per branch, and a branch starts at
+# each disjunction.  The first two formulas are pairs of conjuncts with
+# one NNF (`<a>p`, `<a>(p | q)`), expanded once, so their witnesses have
+# one successor, not two.  In the last two, the disjunction starts a new
+# branch that forgets what it has expanded: a repeated `<a>r` still
+# queued behind it is expanded again (3 worlds), one already met before
+# it is not (2 worlds).
 PINNED_TABLEAU_WITNESSES = {
     "<a>p & ~[a]~p": {
         "alphabet": ["p"], "designated": "w0", "relations": {"a": [["w0", "w1"]]},
@@ -331,11 +381,20 @@ PINNED_TABLEAU_WITNESSES = {
         "alphabet": ["p", "q"], "designated": "w0", "relations": {"a": [["w0", "w1"]]},
         "valuation": {"w1": ["p"]}, "worlds": ["w0", "w1"],
     },
+    "(p | q) & <a>r & <a>r": {
+        "alphabet": ["p", "q", "r"], "designated": "w0",
+        "relations": {"a": [["w0", "w1"], ["w0", "w2"]]},
+        "valuation": {"w0": ["p"], "w1": ["r"], "w2": ["r"]}, "worlds": ["w0", "w1", "w2"],
+    },
+    "<a>r & (p | q) & <a>r": {
+        "alphabet": ["p", "q", "r"], "designated": "w0", "relations": {"a": [["w0", "w1"]]},
+        "valuation": {"w0": ["p"], "w1": ["r"]}, "worlds": ["w0", "w1"],
+    },
 }
 
 
 @pytest.mark.parametrize("text", sorted(PINNED_TABLEAU_WITNESSES))
-def test_tableau_witness_pinned_where_conjuncts_share_an_nnf(text):
+def test_tableau_witness_pinned(text):
     result = sat_tableau(parse(text))
     assert result.status == SAT
     witness = model_to_json(result.witness.model, result.witness.world)
@@ -361,6 +420,37 @@ def test_engines_agree_on_multimodal_corpus():
             )
         else:
             assert brute.status == tableau.status
+
+
+def _balanced_clauses(n):
+    # A balanced `And` tree over (p_i | <a>q_i), built without the parser.
+    row = [Or(Prop(f"p{i}"), Diamond("a", Prop(f"q{i}"))) for i in range(n)]
+    while len(row) > 1:
+        row = [And(*row[i:i + 2]) if i + 1 < len(row) else row[i] for i in range(0, len(row), 2)]
+    return row[0]
+
+
+def test_tableau_answers_wide_clause_sets_at_the_default_recursion_limit():
+    # One branch state per world: no stack frame per disjunction on the branch.
+    f = _balanced_clauses(2000)
+    result = sat_tableau(f)
+    assert result.status == SAT
+    assert check(result.witness.model, result.witness.world, f)
+
+
+def test_tableau_time_grows_near_linearly_in_clause_count():
+    def best_of_three(n):
+        f = _balanced_clauses(n)
+        runs = []
+        for _ in range(3):
+            start = time.perf_counter()
+            sat_tableau(f)
+            runs.append(time.perf_counter() - start)
+        return min(runs)
+
+    # Eight times the clauses: near-linear growth reads about 12 times the
+    # time, and a copy of the branch state per disjunction about 66 times.
+    assert best_of_three(8000) < 24 * best_of_three(1000)
 
 
 def test_tableau_rejects_a_witness_that_fails_the_check(monkeypatch):
