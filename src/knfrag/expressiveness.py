@@ -7,8 +7,10 @@ verdict that is either equivalence-up-to-the-bound or a concrete pointed
 counterexample.  `search_weak_translation` refutes translatability claims
 by exhausting a clausal fragment up to a size bound.  `replay_theorem`
 re-runs the concrete model constructions behind each catalogued result and
-reports step-by-step outcomes; a corollary cites the results it rests on by
-id, and `replay_theorems` replays several ids in one run, each result once.
+reports step-by-step outcomes: each replay yields `(description, outcome)`
+pairs, and `replay_theorem` records them with each outcome as a `bool`.  A
+corollary cites the results it rests on by id, and `replay_theorems`
+replays several ids in one run, each result once.
 """
 
 from __future__ import annotations
@@ -352,77 +354,60 @@ class TheoremReport:
         return all(ok for _, ok in self.steps)
 
 
-class _Steps:
-    def __init__(self):
-        self.items = []
-
-    def add(self, description, ok):
-        self.items.append((description, bool(ok)))
-
-
 def _model(worlds, rels, val, alphabet) -> KripkeModel:
     return KripkeModel(KripkeFrame(worlds, rels), val, alphabet)
 
 
-def _replay_horn_vs_bool() -> list:
-    steps = _Steps()
+def _replay_horn_vs_bool():
     psi = parse("p | q")
     base = _model(
         ["w0", "w1"], {"a": [("w0", "w1")]}, {"w1": ["p"]}, {"p", "q"}
     )
-    steps.add("the target is refuted at w0 of the base model", not check(base, "w0", psi))
+    yield "the target is refuted at w0 of the base model", not check(base, "w0", psi)
 
     # Candidate clause with consequent p: set q true on every world.
     cand = parse("p")
-    steps.add("candidate with consequent p fails at w0", not check(base, "w0", cand))
+    yield "candidate with consequent p fails at w0", not check(base, "w0", cand)
     enlarged = override_valuation(base, "q", base.frame.worlds)
-    steps.add(
+    yield (
         "after setting q everywhere the target holds at every world",
         all(check(enlarged, w, psi) for w in enlarged.frame.worlds),
     )
     for lit_text in ("<a>p", "[a]p", "p"):
         lit = parse(lit_text)
-        steps.add(
+        yield (
             f"positive literal {lit_text} keeps its truth at w0 under the enlargement",
             (not check(base, "w0", lit)) or check(enlarged, "w0", lit),
         )
-    steps.add(
-        "candidate with consequent p still fails at w0", not check(enlarged, "w0", cand)
-    )
+    yield "candidate with consequent p still fails at w0", not check(enlarged, "w0", cand)
 
     # Candidate with consequent q: switch the roles of p and q.
     cand_q = parse("q")
-    steps.add("candidate with consequent q fails at w0", not check(base, "w0", cand_q))
+    yield "candidate with consequent q fails at w0", not check(base, "w0", cand_q)
     enlarged_p = override_valuation(base, "p", base.frame.worlds)
-    steps.add(
+    yield (
         "after setting p everywhere the target holds at every world",
         all(check(enlarged_p, w, psi) for w in enlarged_p.frame.worlds),
     )
-    steps.add(
-        "candidate with consequent q still fails at w0", not check(enlarged_p, "w0", cand_q)
-    )
+    yield "candidate with consequent q still fails at w0", not check(enlarged_p, "w0", cand_q)
 
     # Candidate with empty consequent: set both letters true everywhere.
     cand_bot = parse("~T")
-    steps.add("candidate with empty consequent fails at w0", not check(base, "w0", cand_bot))
+    yield "candidate with empty consequent fails at w0", not check(base, "w0", cand_bot)
     full = override_valuation(
         override_valuation(base, "p", base.frame.worlds), "q", base.frame.worlds
     )
-    steps.add(
+    yield (
         "with p and q everywhere the target holds at every world",
         all(check(full, w, psi) for w in full.frame.worlds),
     )
-    steps.add(
-        "the empty-consequent candidate still fails at w0", not check(full, "w0", cand_bot)
-    )
-    return steps.items
+    yield "the empty-consequent candidate still fails at w0", not check(full, "w0", cand_bot)
 
 
-def _replay_krom_vs_bool() -> list:
-    steps = _Steps()
+def _replay_krom_vs_bool():
     psi = parse("p & q -> r")
     base = _model(["w0"], {}, {"w0": ["p", "q"]}, {"p", "q", "r"})
-    steps.add("the target is refuted at w0 of the base model", not check(base, "w0", psi))
+    yield "the target is refuted at w0 of the base model", not check(base, "w0", psi)
 
     cases = [
         ("~p", "r", base.frame.worlds, "letters within {p,q}: set r everywhere"),
@@ -431,16 +416,13 @@ def _replay_krom_vs_bool() -> list:
     ]
     for cand_text, letter, worlds, label in cases:
         cand = parse(cand_text)
-        steps.add(f"candidate {cand_text} fails at w0", not check(base, "w0", cand))
+        yield f"candidate {cand_text} fails at w0", not check(base, "w0", cand)
         surgered = override_valuation(base, letter, worlds)
-        steps.add(
+        yield (
             f"{label} makes the target hold at every world",
             all(check(surgered, w, psi) for w in surgered.frame.worlds),
         )
-        steps.add(
-            f"candidate {cand_text} still fails at w0", not check(surgered, "w0", cand)
-        )
-    return steps.items
+        yield f"candidate {cand_text} still fails at w0", not check(surgered, "w0", cand)
 
 
 def _fan_witnesses():
@@ -450,90 +432,105 @@ def _fan_witnesses():
     return m1, m2
 
 
-def _replay_intersection_closure() -> list:
-    steps = _Steps()
+def _replay_intersection_closure():
     phi = recognize_clausal(parse("[a]p & (p -> q)")).to_formula()
     frame = {"a": [("w0", "w1")]}
     m1 = _model(["w0", "w1"], frame, {"w1": ["p", "q"]}, {"p", "q"})
     m2 = _model(["w0", "w1"], frame, {"w0": ["q"], "w1": ["p"]}, {"p", "q"})
-    steps.add("first model satisfies the box-fragment Horn formula at w0", check(m1, "w0", phi))
-    steps.add("second model satisfies it at w0", check(m2, "w0", phi))
+    yield "first model satisfies the box-fragment Horn formula at w0", check(m1, "w0", phi)
+    yield "second model satisfies it at w0", check(m2, "w0", phi)
     both = intersect(m1, m2)
-    steps.add("their intersection still satisfies it at w0", check(both, "w0", phi))
+    yield "their intersection still satisfies it at w0", check(both, "w0", phi)
 
     # Sharpness: a diamond breaks closure on the fan witnesses.
     psi = parse("<a>p")
     f1, f2 = _fan_witnesses()
-    steps.add("both fan models satisfy the diamond formula at w0",
-              check(f1, "w0", psi) and check(f2, "w0", psi))
-    steps.add(
+    yield ("both fan models satisfy the diamond formula at w0",
+           check(f1, "w0", psi) and check(f2, "w0", psi))
+    yield (
         "the fan intersection refutes the diamond formula at w0",
         not check(intersect(f1, f2), "w0", psi),
     )
-    return steps.items
 
 
-def _replay_hornbox_vs_horn() -> list:
-    steps = _Steps()
+def _replay_hornbox_vs_horn():
     psi = parse("<a>p")
     m1, m2 = _fan_witnesses()
-    steps.add("first witness satisfies the diamond formula at w0", check(m1, "w0", psi))
-    steps.add("second witness satisfies it at w0", check(m2, "w0", psi))
+    yield "first witness satisfies the diamond formula at w0", check(m1, "w0", psi)
+    yield "second witness satisfies it at w0", check(m2, "w0", psi)
     both = intersect(m1, m2)
-    steps.add(
+    yield (
         "p is false at every world of the intersection",
         all(not both.holds(w, "p") for w in both.frame.worlds),
     )
-    steps.add("the intersection refutes the diamond formula at w0", not check(both, "w0", psi))
+    yield "the intersection refutes the diamond formula at w0", not check(both, "w0", psi)
     # A box-fragment sample survives the same surgery, as the closure demands.
     sample = parse("[b]p")
-    steps.add(
+    yield (
         "a box-only sample true in both witnesses is true in the intersection",
         check(m1, "w0", sample)
         and check(m2, "w0", sample)
         and check(both, "w0", sample),
     )
-    return steps.items
 
 
-def _replay_product_closure() -> list:
-    steps = _Steps()
+def _replay_product_closure():
     phi = recognize_clausal(parse("<a>p & (p -> q)")).to_formula()
     m1 = _model(["u0", "u1"], {"a": [("u0", "u1")]}, {"u1": ["p"]}, {"p", "q"})
     m2 = _model(["v0", "v1"], {"a": [("v0", "v1")]}, {"v1": ["p"]}, {"p", "q"})
-    steps.add("first model satisfies the diamond-fragment Horn formula", check(m1, "u0", phi))
-    steps.add("second model satisfies it", check(m2, "v0", phi))
+    yield "first model satisfies the diamond-fragment Horn formula", check(m1, "u0", phi)
+    yield "second model satisfies it", check(m2, "v0", phi)
     prod = product(m1, m2)
-    steps.add(
-        "the product satisfies it at the paired world", check(prod, "(u0,v0)", phi)
-    )
-    steps.add(
+    yield "the product satisfies it at the paired world", check(prod, "(u0,v0)", phi)
+    yield (
         "the product has as many worlds as the factors multiplied",
         len(prod.frame.worlds) == len(m1.frame.worlds) * len(m2.frame.worlds),
     )
-    return steps.items
 
 
-def _replay_horndia_vs_horn() -> list:
-    steps = _Steps()
+def _replay_horndia_vs_horn():
     psi = parse("[a]p -> q")
     m1 = _model(["w0", "w1"], {"a": [("w0", "w1")]}, {}, {"p", "q"})
     m2 = _model(["v0"], {}, {"v0": ["q"]}, {"p", "q"})
-    steps.add("the chain model satisfies the target at w0", check(m1, "w0", psi))
-    steps.add("the isolated-q model satisfies the target at v0", check(m2, "v0", psi))
+    yield "the chain model satisfies the target at w0", check(m1, "w0", psi)
+    yield "the isolated-q model satisfies the target at v0", check(m2, "v0", psi)
     prod = product(m1, m2)
     pw = "(w0,v0)"
-    steps.add(
+    yield (
         "the paired world has no successors",
         not prod.frame.successors(pw, "a"),
     )
-    steps.add("the boxed letter holds vacuously there", check(prod, pw, parse("[a]p")))
-    steps.add("q is false there", not prod.holds(pw, "q"))
-    steps.add("so the product refutes the target at the paired world", not check(prod, pw, psi))
-    return steps.items
+    yield "the boxed letter holds vacuously there", check(prod, pw, parse("[a]p"))
+    yield "q is false there", not prod.holds(pw, "q")
+    yield "so the product refutes the target at the paired world", not check(prod, pw, psi)
 
 
-def _translation_steps(steps, translate, corpus, restriction):
+def _replay_krom_equiv(to):
+    """Krom against Krom restricted to `to` literals ("box" or "diamond"):
+    the rewriting into the fragment, and the separation on one alphabet."""
+    if to == "box":
+        translate, target = krom_to_krom_box, "<a>p"
+        expected = "~[a]_f0 & [a](_f0 | p)"
+        corpus = ["<a>p", "<a><b>p", "~<a>p", "<a>p | q", "[b]<a>p", "<a>p & ~<a>p"]
+        rewrites = "the diamond literal rewrites to its two-clause form"
+        base = _model(["w0"], {}, {}, {"p"})
+        added = {"p"}
+        fails = "the diamond target fails at the isolated world"
+        grows = "after adding a p-successor the target holds"
+        kept, cand = ("p", "[a]p", "[a][a]p"), parse("p")
+    else:
+        translate, target = krom_to_krom_diamond, "[a]p -> q"
+        expected = "(<a>_f0 | q) & [a](~_f0 | ~p)"
+        corpus = ["[a]p", "[a][b]p", "~[a]p", "[a]p -> q", "<b>[a]p", "[a]p & ~[a]p"]
+        rewrites = "the negated box literal rewrites to its two-clause form"
+        base = _model(["w0", "w1"], {"a": [("w0", "w1")]}, {"w1": ["p"]}, {"p", "q"})
+        added = set()
+        fails = "the boxed target fails at the chain root"
+        grows = "after adding an empty successor the target holds"
+        kept, cand = ("p", "q", "<a>p", "<a><a>p"), parse("q")
+    psi = parse(target)
+    yield rewrites, translate(recognize_clausal(psi)) == recognize_clausal(parse(expected))
+
     # Equi-satisfiability by a dual route: the small original goes to the
     # exhaustive bounded oracle, the translation (more letters, larger bound)
     # to the tableau.
@@ -541,107 +538,60 @@ def _translation_steps(steps, translate, corpus, restriction):
         cf = recognize_clausal(parse(text))
         out = translate(cf)
         d = classify(out)
-        steps.add(f"translation of {text} lands in the {restriction}-restricted Krom fragment",
-                  d.krom and (d.box_only if restriction == "box" else d.diamond_only))
+        yield (f"translation of {text} lands in the {to}-restricted Krom fragment",
+               d.krom and (d.box_only if to == "box" else d.diamond_only))
         f = cf.to_formula()
-        steps.add(f"translation of {text} is equi-satisfiable",
-                  sat_bruteforce(f, tree_model_bound(f)).status
-                  == sat_tableau(out.to_formula()).status)
+        yield (f"translation of {text} is equi-satisfiable",
+               sat_bruteforce(f, tree_model_bound(f)).status
+               == sat_tableau(out.to_formula()).status)
 
-
-def _replay_krombox_equiv() -> list:
-    steps = _Steps()
-    template = krom_to_krom_box(recognize_clausal(parse("<a>p")))
-    expected = recognize_clausal(parse("~[a]_f0 & [a](_f0 | p)"))
-    steps.add("the diamond literal rewrites to its two-clause form", template == expected)
-
-    corpus = ["<a>p", "<a><b>p", "~<a>p", "<a>p | q", "[b]<a>p", "<a>p & ~<a>p"]
-    _translation_steps(steps, krom_to_krom_box, corpus, "box")
-
-    # Same-alphabet separation: one added p-world flips the diamond target
-    # while box-only literals keep their truth at old worlds.
-    psi = parse("<a>p")
-    base = _model(["w0"], {}, {}, {"p"})
-    steps.add("the diamond target fails at the isolated world", not check(base, "w0", psi))
-    grown = add_successor_world(base, "w0", "a", {"p"})
-    steps.add("after adding a p-successor the target holds", check(grown, "w0", psi))
-    for lit_text in ("p", "[a]p", "[a][a]p"):
+    # Same-alphabet separation: the added successor flips the target while
+    # the fragment's literals keep their truth at old worlds.
+    yield fails, not check(base, "w0", psi)
+    grown = add_successor_world(base, "w0", "a", added)
+    yield grows, check(grown, "w0", psi)
+    for lit_text in kept:
         lit = parse(lit_text)
-        steps.add(
-            f"box-only literal {lit_text} keeps its truth at the old world",
+        yield (
+            f"{to}-only literal {lit_text} keeps its truth at the old world",
             check(base, "w0", lit) == check(grown, "w0", lit),
         )
-    cand = parse("p")
-    steps.add(
-        "a box-restricted Krom candidate stays false while the target flipped",
+    yield (
+        f"a {to}-restricted Krom candidate stays false while the target flipped",
         (not check(base, "w0", cand)) and (not check(grown, "w0", cand)),
     )
-    return steps.items
 
 
-def _replay_kromdia_equiv() -> list:
-    steps = _Steps()
-    template = krom_to_krom_diamond(recognize_clausal(parse("[a]p -> q")))
-    expected = recognize_clausal(parse("(<a>_f0 | q) & [a](~_f0 | ~p)"))
-    steps.add("the negated box literal rewrites to its two-clause form", template == expected)
-
-    corpus = ["[a]p", "[a][b]p", "~[a]p", "[a]p -> q", "<b>[a]p", "[a]p & ~[a]p"]
-    _translation_steps(steps, krom_to_krom_diamond, corpus, "diamond")
-
-    # Same-alphabet separation: one added empty world flips the boxed target
-    # while diamond-only literals keep their truth at old worlds.
-    psi = parse("[a]p -> q")
-    base = _model(["w0", "w1"], {"a": [("w0", "w1")]}, {"w1": ["p"]}, {"p", "q"})
-    steps.add("the boxed target fails at the chain root", not check(base, "w0", psi))
-    grown = add_successor_world(base, "w0", "a", set())
-    steps.add("after adding an empty successor the target holds", check(grown, "w0", psi))
-    for lit_text in ("p", "q", "<a>p", "<a><a>p"):
-        lit = parse(lit_text)
-        steps.add(
-            f"diamond-only literal {lit_text} keeps its truth at the old world",
-            check(base, "w0", lit) == check(grown, "w0", lit),
-        )
-    cand = parse("q")
-    steps.add(
-        "a diamond-restricted Krom candidate stays false while the target flipped",
-        (not check(base, "w0", cand)) and (not check(grown, "w0", cand)),
-    )
-    return steps.items
-
-
-def _replay_horn_krom_incomparable(horn_vs_bool, krom_vs_bool) -> list:
-    steps = _Steps()
+def _replay_horn_krom_incomparable(horn_vs_bool, krom_vs_bool):
     d_or = classify(recognize_clausal(parse("p | q")))
-    steps.add("the disjunctive witness is Krom but not Horn", d_or.krom and not d_or.horn)
+    yield "the disjunctive witness is Krom but not Horn", d_or.krom and not d_or.horn
     d_imp = classify(recognize_clausal(parse("p & q -> r")))
-    steps.add("the implicative witness is Horn but not Krom", d_imp.horn and not d_imp.krom)
-    steps.add("the Horn separation argument replays", horn_vs_bool)
-    steps.add("the Krom separation argument replays", krom_vs_bool)
+    yield "the implicative witness is Horn but not Krom", d_imp.horn and not d_imp.krom
+    yield "the Horn separation argument replays", horn_vs_bool
+    yield "the Krom separation argument replays", krom_vs_bool
     for text in ("<a>p", "p | q", "p & q -> r", "~p"):
         d = classify(recognize_clausal(parse(text)))
-        steps.add(f"core status of {text} is the Horn-Krom conjunction",
-                  d.core == (d.horn and d.krom))
-    return steps.items
+        yield (f"core status of {text} is the Horn-Krom conjunction",
+               d.core == (d.horn and d.krom))
 
 
-def _replay_box_dia_incomparable(hornbox_vs_horn, horndia_vs_horn, krombox, kromdia) -> list:
-    steps = _Steps()
+def _replay_box_dia_incomparable(hornbox_vs_horn, horndia_vs_horn, krombox, kromdia):
     d_dia = classify(recognize_clausal(parse("<a>p")))
-    steps.add("the diamond witness lives in the diamond-restricted core fragment",
-              d_dia.core and d_dia.diamond_only and not d_dia.box_only)
+    yield ("the diamond witness lives in the diamond-restricted core fragment",
+           d_dia.core and d_dia.diamond_only and not d_dia.box_only)
     d_box = classify(recognize_clausal(parse("[a]p -> q")))
-    steps.add("the box witness lives in the box-restricted core fragment",
-              d_box.core and d_box.box_only and not d_box.diamond_only)
-    steps.add("the intersection argument against a box-only translation replays",
-              hornbox_vs_horn)
-    steps.add("the product argument against a diamond-only translation replays",
-              horndia_vs_horn)
-    steps.add("the same-alphabet Krom-level separations replay", krombox and kromdia)
-    return steps.items
+    yield ("the box witness lives in the box-restricted core fragment",
+           d_box.core and d_box.box_only and not d_box.diamond_only)
+    yield ("the intersection argument against a box-only translation replays",
+           hornbox_vs_horn)
+    yield ("the product argument against a diamond-only translation replays",
+           horndia_vs_horn)
+    yield "the same-alphabet Krom-level separations replay", krombox and kromdia
 
 
-# id -> (replay, ids of the results it cites).  A citing replay is passed
-# the overall verdict of each cited result, in citation order.
+# id -> (replay, ids of the results it cites).  A replay is a generator of
+# (description, outcome) pairs; a citing replay is passed the overall
+# verdict of each cited result, in citation order.
 _CATALOGUE = {
     "horn-vs-bool": (_replay_horn_vs_bool, ()),
     "krom-vs-bool": (_replay_krom_vs_bool, ()),
@@ -649,8 +599,8 @@ _CATALOGUE = {
     "hornbox-vs-horn": (_replay_hornbox_vs_horn, ()),
     "product-closure": (_replay_product_closure, ()),
     "horndia-vs-horn": (_replay_horndia_vs_horn, ()),
-    "krombox-equiv": (_replay_krombox_equiv, ()),
-    "kromdia-equiv": (_replay_kromdia_equiv, ()),
+    "krombox-equiv": (lambda: _replay_krom_equiv("box"), ()),
+    "kromdia-equiv": (lambda: _replay_krom_equiv("diamond"), ()),
     "horn-krom-incomparable": (_replay_horn_krom_incomparable, ("horn-vs-bool", "krom-vs-bool")),
     "box-dia-incomparable": (_replay_box_dia_incomparable, (
         "hornbox-vs-horn", "horndia-vs-horn", "krombox-equiv", "kromdia-equiv")),
@@ -712,5 +662,6 @@ def replay_theorem(theorem_id: str) -> TheoremReport:
     if theorem_id not in reports:
         replay, cites = _CATALOGUE[theorem_id]
         verdicts = [replay_theorem(cited).overall for cited in cites]
-        reports[theorem_id] = TheoremReport(theorem_id, tuple(replay(*verdicts)))
+        steps = tuple((description, bool(ok)) for description, ok in replay(*verdicts))
+        reports[theorem_id] = TheoremReport(theorem_id, steps)
     return reports[theorem_id]

@@ -134,26 +134,22 @@ def _eliminate(cf: ClausalFormula, bad) -> ClausalFormula:
     result = ClausalFormula(tuple(clauses))
     if len(result.clauses) != len(cf.clauses) + steps:
         raise InternalError("rewriting did not add one clause per step")
+    flags = classify(result)
+    if not (flags.krom and (flags.box_only if bad is Diamond else flags.diamond_only)):
+        raise InternalError("box rewriting left a non-Krom or diamond literal" if bad is Diamond
+                            else "diamond rewriting left a non-Krom or box literal")
     return result
 
 
 def krom_to_krom_box(cf: ClausalFormula) -> ClausalFormula:
     """Rewrite a Krom formula so no literal contains a diamond."""
-    result = _eliminate(cf, Diamond)
-    flags = classify(result)
-    if not (flags.box_only and flags.krom):
-        raise InternalError("box rewriting left a non-Krom or diamond literal")
-    return result
+    return _eliminate(cf, Diamond)
 
 
 def krom_to_krom_diamond(cf: ClausalFormula) -> ClausalFormula:
     """Rewrite a Krom formula so no literal contains a box (clause prefixes
     keep their boxes)."""
-    result = _eliminate(cf, Box)
-    flags = classify(result)
-    if not (flags.diamond_only and flags.krom):
-        raise InternalError("diamond rewriting left a non-Krom or box literal")
-    return result
+    return _eliminate(cf, Box)
 
 
 def fresh_letters_of(original: ClausalFormula, translated: ClausalFormula) -> list[str]:

@@ -491,8 +491,9 @@ def test_replay_unknown_id():
         replay_theorem("no-such-result")
 
 
-def test_replay_report_shape():
-    report = replay_theorem("hornbox-vs-horn")
+@pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+def test_replay_report_shape(theorem_id):
+    report = replay_theorem(theorem_id)
     assert type(report.steps) is tuple
     assert all(isinstance(d, str) and isinstance(ok, bool) for d, ok in report.steps)
     assert report.overall == all(ok for _, ok in report.steps)
@@ -534,6 +535,29 @@ def test_replay_run_leaves_no_state():
     report = replay_theorem("box-dia-incomparable")
     assert expressiveness._RUN_REPORTS.get(None) is None
     assert report.overall
+
+
+def test_replay_outcomes_are_recorded_as_bool(monkeypatch):
+    def loose():
+        yield "an empty outcome", []
+        yield "a non-empty outcome", [0]
+
+    monkeypatch.setitem(expressiveness._CATALOGUE, "horn-vs-bool", (loose, ()))
+    report = replay_theorem("horn-vs-bool")
+    assert report.steps == (("an empty outcome", False), ("a non-empty outcome", True))
+
+
+def test_replay_failing_midway_leaves_no_state(monkeypatch):
+    # A replay that raises after yielding a step ends the run with no
+    # report saved and no run left open.
+    def broken():
+        yield "a first step", True
+        raise RuntimeError("replay broke")
+
+    monkeypatch.setitem(expressiveness._CATALOGUE, "krom-vs-bool", (broken, ()))
+    with pytest.raises(RuntimeError, match="replay broke"):
+        replay_theorems(THEOREM_IDS)
+    assert expressiveness._RUN_REPORTS.get(None) is None
 
 
 def test_replay_theorems_matches_single_replays():

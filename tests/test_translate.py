@@ -201,15 +201,19 @@ def test_translations_are_conservative_on_the_corpus():
             assert verdict.status == EQUIVALENT_UP_TO_BOUND, (to_text(f), translate.__name__)
 
 
-@pytest.mark.parametrize("translate", [krom_to_krom_box, krom_to_krom_diamond])
-def test_translation_rechecks_its_fragment(monkeypatch, translate):
+@pytest.mark.parametrize("translate, message", [
+    (krom_to_krom_box, "box rewriting left a non-Krom or diamond literal"),
+    (krom_to_krom_diamond, "diamond rewriting left a non-Krom or box literal"),
+], ids=["krom_to_krom_box", "krom_to_krom_diamond"])
+def test_translation_rechecks_its_fragment(monkeypatch, translate, message):
     # A classifier that sees every output as neither box- nor diamond-only
     # makes the re-check fail; the failure is an InternalError under every
-    # interpreter flag, not an assert.
+    # interpreter flag, not an assert, and names the direction.
     fake = FragmentDescriptor(True, True, True, False, False)
     monkeypatch.setattr("knfrag.translate.classify", lambda cf: fake)
-    with pytest.raises(InternalError):
+    with pytest.raises(InternalError) as raised:
         translate(rc("<a>p | [a]q"))
+    assert str(raised.value) == message
 
 
 # --- the offending count walks the modal chain in a loop ---
