@@ -98,13 +98,12 @@ def weak_equiv_check(f: Formula, g: Formula, alphabet=None, max_worlds: int = 3)
     """Pointwise agreement of f and g on every model over the alphabet
     (and the union of their modalities) with up to `max_worlds` worlds.
 
-    Each frame is checked under all of its valuations at once
+    Up to 2**12 models, frames and valuations alike, are checked at once
     (`semantics.valuation_batches`): the first set bit of the XOR of the
     two values is the first disagreement in the deterministic order of
     `enumerate_models` (frame, then valuation mask, then world), which is
-    returned as the counterexample.  Memory per frame is
-    O(nodes * k * 2**(k*|alphabet|)) bits, with k the world count and at
-    most 2**12 valuations per batch.
+    returned as the counterexample.  Memory per batch is O(nodes * k * B)
+    bits, with k the world count and B <= 2**12 the models in the batch.
     """
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
@@ -126,11 +125,11 @@ def strong_translation_check(
     world, f holds iff some extension over g's extra letters satisfies g.
 
     Bitsliced like `weak_equiv_check`: the fresh-letter cells take the low
-    valuation bits, so "some extension satisfies g" is an OR over each
-    block of 2**(k*|fresh|) bits.  The first counterexample is the one the
-    order of `enumerate_models` over f's alphabet meets first.  Memory per
-    frame is O(nodes * k * 2**(k*(|alphabet| + |fresh|))) bits, with at
-    most max(2**12, 2**(k*|fresh|)) valuations per batch.
+    model bits, so "some extension satisfies g" is an OR over each block
+    of 2**(k*|fresh|) bits.  The first counterexample is the one the order
+    of `enumerate_models` over f's alphabet meets first.  Memory per batch
+    is O(nodes * k * B) bits, with B <= max(2**12, 2**(k*|fresh|)) the
+    models in the batch.
     """
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
@@ -273,8 +272,8 @@ def search_weak_translation(
     Candidates range over one generic modality (plus any in the target)
     unless `modalities` says otherwise; a target that mentions a letter
     outside `alphabet`, or a modality outside an explicit `modalities`,
-    raises `ValueError`.  The target is evaluated once per frame, under
-    all valuations at once, and the frames are kept for the whole search.
+    raises `ValueError`.  The target is evaluated once per batch of up to
+    2**12 models, and the batches are kept for the whole search.
     Candidates are tried in size layers, each layer whole; of a layer's
     agreeing candidates the one with the least text is returned, which is
     the first agreeing one of `enumerate_fragment`.  No other text is
@@ -282,9 +281,9 @@ def search_weak_translation(
     values, and a clause's value is the OR of its literals' values (the
     negative ones complemented) under its prefix boxes, as `Batch.value`
     computes it; each literal is compiled and evaluated on a batch once.
-    Memory is, for each frame a candidate has reached, one target value
+    Memory is, for each batch a candidate has reached, one target value
     and one value per literal and pool clause evaluated there, each of
-    k * 2**(k*|alphabet|) bits.
+    k * B bits, with B <= 2**12 the models in the batch.
     """
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")

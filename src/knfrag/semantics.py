@@ -1,10 +1,10 @@
 """Kripke frames and structures, the satisfaction relation, and model streams.
 
 `check` evaluates one formula at one world of one model.  The model
-streams share one frame enumerator: `enumerate_models` yields models one at
-a time, and `valuation_batches` with `compile_formula` evaluate a formula
-under every valuation of a frame at once, for the bounded checks in
-`expressiveness`.
+streams share one frame order: `enumerate_models` yields models one at a
+time, and `valuation_batches` with `compile_formula` evaluate a formula on
+up to 2**12 models at once, frames and valuations alike bitsliced, for the
+bounded checks in `expressiveness`.
 
 Worlds are strings.  A frame keeps its worlds in declared order and one
 successor table, modality name -> world -> successors sorted by name, with
@@ -273,42 +273,34 @@ def _world_names(k):
     return tuple([f"w{i}" for i in range(k)])
 
 
-def _frames(mods, k: int):
-    """Every frame on the worlds w0..w{k-1} over the sorted modality names
-    `mods`, as a dict from modality name to successor rows (row u is the
-    tuple of successor indices of world u); empty relations are left out.
+def _frame(ws, mods, index: int) -> KripkeFrame:
+    """The frame with counter `index` on the worlds `ws` over the sorted
+    modality names `mods`.
 
-    Order: one relation bitmask per modality, ascending, the last
-    modality's varying fastest.  Bit b of a mask is pair b in row-major
-    world order, so row u is bits [u*k, (u+1)*k) of it.
+    The counter holds one relation bitmask per modality, the last
+    modality's lowest, and bit u*k + v of a mask is the pair (ws[u], ws[v])
+    on k worlds.  `_frames` counts it up and `Batch.first_difference`
+    decodes it from a model index, so both follow this one frame order.
     """
-    yield {}  # all masks 0; most early exits need no more
-    rows = [()]
-    for v in range(k):
-        rows += [row + (v,) for row in rows]  # rows[r]: the set bits of r
-    row_mask = (1 << k) - 1
-    last = (1 << k * k) - 1
-    masks = [0] * len(mods)
-    while True:
-        i = len(mods) - 1
-        while i >= 0 and masks[i] == last:
-            masks[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        masks[i] += 1
-        yield {
-            m: tuple(rows[(mask >> u * k) & row_mask] for u in range(k))
-            for m, mask in zip(mods, masks)
-            if mask
-        }
+    k = len(ws)
+    succ = {}
+    for i, m in enumerate(mods):
+        mask = index >> (len(mods) - 1 - i) * k * k
+        rows = {}
+        for u in range(k):
+            row = [ws[v] for v in range(k) if mask >> u * k + v & 1]
+            if row:
+                rows[ws[u]] = tuple(sorted(row))
+        if rows:
+            succ[m] = rows
+    return KripkeFrame._direct(ws, succ)
 
 
-def _kripke_frame(ws, succ) -> KripkeFrame:
-    return KripkeFrame._direct(ws, {
-        m: {ws[u]: tuple(sorted([ws[v] for v in row])) for u, row in enumerate(rows) if row}
-        for m, rows in succ.items()
-    })
+def _frames(ws, mods):
+    """Every frame on the worlds `ws` over the sorted modality names
+    `mods`, counter ascending (see `_frame`); the empty frame comes first."""
+    for index in range(1 << len(mods) * len(ws) ** 2):
+        yield _frame(ws, mods, index)
 
 
 def _valuation(ws, letters, mask: int) -> dict:
@@ -334,24 +326,25 @@ def enumerate_models(alphabet, modalities, max_worlds: int):
     for k in range(1, max_worlds + 1):
         ws = _world_names(k)
         vals = [_valuation(ws, letters, mask) for mask in range(1 << k * len(letters))]
-        for succ in _frames(mods, k):
-            frame = _kripke_frame(ws, succ)
+        for frame in _frames(ws, mods):
             for val in vals:
                 yield KripkeModel._direct(frame, val, alpha)
 
 
-# --- Bitsliced evaluation: every valuation of a frame at once ---
+# --- Bitsliced evaluation: up to 2**12 models at once ---
 #
 # This is the labelling algorithm of Clarke, Emerson & Sistla (TOPLAS 1986)
-# sliced across models as in Biham (FSE 1997).  A batch is one frame on k
-# worlds with a block of n = 2**c valuation masks.  A formula's value on
-# it is one int: world w owns bits [w*n, (w+1)*n), and bit v of that
-# slice is the truth at w under the block's v-th valuation mask.  The
-# Boolean connectives are int operations; a diamond ORs the successor
-# slices and a box ANDs them.
+# sliced across models as in Biham (FSE 1997).  A model on k worlds is one
+# bit per cell, valuation cells and relation pairs alike (see `_Layout`),
+# and a batch is a block of n = 2**c consecutive models.  A formula's value
+# on it is one int: world w owns bits [w*n, (w+1)*n), and bit j of that
+# slice is the truth at w in the block's j-th model.  The Boolean
+# connectives are int operations.  At world u a diamond ORs, over the
+# worlds v, the slice of v ANDed with the bits of the pair (u, v); it runs
+# as one shift and mask per diagonal u - v.  A box is the dual diamond.
 
-# Valuation cells resolved inside one batch; a wider layout is split into
-# blocks, which bounds a value at k * 2**12 bits.
+# Cells resolved inside one batch; a wider layout is split into blocks,
+# which bounds a value at k * 2**12 bits.
 _CHUNK_CELLS = 12
 
 _LETTER, _TOP, _NOT, _AND, _OR, _DIAMOND, _BOX = range(7)
@@ -398,74 +391,88 @@ def compile_formula(f: Formula) -> Program:
 
 
 class _Layout:
-    """The valuation cells of k worlds and the letters' packed values.
+    """The cells of the models on k worlds, and the packed values of their
+    letters and relation pairs block by block.
 
-    Cells are numbered fresh letters first (world, then sorted letter),
+    Valuation cells come first: fresh letters (world, then sorted letter),
     then the base letters the same way; bit b of a valuation mask is cell
-    b, so a base model's mask is the full mask shifted right by
-    k * len(fresh).  The lowest `low` cells vary inside a batch, the
-    others from one block of masks to the next.
+    b, so a base model's mask is the valuation mask shifted right by
+    k * len(fresh).  Relation cells follow: pair (u, v) of the i-th of the
+    M sorted modalities is cell vcells + (M-1-i)*k*k + u*k + v.  So a
+    model's index, frame counter (`_frame`) * 2**vcells + valuation mask,
+    counts the models in the order of `enumerate_models`.  The lowest `low`
+    cells vary inside a batch, the others from one block to the next.
     """
 
-    __slots__ = ("k", "n", "ones", "full", "low", "blocks", "worlds", "letters",
-                 "alphabet", "fresh", "inside", "outside")
+    __slots__ = ("k", "n", "ones", "full", "low", "vcells", "blocks", "letters",
+                 "alphabet", "fresh", "mods", "packed", "outside")
 
-    def __init__(self, k, letters, fresh, alphabet):
+    def __init__(self, k, letters, fresh, mods, alphabet):
         e = k * len(fresh)
-        cells = e + k * len(letters)
+        vcells = e + k * len(letters)
+        cells = vcells + len(mods) * k * k
         low = min(cells, max(_CHUNK_CELLS, e))
         n = 1 << low
         ones = (1 << n) - 1
-        inside, outside = {}, []
+        self.k, self.n, self.ones, self.full = k, n, ones, (1 << k * n) - 1
+        self.low, self.vcells, self.blocks = low, vcells, 1 << cells - low
+        self.letters, self.alphabet, self.fresh, self.mods = letters, alphabet, fresh, mods
+        # Each cell's owner is a key and a slice: a letter and the cell's
+        # world, or a modality's diagonal (m, u - v) and world u for the
+        # pair (u, v).  A key's packed value holds its cells' bits, each in
+        # its slice: the cells inside a batch are set here, the others per
+        # block.
+        self.packed, self.outside = {}, []
         b = 0
         for group in (fresh, letters):
             for w in range(k):
-                shift = w * n
                 for l in group:
-                    if b < low:
-                        # bit v of the slice is set iff bit b of v is
-                        h = 1 << b
-                        pattern = ones // ((1 << 2 * h) - 1) * (((1 << h) - 1) << h)
-                        inside[l] = inside.get(l, 0) | pattern << shift
-                    else:
-                        outside.append((l, b - low, ones << shift))
-                    b += 1
-        self.k, self.n, self.ones, self.full, self.low = k, n, ones, (1 << k * n) - 1, low
-        self.blocks = 1 << cells - low
-        self.inside, self.outside = inside, outside
-        self.worlds = _world_names(k)
-        self.letters, self.alphabet, self.fresh = letters, alphabet, fresh
+                    b = self._own(b, l, w * n)
+        for m in reversed(mods):
+            for u in range(k):
+                for v in range(k):
+                    b = self._own(b, (m, u - v), u * n)
 
-    def block_letters(self, block: int) -> dict:
-        if not self.outside:
-            return self.inside
-        lits = {l: 0 for l in (*self.fresh, *self.letters)}
-        lits.update(self.inside)
-        for l, bit, slice_ in self.outside:
-            if block >> bit & 1:
-                lits[l] |= slice_
-        return lits
+    def _own(self, b, key, shift):
+        # Cell b goes to `key` at `shift`; returns the next cell.
+        if b < self.low:
+            # bit j of a batch is set iff bit b of j is
+            h = 1 << b
+            bits = self.ones // ((1 << 2 * h) - 1) * (((1 << h) - 1) << h)
+            self.packed[key] = self.packed.get(key, 0) | bits << shift
+        else:
+            self.outside.append((key, shift))
+        return b + 1
+
+    def batch(self, block: int) -> Batch:
+        """The models with indices [block << low, (block + 1) << low)."""
+        packed = self.packed
+        if self.outside:
+            packed = dict(packed)
+            for i, (key, shift) in enumerate(self.outside):
+                if block >> i & 1:
+                    packed[key] = packed.get(key, 0) | self.ones << shift
+        return Batch(self, packed, block << self.low)
 
 
 class Batch:
-    """One frame with a block of valuations; see `valuation_batches`."""
+    """A block of consecutive models; see `valuation_batches`."""
 
-    __slots__ = ("layout", "succ", "lits", "start")
+    __slots__ = ("layout", "packed", "start")
 
-    def __init__(self, layout, succ, lits, start):
+    def __init__(self, layout, packed, start):
         self.layout = layout
-        self.succ = succ
-        self.lits = lits
+        self.packed = packed
         self.start = start
 
     def value(self, program: Program) -> int:
-        """The program's truth at every world under every valuation of the block."""
-        lits, full = self.lits, self.layout.full
+        """The program's truth at every world of every model of the block."""
+        packed, full = self.packed, self.layout.full
         stack = []
         push, pop = stack.append, stack.pop
         for op, arg in program.code:
             if op == _LETTER:
-                push(lits.get(arg, 0))
+                push(packed.get(arg, 0))
             elif op == _NOT:
                 push(full ^ pop())
             elif op == _AND:
@@ -479,27 +486,23 @@ class Batch:
         return pop()
 
     def _modal(self, box, modality, x):
-        """[modality]x if `box`, else <modality>x."""
-        rows = self.succ.get(modality)
-        if rows is None:
-            return self.layout.full if box else 0
-        n, ones = self.layout.n, self.layout.ones
-        parts = [(x >> w * n) & ones for w in range(len(rows))]
+        """[modality]x if `box`, else <modality>x: x moved by d slices and
+        masked by the diagonal d, ORed over d.  A box is ~<modality>~x."""
+        layout = self.layout
+        if modality not in layout.mods:
+            return layout.full if box else 0
+        n, full = layout.n, layout.full
+        if box:
+            x ^= full
         out = 0
-        for u, row in enumerate(rows):
-            if box:
-                acc = ones
-                for v in row:
-                    acc &= parts[v]
-            else:
-                acc = 0
-                for v in row:
-                    acc |= parts[v]
-            out |= acc << u * n
-        return out
+        for d in range(1 - layout.k, layout.k):
+            mask = self.packed.get((modality, d))
+            if mask:
+                out |= (x << d * n if d >= 0 else x >> -d * n) & mask
+        return full ^ out if box else out
 
     def exists_fresh(self, value: int) -> int:
-        """Bit v, for each v whose fresh-letter cells are all false, set iff
+        """Bit j, for each j whose fresh-letter cells are all false, set iff
         some assignment to the fresh cells makes `value` true there; every
         other bit is clear."""
         layout = self.layout
@@ -514,7 +517,7 @@ class Batch:
 
     def first_difference(self, diff: int, value: int) -> tuple[PointedModel, bool]:
         """The first point, in the order of `enumerate_models`, at which the
-        nonzero `diff` is set: the lowest valuation bit v set at some world,
+        nonzero `diff` is set: the lowest model bit j set at some world,
         then the first such world.  Returns it as a pointed model over the
         base letters only, with the truth of `value` there."""
         layout = self.layout
@@ -524,39 +527,45 @@ class Batch:
             fold |= rest
             rest >>= n
         fold &= layout.ones
-        v = (fold & -fold).bit_length() - 1
+        j = (fold & -fold).bit_length() - 1
         w = 0
-        while not diff >> (w * n + v) & 1:
+        while not diff >> (w * n + j) & 1:
             w += 1
-        mask = (self.start + v) >> layout.k * len(layout.fresh)
+        index = self.start + j
+        mask = (index & (1 << layout.vcells) - 1) >> layout.k * len(layout.fresh)
+        ws = _world_names(layout.k)
         model = KripkeModel._direct(
-            _kripke_frame(layout.worlds, self.succ),
-            _valuation(layout.worlds, layout.letters, mask),
+            _frame(ws, layout.mods, index >> layout.vcells),
+            _valuation(ws, layout.letters, mask),
             layout.alphabet,
         )
-        return PointedModel(model, layout.worlds[w]), bool(value >> (w * n + v) & 1)
+        return PointedModel(model, ws[w]), bool(value >> (w * n + j) & 1)
 
 
 def valuation_batches(letters, modalities, max_worlds: int, fresh=()):
     """Batches covering every model over `letters` and the modality names
     with 1..max_worlds worlds, extended by every assignment to the `fresh`
-    letters, in the order of `enumerate_models`: frames in its order, then
-    blocks of valuation masks ascending.
+    letters, in the order of `enumerate_models`: blocks of model indices
+    ascending (see `_Layout`).
 
-    At most 2**12 masks share a batch, and the fresh-letter cells never
-    span two batches.  A value on a batch of k worlds takes
-    k * 2**min(k * (|letters| + |fresh|), 12) bits.
+    At each world count the empty frame comes first, as its own batches
+    over its valuations only, since most disagreements show there; the
+    blocks that lie wholly inside it are then skipped.  At most 2**12
+    models share a batch, unless the fresh-letter cells alone are more
+    than 12: they never span two batches.  A value on a batch of k worlds
+    takes k * 2**low bits, low = min(cells, max(12, k * |fresh|)), with
+    cells = k * (|letters| + |fresh|) + M * k * k for M modalities.
     """
     letters = tuple(sorted(letters))
     fresh = tuple(sorted(fresh))
     mods = tuple(sorted(modalities))
     alphabet = frozenset(letters)
     for k in range(1, max_worlds + 1):
-        layout = _Layout(k, letters, fresh, alphabet)
-        low = layout.low
-        for succ in _frames(mods, k):
-            for block in range(layout.blocks):
-                yield Batch(layout, succ, layout.block_letters(block), block << low)
+        empty = _Layout(k, letters, fresh, (), alphabet)
+        yield from map(empty.batch, range(empty.blocks))
+        if mods:
+            layout = _Layout(k, letters, fresh, mods, alphabet)
+            yield from map(layout.batch, range((1 << empty.vcells) >> layout.low, layout.blocks))
 
 
 # --- JSON model files ---

@@ -4,7 +4,7 @@ import sys
 import threading
 import tracemalloc
 from dataclasses import FrozenInstanceError
-from itertools import product
+from itertools import count, product
 
 import pytest
 
@@ -191,8 +191,8 @@ def test_weak_equiv_matches_on_empty_and_wide_alphabets():
 
 
 def test_weak_equiv_matches_across_valuation_blocks(monkeypatch):
-    # Blocks of 2 cells split every frame with 2 or more worlds over {p,q}
-    # into several batches.
+    # Blocks of 2 cells split the valuations of every frame with 2 or more
+    # worlds over {p,q}, and every relation, across batches.
     monkeypatch.setattr("knfrag.semantics._CHUNK_CELLS", 2)
     _check_weak_corpus(_weak_corpus()[::8])
     rng = random.Random("strong-blocks")
@@ -201,6 +201,90 @@ def test_weak_equiv_matches_across_valuation_blocks(monkeypatch):
         g = random_formula(rng, 2, ("p", "q", "x"), ("a",))
         expected = _reference_answer(*reference_strong(f, g, 2))
         assert _answer(strong_translation_check(f, g, max_worlds=2)) == expected
+
+
+@pytest.fixture(scope="module")
+def two_modality_cases():
+    """(check, f, g, expected answer) on two modalities at 2 worlds, as the
+    scalar loop answers them.  Each g is f with a random disjunct or
+    conjunct added (over {p,x} for the strong check, x fresh), so that the
+    pair often agrees and parts late; pairs are kept by the world count
+    of their counterexample (None when they agree), up to a quota each."""
+    rng = random.Random("two-modality-blocks")
+    quota = {(check_fn, worlds): 3 if worlds != 2 else 12
+             for check_fn in (weak_equiv_check, strong_translation_check)
+             for worlds in (None, 1, 2)}
+    cases = []
+    for i in count():
+        check_fn = strong_translation_check if i % 2 else weak_equiv_check
+        lets = ("p", "x") if i % 2 else ("p", "q")
+        f = random_formula(rng, 3, lets[:1] if i % 2 else lets, ("a", "b"))
+        g = (Or if i % 4 < 2 else And)(f, random_formula(rng, 3, lets, ("a", "b")))
+        if i % 2:
+            expected = _reference_answer(*reference_strong(f, g, 2))
+        else:
+            expected = _reference_answer(*reference_weak_equiv(f, g, {"p", "q"}, 2))
+        key = (check_fn, expected[1] and len(expected[1]["worlds"]))
+        if quota[key]:
+            quota[key] -= 1
+            cases.append((check_fn, f, g, expected))
+        if not any(quota.values()):
+            return cases
+
+
+@pytest.mark.parametrize("chunk", [2, 5, 9])
+def test_two_modalities_match_across_relation_block_edges(chunk, two_modality_cases, monkeypatch):
+    # At 2 worlds over {p,q}, cells 0-3 are valuation cells, 4-7 the pairs
+    # of b and 8-11 those of a: a batch edge at cell 2, 5 or 9 splits the
+    # valuation cells, b's pairs or a's pairs across blocks.
+    monkeypatch.setattr("knfrag.semantics._CHUNK_CELLS", chunk)
+    parted_on = set()
+    for check_fn, f, g, expected in two_modality_cases:
+        if check_fn is weak_equiv_check:
+            got = weak_equiv_check(f, g, alphabet={"p", "q"}, max_worlds=2)
+        else:
+            got = strong_translation_check(f, g, max_worlds=2)
+        assert _answer(got) == expected, (check_fn.__name__, str(f), str(g))
+        if expected[1] is not None:
+            parted_on.add((check_fn, len(expected[1]["worlds"]), len(expected[1]["relations"])))
+    assert {(weak_equiv_check, 2, 2), (strong_translation_check, 2, 2)} <= parted_on
+
+
+@pytest.mark.parametrize("left, right", [
+    ("[a]F & <b>(p & q) & <b>(p & ~q) & <b>(~p & q)", "F"),
+    ("<b>(p & q) & <b>(p & ~q) & <a>(~p & q)", "F"),
+    ("<b>(p & q) & <b>(p & ~q) & <b>~p", "<b>(p & q) & <b>(p & ~q) & <b>~p & [a]F"),
+])
+def test_two_modalities_part_at_three_worlds_as_the_scalar_loop(left, right):
+    # Each pair agrees on every model of up to 2 worlds and parts on a
+    # 3-world frame whose first modality has at most one pair, within 10**5
+    # models of the start of the stream.
+    f, g = parse(left), parse(right)
+    expected = _reference_answer(*reference_weak_equiv(f, g, {"p", "q"}, 3))
+    assert _answer(weak_equiv_check(f, g, alphabet={"p", "q"}, max_worlds=3)) == expected
+    assert len(expected[1]["worlds"]) == 3
+
+
+@pytest.mark.parametrize("left, right", [
+    ("F", "<b>(x & p) & <b>(~x & p) & <a>~p"),
+    ("[a]p", "[a]p | <b>(x & p) & <b>(~x & p) & <b>~p"),
+])
+def test_two_modality_strong_checks_part_at_three_worlds_as_the_scalar_loop(left, right):
+    # As above, with a fresh letter x on the right.
+    f, g = parse(left), parse(right)
+    expected = _reference_answer(*reference_strong(f, g, 3, {"p"}))
+    got = strong_translation_check(f, g, max_worlds=3, alphabet={"p"})
+    assert _answer(got) == expected
+    assert len(expected[1]["worlds"]) == 3
+
+
+def test_exhaustive_two_modality_check_at_three_worlds():
+    # 2**24 models at 3 worlds (2**18 frames, 2**6 valuations) and 4,112
+    # below: 8-10 s when each frame was a batch of its own, about 0.2 s
+    # now (2 CPUs, CPython 3.11.7).
+    f = parse("<a><b>p | [b][a]q")
+    verdict = weak_equiv_check(f, parse("<a><b>p | [b][a]q | F"), alphabet={"p", "q"}, max_worlds=3)
+    assert verdict.status == EQUIVALENT_UP_TO_BOUND
 
 
 def test_strong_translation_matches_the_scalar_loop():
@@ -250,7 +334,7 @@ SEARCH_FRAGMENTS = ("horn", "krom", "core", "horn-box", "krom-diamond", "core-bo
 def test_search_matches_the_scalar_loop_on_random_targets(fragment, monkeypatch):
     # Each third target is drawn from the fragment at size 4, so it is found;
     # the others are random and searched at size 3.  Every fourth case is
-    # repeated with frames split into several valuation batches.
+    # repeated with the models split into batches of 4.
     rng = random.Random(f"search-corpus-{fragment}")
     alphabet = {"p", "q"}
     outcomes = set()

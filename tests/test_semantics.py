@@ -24,7 +24,7 @@ from knfrag import (
     product_world,
     restrict_alphabet,
 )
-from knfrag.semantics import compile_formula
+from knfrag.semantics import compile_formula, valuation_batches
 from helpers import (
     enlarge_valuation,
     formulas_up_to_size,
@@ -213,6 +213,27 @@ def test_enumerate_models_order_is_pinned(alphabet, mods, worlds, count, digest)
              for m in enumerate_models(alphabet, mods, worlds)]
     assert len(lines) == count
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+def test_valuation_batches_slice_frames_too():
+    # Relation pairs are cells of the batch like valuation cells: {p,q} with
+    # one modality at up to 3 worlds takes 13 batches (one per frame took
+    # 530).  Each world count starts with the empty frame over all its
+    # valuations, as one batch.
+    batches = list(valuation_batches({"p", "q"}, {"a"}, 3))
+    assert len(batches) == 13
+    firsts = {}
+    for batch in batches:
+        firsts.setdefault(batch.layout.k, batch)
+    some, every = compile_formula(parse("<a>T")), compile_formula(parse("[a]F"))
+    for k, batch in firsts.items():
+        n = 1 << 2 * k
+        assert batch.start == 0 and batch.layout.full == (1 << k * n) - 1
+        assert batch.value(some) == 0 and batch.value(every) == batch.layout.full
+        models = [m for m in enumerate_models({"p", "q"}, {"a"}, k) if len(m.frame.worlds) == k]
+        for j in (0, 1, n // 2, n - 1):
+            pointed, _ = batch.first_difference(1 << j, 0)
+            assert pointed.model == models[j] and not models[j].frame.relations
 
 
 def test_enumerate_models_no_modalities():
