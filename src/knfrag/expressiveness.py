@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import reduce
 from itertools import count
 from itertools import product as iproduct
-from operator import itemgetter
+from operator import and_, itemgetter
 
 from .combinators import add_successor_world, intersect, override_valuation, product
 from .semantics import (
@@ -162,35 +163,33 @@ def parse_fragment_spec(spec: str) -> FragmentDescriptor:
 
 
 def _literals_by_size(max_size, alphabet, mods, allow_dia, allow_box):
-    """Literals by size, each row sorted (T, letters, diamonds, boxes; then
-    modality; then operand) because the row below it and `mods` are."""
-    by_size = {1: [TOP] + [Prop(l) for l in alphabet]}
+    """Each literal up to the size as (size, literal, index of its operand
+    in this list, None for T and the letters), by size and then T, letters,
+    diamonds, boxes; then modality; then operand, as `mods` is sorted."""
     kinds = [kind for kind, allowed in ((Diamond, allow_dia), (Box, allow_box)) if allowed]
+    lits, below = [(1, l, None) for l in (TOP, *map(Prop, alphabet))], range(1 + len(alphabet))
     for s in range(2, max_size + 1):
-        by_size[s] = [kind(m, l) for kind in kinds for m in mods for l in by_size[s - 1]]
-    return by_size
+        lits += [(s, kind(m, lits[o][1]), o) for kind in kinds for m in mods for o in below]
+        below = range(below.stop, len(lits))
+    return lits
 
 
-def _clauses_up_to(size_bound, alphabet, mods, req):
-    """The fragment's literals, and its clauses up to the size bound as
-    (size, prefix, negative literal indices, positive literal indices).
+def _fragment_pool(alphabet, modalities, size_bound, fragment):
+    """A fragment's literals (`_literals_by_size`) and its clauses up to the
+    bound, by size only, as (size, prefix, negative and positive indices).
 
     Each side's literal multisets come from one `_multisets` call, bucketed
     by (count, cost): a negative literal costs its size plus two (its `Not`
     and an `Or`), a positive one its size plus one, so a clause's size is
     its prefix length plus both costs minus one."""
-    lits = _literals_by_size(
-        size_bound,
-        alphabet,
-        mods,
-        allow_dia=not req.box_only,
-        allow_box=not req.diamond_only,
-    )
-    pool = [(s, l) for s, row in lits.items() for l in row]
+    req = fragment if isinstance(fragment, FragmentDescriptor) else parse_fragment_spec(fragment)
+    alphabet = tuple(sorted(str(l) for l in set(alphabet)))
+    mods = tuple(sorted({Modality(m) for m in modalities}))
+    lits = _literals_by_size(size_bound, alphabet, mods, not req.box_only, not req.diamond_only)
 
     def buckets(extra, most):
         out = {}
-        rows = _multisets([s + extra for s, _ in pool], size_bound + 1, most)
+        rows = _multisets([s + extra for s, *_ in lits], size_bound + 1, most)
         for cost, row in enumerate(rows):
             for picks in row:
                 out.setdefault((len(picks), cost), []).append(picks)
@@ -210,21 +209,28 @@ def _clauses_up_to(size_bound, alphabet, mods, req):
                 if prefix_len + body_size <= size_bound:
                     clauses.extend((prefix_len + body_size, prefix, ns, ps)
                                    for ns in negs for ps in poss)
-    return [l for _, l in pool], clauses
+    clauses.sort(key=itemgetter(0))
+    return lits, clauses
 
 
-def _fragment_layers(alphabet, modalities, size_bound, fragment):
-    """A fragment's literals, its clause pool up to a size bound sorted by
-    size only, and layers[s]: its formulas of size s as pool index tuples.
-    k clauses take k - 1 conjunctions, so layer s is the multisets whose
-    clause sizes plus one sum to s + 1."""
-    req = fragment if isinstance(fragment, FragmentDescriptor) else parse_fragment_spec(fragment)
-    alphabet = tuple(sorted(str(l) for l in set(alphabet)))
-    mods = tuple(sorted({Modality(m) for m in modalities}))
-    lits, pool = _clauses_up_to(size_bound, alphabet, mods, req)
-    pool.sort(key=itemgetter(0))
-    rows = _multisets([size + 1 for size, *_ in pool], size_bound + 1, size_bound + 1)
-    return lits, pool, rows[1:]
+def _layer(pool, live, s):
+    """Layer s over the `live` pool indices, as pool index tuples: k clauses
+    take k - 1 `And`s, so the multisets whose sizes plus one sum to s + 1."""
+    row = _multisets([pool[j][0] + 1 for j in live], s + 1, s + 1)[s + 1]
+    return [tuple(live[i] for i in picks) for picks in row]
+
+
+def _literal_value(lits, batch, values, i):
+    """Literal i's value on the batch, kept in `values` by literal index:
+    T's and a letter's read off it, any other's one `_modal` step from its operand's."""
+    if i not in values:
+        _, lit, operand = lits[i]
+        if operand is None:
+            values[i] = batch.layout.full if lit is TOP else batch.packed.get(lit.letter, 0)
+        else:
+            values[i] = batch._modal(type(lit) is Box, lit.modality,
+                                     _literal_value(lits, batch, values, operand))
+    return values[i]
 
 
 def _text_order(lits, pool, built, picks):
@@ -233,8 +239,8 @@ def _text_order(lits, pool, built, picks):
     its `Clause` and `clause_texts`, made on first need."""
     for j in picks:
         if j not in built:
-            _, prefix, negs, poss = pool[j]
-            clause = Clause(prefix, tuple(lits[i] for i in negs), tuple(lits[i] for i in poss))
+            _, prefix, *sides = pool[j]
+            clause = Clause(prefix, *(tuple(lits[i][1] for i in side) for side in sides))
             built[j] = (clause, *clause_texts(clause))
     order = sorted(picks, key=lambda j: (pool[j][0], built[j][1]))
     key = " & ".join(built[j][2] for j in order) if len(order) > 1 else built[order[0]][1]
@@ -247,23 +253,17 @@ def enumerate_fragment(alphabet, modalities, size_bound, fragment):
     Size is the constructor count of the rendered formula, prefix boxes
     included.  Literal and clause multisets are kept in a canonical order,
     so reorderings of the same clause body appear once.  Yields in
-    ascending size, then text order.
+    ascending size, then text order, each size layer built on reaching it.
     """
-    lits, pool, layers = _fragment_layers(alphabet, modalities, size_bound, fragment)
-    built = {}
-    for layer in layers:
-        ordered = sorted((_text_order(lits, pool, built, picks) for picks in layer),
-                         key=itemgetter(0))
-        for _, clauses in ordered:
-            yield ClausalFormula(clauses)
+    lits, pool = _fragment_pool(alphabet, modalities, size_bound, fragment)
+    built, every = {}, range(len(pool))
+    for s in range(1, size_bound + 1):
+        layer = (_text_order(lits, pool, built, picks) for picks in _layer(pool, every, s))
+        yield from (ClausalFormula(clauses) for _, clauses in sorted(layer, key=itemgetter(0)))
 
 
 def search_weak_translation(
-    target: Formula,
-    fragment,
-    alphabet,
-    formula_size_bound: int,
-    max_worlds: int = 3,
+    target: Formula, fragment, alphabet, formula_size_bound: int, max_worlds: int = 3,
     modalities=None,
 ) -> ClausalFormula | None:
     """First fragment formula weakly equivalent to `target` at the bound,
@@ -272,18 +272,16 @@ def search_weak_translation(
     Candidates range over one generic modality (plus any in the target)
     unless `modalities` says otherwise; a target that mentions a letter
     outside `alphabet`, or a modality outside an explicit `modalities`,
-    raises `ValueError`.  The target is evaluated once per batch of up to
-    2**12 models, and the batches are kept for the whole search.
-    Candidates are tried in size layers, each layer whole; of a layer's
-    agreeing candidates the one with the least text is returned, which is
-    the first agreeing one of `enumerate_fragment`.  No other text is
-    rendered.  A candidate's value on a batch is the AND of its clauses'
-    values, and a clause's value is the OR of its literals' values (the
-    negative ones complemented) under its prefix boxes, as `Batch.value`
-    computes it; each literal is compiled and evaluated on a batch once.
-    Memory is, for each batch a candidate has reached, one target value
-    and one value per literal and pool clause evaluated there, each of
-    k * B bits, with B <= 2**12 the models in the batch.
+    raises `ValueError`.  Size layers are built and tried one at a time;
+    of a layer's agreeing candidates only the least text, the first of
+    `enumerate_fragment`, is rendered and returned.  Only the target is
+    compiled: a candidate's value on a batch is the AND of its clauses',
+    a clause's the OR of its `_literal_value`s under its prefix boxes.
+    After a failed layer only clauses true on the first batch wherever
+    the target is stay; if their AND, the fragment's least upper bound of
+    the target (Selman & Kautz, JACM 1996), is not the target there, None
+    is returned.  Memory is one layer's index tuples and, per batch
+    reached, k * B bits for the target and each literal and clause valued.
     """
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
@@ -298,22 +296,21 @@ def search_weak_translation(
         raise ValueError("target mentions letters outside the alphabet")
     if not goal.modalities <= mods:
         raise ValueError("target mentions modalities outside the search's modalities")
-    lits, pool, layers = _fragment_layers(alphabet, mods, formula_size_bound, fragment)
+    lits, pool = _fragment_pool(alphabet, mods, formula_size_bound, fragment)
     batches = valuation_batches(alphabet, mods, max_worlds)
     seen = []  # (batch, target value, {literal index: value}, {pool index: value})
 
-    def clause_value(batch, lit_values, j):
+    def clause_value(b, j):
+        batch, _, lit_values, values = seen[b]
         _, prefix, negs, poss = pool[j]
-        for i in negs + poss:
-            if i not in lit_values:
-                lit_values[i] = batch.value(compile_formula(lits[i]))
         value = 0
         for i in negs:
-            value |= batch.layout.full ^ lit_values[i]
+            value |= batch.layout.full ^ _literal_value(lits, batch, lit_values, i)
         for i in poss:
-            value |= lit_values[i]
+            value |= _literal_value(lits, batch, lit_values, i)
         for m in reversed(prefix):
             value = batch._modal(True, m, value)
+        values[j] = value
         return value
 
     def agrees(picks):
@@ -323,20 +320,23 @@ def search_weak_translation(
                 if batch is None:
                     return True
                 seen.append((batch, batch.value(goal), {}, {}))
-            batch, truth, lit_values, values = seen[i]
+            _, truth, _, values = seen[i]
             value = -1
             for j in picks:
-                if j not in values:
-                    values[j] = clause_value(batch, lit_values, j)
-                value &= values[j]
+                value &= values[j] if j in values else clause_value(i, j)
             if value != truth:
                 return False
 
-    built = {}
-    for layer in layers:
-        found = [_text_order(lits, pool, built, picks) for picks in layer if agrees(picks)]
+    live, built = range(len(pool)), {}
+    for s in range(1, formula_size_bound + 1):
+        found = [_text_order(lits, pool, built, picks)
+                 for picks in _layer(pool, live, s) if agrees(picks)]
         if found:
             return ClausalFormula(min(found, key=itemgetter(0))[1])
+        batch, truth, _, values = seen[0]  # layer 1 holds T
+        live = [j for j in live if not truth & ~(values[j] if j in values else clause_value(0, j))]
+        if reduce(and_, map(values.get, live), batch.layout.full) != truth:
+            return None
     return None
 
 

@@ -252,7 +252,7 @@ def reference_fragment_layers(alphabet, modalities, size_bound, fragment):
     lits = expressiveness._literals_by_size(
         size_bound, alphabet, mods, allow_dia=not req.box_only, allow_box=not req.diamond_only
     )
-    sized = [(s, l) for s, row in lits.items() for l in row]
+    sized = [(s, l) for s, l, _ in lits]
 
     def side_multisets(count, budget):
         out = []

@@ -4,7 +4,7 @@ import sys
 import threading
 import tracemalloc
 from dataclasses import FrozenInstanceError
-from itertools import count, product
+from itertools import chain, count, islice, product
 
 import pytest
 
@@ -32,6 +32,7 @@ from knfrag import (
     weak_equiv_check,
 )
 from knfrag import expressiveness
+from knfrag.semantics import compile_formula, valuation_batches
 from knfrag.solver import sat_tableau
 from knfrag.translate import krom_to_krom_box, krom_to_krom_diamond
 from helpers import (
@@ -361,6 +362,45 @@ def test_search_matches_the_scalar_loop_on_random_targets(fragment, monkeypatch)
     assert outcomes == {True, False}
 
 
+IMPLIED_CLAUSE_FRAGMENTS = SEARCH_FRAGMENTS + ("krom-box", "core-diamond")
+
+
+def test_implied_clause_filter_matches_the_reference(monkeypatch):
+    # 2,000 random targets over {p,q},{a}, each fragment at size bounds 2-4
+    # and 2 worlds; one search in four runs on batches of 4 models.  A
+    # refutation before the last layer comes from the filter alone, so
+    # some must occur for the comparison to test it.
+    rng = random.Random("implied-clause-filter")
+    layer, reached, expected = expressiveness._layer, [], {}
+
+    def recorded_layer(pool, live, s):
+        reached.append(s)
+        return layer(pool, live, s)
+
+    monkeypatch.setattr(expressiveness, "_layer", recorded_layer)
+    outcomes = {"found": 0, "refuted at the last layer": 0, "refuted before it": 0}
+    for i in range(2000):
+        fragment = IMPLIED_CLAUSE_FRAGMENTS[i % len(IMPLIED_CLAUSE_FRAGMENTS)]
+        size = 2 + i // len(IMPLIED_CLAUSE_FRAGMENTS) % 3
+        target = random_formula(rng, rng.choice((1, 2, 3)), ("p", "q"), ("a",))
+        case = (str(target), fragment, size)
+        if case not in expected:
+            expected[case] = reference_search(target, fragment, {"p", "q"}, size, 2)
+        reached.clear()
+        with monkeypatch.context() as patched:
+            if i % 4 == 0:
+                patched.setattr("knfrag.semantics._CHUNK_CELLS", 2)
+            found = search_weak_translation(target, fragment, {"p", "q"}, size, max_worlds=2)
+        assert found == expected[case], case
+        if found is not None:
+            outcomes["found"] += 1
+        elif max(reached) < size:
+            outcomes["refuted before it"] += 1
+        else:
+            outcomes["refuted at the last layer"] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+
+
 def test_krom_refutation_memory_stays_bounded():
     # No candidate text, `Clause` or compiled clause program is kept: the
     # size-7 Krom refutation peaks near 1.6 MB; a text key per candidate,
@@ -402,13 +442,33 @@ def test_krom_refutation_renders_no_text_and_compiles_no_clause(monkeypatch):
 
     monkeypatch.setattr(expressiveness, "clause_texts", no_text)
     monkeypatch.setattr(expressiveness, "compile_formula", counting_compile)
-    found = search_weak_translation(
-        parse("p & q -> r"), "krom", {"p", "q", "r"}, 7, max_worlds=3
-    )
+    target = parse("p & q -> r")
+    found = search_weak_translation(target, "krom", {"p", "q", "r"}, 7, max_worlds=3)
     assert found is None
-    # the target and literals only: one compile per literal and reached batch,
-    # where compiling each of the 3,972 pool clauses took 3,973 calls
-    assert len(compiled) < 1000, len(compiled)
+    # the target only: each literal is valued from its operand, where
+    # compiling each of the 508 literals took 509 calls and compiling each
+    # of the 3,972 pool clauses 3,973
+    assert len(compiled) == 1 and compiled[0] is target, len(compiled)
+
+
+@pytest.mark.parametrize("chunk", [12, 9])
+def test_literals_are_valued_from_their_operands(chunk, monkeypatch):
+    # With 9 cells a batch ends inside the relation cells: after a's first
+    # pair at 2 worlds, after b's third at 3.  Literals are valued from the
+    # largest down, so each one's operand chain is valued on demand.
+    monkeypatch.setattr("knfrag.semantics._CHUNK_CELLS", chunk)
+    lits = expressiveness._literals_by_size(5, ("p", "q"), ("a", "b"), True, True)
+    programs = [compile_formula(lit) for _, lit, _ in lits]
+    batches = chain(valuation_batches({"p", "q"}, {"a", "b"}, 2),
+                    islice(valuation_batches({"p", "q"}, {"a", "b"}, 3), 0, None, 997))
+    worlds = set()
+    for batch in batches:
+        values = {}
+        for i in reversed(range(len(lits))):
+            got = expressiveness._literal_value(lits, batch, values, i)
+            assert got == batch.value(programs[i]), (str(lits[i][1]), batch.start)
+        worlds.add(batch.layout.k)
+    assert len(lits) == 1023 and worlds == {1, 2, 3}
 
 
 @pytest.mark.parametrize("target, modalities, message", [
@@ -425,9 +485,10 @@ def test_literal_pool_keeps_the_sorted_order():
     for alphabet, mods, allow_dia, allow_box in product(
         (("p",), ("p", "q")), (("a",), ("a", "b")), (False, True), (False, True)
     ):
-        rows = expressiveness._literals_by_size(7, alphabet, mods, allow_dia, allow_box)
-        pool = [(size, l) for size, row in rows.items() for l in row]
+        lits = expressiveness._literals_by_size(7, alphabet, mods, allow_dia, allow_box)
+        pool = [(size, l) for size, l, _ in lits]
         assert pool == sorted(pool, key=lambda t: (t[0], reference_formula_key(t[1])))
+        assert all(l.operand is lits[o][1] if size > 1 else o is None for size, l, o in lits)
 
 
 def _canonical_layers(lits, pool, layers, ids):
@@ -441,9 +502,17 @@ def _canonical_layers(lits, pool, layers, ids):
                           for layer in layers]
 
 
+def _layers_built_when_reached(alphabet, mods, size, fragment):
+    """The pool and its layers 0..size, each from the search's per-layer
+    builder over the whole pool."""
+    lits, pool = expressiveness._fragment_pool(alphabet, mods, size, fragment)
+    return [l for _, l, _ in lits], pool, [expressiveness._layer(pool, range(len(pool)), s)
+                                           for s in range(size + 1)]
+
+
 def assert_layers_match_reference(alphabet, mods, size, fragment):
     ids = {}
-    got = _canonical_layers(*expressiveness._fragment_layers(alphabet, mods, size, fragment), ids)
+    got = _canonical_layers(*_layers_built_when_reached(alphabet, mods, size, fragment), ids)
     want = _canonical_layers(*reference_fragment_layers(alphabet, mods, size, fragment), ids)
     assert got == want, (alphabet, mods, size, fragment)
 
@@ -458,7 +527,7 @@ def test_fragment_layers_match_the_reference(fragment):
 
 def test_krom_layers_at_size_7_match_the_reference():
     assert_layers_match_reference(("p", "q", "r"), ("a",), 7, "krom")
-    _, pool, layers = expressiveness._fragment_layers(("p", "q", "r"), ("a",), 7, "krom")
+    _, pool, layers = _layers_built_when_reached(("p", "q", "r"), ("a",), 7, "krom")
     assert len(pool) == 3972
     assert [len(layer) for layer in layers] == [0, 4, 12, 48, 166, 606, 2012, 6788]
 
