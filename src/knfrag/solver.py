@@ -6,16 +6,18 @@ with the root as the designated world.  Trees with depth up to the
 formula's modal nesting depth, in which a node at depth d has at most as
 many children as the NNF formula has diamond occurrences at modal depth
 d, are a complete class for satisfiability, so exhausting them up to
-`tree_model_bound` worlds certifies unsatisfiability.  `sat_tableau` is a
-complete decision procedure; every satisfiable verdict from either engine
-carries a witness that is re-validated with `check` before being returned.
+`tree_model_bound` worlds certifies unsatisfiability.  It checks each tree
+on scratch tables with int worlds and builds a model only for the first
+satisfying one.  `sat_tableau` is a complete decision procedure; every
+satisfiable verdict from either engine carries a witness model that is
+re-validated with `check` before being returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .semantics import KripkeFrame, KripkeModel, PointedModel, check
+from .semantics import KripkeFrame, KripkeModel, PointedModel, _check, check
 from .syntax import (
     And,
     Box,
@@ -259,8 +261,21 @@ def sat_bruteforce(
                 count += 1
                 if count > model_cap:
                     raise CapExceeded(f"model cap {model_cap} exceeded")
-                model = _tree_to_model(root_letters, body, letters_of, mods.__getitem__, alphabet)
-                if check(model, "w0", f):
+                # Truth is invariant under world renaming, so the tree is
+                # checked on scratch tables with int worlds, root 0.
+                val, succ, stack = [root_letters], {}, [(0, body)]
+                while stack:
+                    w, entries = stack.pop()
+                    for label, (key, child) in entries:
+                        succ.setdefault(mods[label], {}).setdefault(w, []).append(len(val))
+                        stack.append((len(val), child))
+                        val.append(letters_of(key))
+                if _check(val, succ, 0, f):
+                    model = _tree_to_model(
+                        root_letters, body, letters_of, mods.__getitem__, alphabet
+                    )
+                    if not check(model, "w0", f):
+                        raise InternalError("brute-force witness does not satisfy the formula")
                     return SatResult(SAT, PointedModel(model, "w0"))
     status = UNSAT if max_worlds >= _world_bound(profile) else UNKNOWN_AT_BOUND
     return SatResult(status)

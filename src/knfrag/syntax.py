@@ -16,7 +16,9 @@ box indexed by modality `a`.  Idents with a leading underscore are reserved
 for machine-generated letters (the parser accepts them so that translated
 formulas read back, but users should not introduce them).
 `parse` and `to_text` are loops over explicit stacks, so no nesting depth
-or chain length meets the interpreter's recursion limit.
+or chain length meets the interpreter's recursion limit.  The tokenizer
+is one regex pass that keeps each token's offset; line and column are
+computed only for a `ParseError`.
 
 A *positive literal* is built from `T`, letters, diamonds and boxes only.
 A *clause* is a (possibly empty) chain of boxes over a disjunction of
@@ -374,42 +376,39 @@ class ParseError(ValueError):
 
 
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<arrow>->)"
-    r"|(?P<ident>_?[a-z][a-z0-9_]*)"
-    r"|(?P<top>T)"
-    r"|(?P<bot>F)"
-    r"|(?P<punct>[~&|()<>\[\]])"
+    r"\s*(?:(?P<arrow>->)|(?P<ident>_?[a-z][a-z0-9_]*)|(?P<sym>[TF~&|()<>\[\]]))"
 )
 
 
+def _position(text, offset):
+    """1-based line and column of `offset` in `text`."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
 def _tokenize(text):
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        lexeme = m.group(0)
-        if m.lastgroup != "ws":
-            kind = m.lastgroup if m.lastgroup in ("ident", "arrow") else lexeme
-            tokens.append((kind, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
+    """(kind, lexeme, offset) triples, the last of kind "end"; a symbol is
+    its own kind.  Each match must start where the last one ended."""
+    tokens, pos = [], 0
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != pos:
+            break
+        kind = m.lastgroup
+        lexeme = m[kind]
         pos = m.end()
-    tokens.append(("end", "", line, col))
+        tokens.append((lexeme if kind == "sym" else kind, lexeme, pos - len(lexeme)))
+    rest = text[pos:].lstrip()
+    if rest:
+        offset = len(text) - len(rest)
+        raise ParseError(f"unexpected character {rest[0]!r}", *_position(text, offset))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
-def _fail(token, expected):
-    _, lexeme, line, col = token
+def _fail(text, token, expected):
+    _, lexeme, offset = token
     shown = lexeme or "end of input"
-    raise ParseError(f"expected {' or '.join(expected)}, found {shown!r}", line, col, expected)
+    message = f"expected {' or '.join(expected)}, found {shown!r}"
+    raise ParseError(message, *_position(text, offset), expected)
 
 
 def _desugar_implies(antecedent: Formula, consequent: Formula) -> Formula:
@@ -434,15 +433,19 @@ def parse(text: str, alphabet=None) -> Formula:
     the (pending, prefixes) saved at each `(`.
     """
     tokens = _tokenize(text)
+    props, modalities = {}, {}  # one node per letter, one Modality per name
     pending, prefixes, opened = [], [], []
     i = 0
     while True:
-        kind, lexeme, line, col = tokens[i]
+        kind, lexeme, offset = tokens[i]
         i += 1
         if kind == "ident":
-            if alphabet is not None and lexeme not in alphabet:
-                raise ParseError(f"letter {lexeme!r} not in the declared alphabet", line, col)
-            f = Prop(lexeme)
+            f = props.get(lexeme)
+            if f is None:
+                if alphabet is not None and lexeme not in alphabet:
+                    message = f"letter {lexeme!r} not in the declared alphabet"
+                    raise ParseError(message, *_position(text, offset))
+                f = props[lexeme] = Prop(lexeme)
         elif kind == "T":
             f = TOP
         elif kind == "F":
@@ -457,14 +460,17 @@ def parse(text: str, alphabet=None) -> Formula:
         elif kind == "<" or kind == "[":
             close = ">" if kind == "<" else "]"
             if tokens[i][0] != "ident":
-                _fail(tokens[i], ("ident",))
+                _fail(text, tokens[i], ("ident",))
             if tokens[i + 1][0] != close:
-                _fail(tokens[i + 1], (close,))
-            prefixes.append((Diamond if kind == "<" else Box, Modality(tokens[i][1])))
+                _fail(text, tokens[i + 1], (close,))
+            name = tokens[i][1]
+            if name not in modalities:
+                modalities[name] = Modality(name)
+            prefixes.append((Diamond if kind == "<" else Box, modalities[name]))
             i += 2
             continue
         else:
-            _fail(tokens[i - 1], ("T", "F", "ident", "(", "~", "<", "["))
+            _fail(text, tokens[i - 1], ("T", "F", "ident", "(", "~", "<", "["))
         # f is a whole operand: apply its prefixes, then read the operator
         # after it; a `)` or the end makes the group's value the operand.
         while True:
@@ -487,7 +493,7 @@ def parse(text: str, alphabet=None) -> Formula:
             elif kind == "end" and not opened:
                 return f
             else:
-                _fail(tokens[i], (")",) if opened else ("end",))
+                _fail(text, tokens[i], (")",) if opened else ("end",))
 
 
 # --- Printing ---

@@ -12,8 +12,12 @@ from pathlib import Path
 
 from knfrag import (
     EQUIVALENT_UP_TO_BOUND,
+    And,
+    Diamond,
     KripkeFrame,
     KripkeModel,
+    Or,
+    Prop,
     check,
     intersect,
     is_positive_literal,
@@ -25,9 +29,10 @@ from knfrag import (
     search_weak_translation,
     strong_translation_check,
     THEOREM_IDS,
+    to_text,
 )
 from knfrag.hierarchy import hierarchy_dot
-from knfrag.solver import sat_bruteforce, sat_tableau, tree_model_bound
+from knfrag.solver import CapExceeded, sat_bruteforce, sat_tableau, tree_model_bound
 from knfrag.translate import krom_to_krom_box, krom_to_krom_diamond
 from knfrag.cli import main as cli_main
 from helpers import (
@@ -205,6 +210,42 @@ def test_larger_searches_build_layers_when_reached():
         str(krom_hit) == "p -> q" and horn_hit is None,
         f"Krom size 11 found {krom_hit} in {krom_elapsed:.2f}s, "
         f"Horn size 9 refuted in {horn_elapsed:.2f}s",
+    )
+
+
+def test_bruteforce_cap_probe_checks_trees_without_models():
+    # The cli's --cap probe: 20,000 trees are counted before the cap stops
+    # the walk.  Building a model for every tree took 153-234 ms of thread
+    # CPU time (2 CPUs, CPython 3.11.7).
+    f = parse("<a>p & <b>q & [a]~p & (r | s | t | u)")
+    started = time.thread_time()
+    try:
+        sat_bruteforce(f, 4, model_cap=20000)
+        capped = False
+    except CapExceeded:
+        capped = True
+    elapsed = time.thread_time() - started
+    _report(
+        "brute force stops at its tree cap",
+        capped,
+        f"20,000 trees counted in {elapsed * 1000:.0f} ms of thread CPU time",
+    )
+
+
+def test_parse_reads_a_long_balanced_text():
+    # 1,000 clauses (p_i | <a>q_i) under a balanced conjunction, 19,775
+    # characters; the text round-trips through `to_text`.
+    row = [Or(Prop(f"p{i}"), Diamond("a", Prop(f"q{i}"))) for i in range(1000)]
+    while len(row) > 1:
+        row = [And(*row[i:i + 2]) if i + 1 < len(row) else row[i] for i in range(0, len(row), 2)]
+    text = to_text(row[0])
+    started = time.thread_time()
+    f = parse(text)
+    elapsed = time.thread_time() - started
+    _report(
+        "parse reads a 1,000-clause text and prints it back",
+        to_text(f) == text,
+        f"{len(text):,} characters parsed in {elapsed * 1000:.1f} ms of thread CPU time",
     )
 
 

@@ -239,6 +239,26 @@ def test_tableau_answers_are_pinned():
     assert digest.hexdigest() == "e4b1699bd95febaeba725e08da67f6a4ea07671fcc5a81effdc85d1701c994a2"
 
 
+def test_bruteforce_answers_are_pinned():
+    # sha256 of each formula's status and witness JSON at its tree bound,
+    # and of its outcome under a cap of 2 trees, one a line, recorded from
+    # the enumerator that built a model for every tree it counted.
+    digest, count = hashlib.sha256(), 0
+    corpus = list(formulas_up_to_size(5)) + [cf.to_formula() for cf in krom_corpus()]
+    for f in corpus:
+        result = sat_bruteforce(f, tree_model_bound(f))
+        witness = result.witness and model_to_json(result.witness.model, result.witness.world)
+        try:
+            capped = sat_bruteforce(f, tree_model_bound(f), model_cap=2).status
+        except CapExceeded:
+            capped = "CapExceeded"
+        line = json.dumps([result.status, witness, capped], sort_keys=True)
+        digest.update(line.encode() + b"\n")
+        count += 1
+    assert count == 2204
+    assert digest.hexdigest() == "5e1c64ea5486e8698de3d922606265c9297d8411c9ccf76ec25601d76d014bc7"
+
+
 def test_engines_agree_on_small_corpus():
     for f in formulas_up_to_size(4):
         assert sat_tableau(f).status == sat_bruteforce(f, tree_model_bound(f)).status
@@ -457,3 +477,9 @@ def test_tableau_rejects_a_witness_that_fails_the_check(monkeypatch):
     monkeypatch.setattr("knfrag.solver.check", lambda model, world, f: False)
     with pytest.raises(InternalError):
         sat_tableau(parse("<a>p"))
+
+
+def test_bruteforce_rejects_a_witness_that_fails_the_check(monkeypatch):
+    monkeypatch.setattr("knfrag.solver.check", lambda model, world, f: False)
+    with pytest.raises(InternalError):
+        sat_bruteforce(parse("<a>p"), 2)

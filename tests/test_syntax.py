@@ -107,6 +107,28 @@ def test_parse_error_position_and_expected():
     assert err.value.expected == ()
 
 
+def test_parse_error_positions_across_lines_and_whitespace():
+    # Messages, positions and expected tokens recorded from the tokenizer
+    # that tracked line and column for every token.
+    operand = ("T", "F", "ident", "(", "~", "<", "[")
+    cases = [
+        ("p &\r\n\t(q |\r\n\t  $ r)", None, "unexpected character '$' at 3:4", 3, 4, ()),
+        ("p &\r\n\t(q | ~r)", {"p", "q"},
+         "letter 'r' not in the declared alphabet at 2:8", 2, 8, ()),
+        ("p & \t\n  ", None,
+         "expected T or F or ident or ( or ~ or < or [, found 'end of input' at 2:3",
+         2, 3, operand),
+        ("<a\n]p", None, "expected >, found ']' at 2:1", 2, 1, (">",)),
+        ("p & $", None, "unexpected character '$' at 1:5", 1, 5, ()),
+        ("p $ q", None, "unexpected character '$' at 1:3", 1, 3, ()),
+    ]
+    for text, alphabet, message, line, column, expected in cases:
+        with pytest.raises(ParseError) as err:
+            parse(text, alphabet)
+        assert (str(err.value), err.value.line, err.value.column) == (message, line, column)
+        assert err.value.expected == expected
+
+
 def test_parse_error_on_garbage():
     with pytest.raises(ParseError):
         parse("p ? q")
