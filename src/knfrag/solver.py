@@ -8,9 +8,10 @@ many children as the NNF formula has diamond occurrences at modal depth
 d, are a complete class for satisfiability, so exhausting them up to
 `tree_model_bound` worlds certifies unsatisfiability.  It checks each tree
 on scratch tables with int worlds and builds a model only for the first
-satisfying one.  `sat_tableau` is a complete decision procedure; every
-satisfiable verdict from either engine carries a witness model that is
-re-validated with `check` before being returned.
+satisfying one.  `sat_tableau` is a complete decision procedure over a
+table of f's NNF subformulas, hash-consed per call and decoded by `to_nnf`;
+every satisfiable verdict from either engine carries a witness model that
+is re-validated with `check` before being returned.
 """
 
 from __future__ import annotations
@@ -65,30 +66,55 @@ class SatResult:
     witness: PointedModel | None = None
 
 
+LIT, NEG, AND, OR, DIA, BOX = range(6)  # the kinds of `_nnf_table` rows
+
+
+def _nnf_table(f: Formula) -> tuple[list[tuple], int, frozenset[str]]:
+    """f's negation normal form as a hash-consed table, built by one loop.
+
+    Each row follows its children: (LIT or NEG, letter or None for T, None),
+    (AND or OR, left id, right id) or (DIA or BOX, modality, operand id).
+    Polarity is read off f the way `_diamond_profile` reads it, and a dict
+    local to the call numbers the distinct rows, so two NNF subformulas are
+    equal exactly when they share an id.  Returns the rows, the root's id
+    and the letters of f.
+    """
+    ids, done, stack = {}, [], [(f, False)]
+    while stack:
+        g, negated = stack.pop()
+        t = type(g)
+        if t is Not:
+            stack.append((g.operand, not negated))
+        elif t is And or t is Or:
+            kind = AND if (t is And) != negated else OR
+            stack += ((kind, None), (g.right, negated), (g.left, negated))
+        elif t is Diamond or t is Box:
+            stack += ((DIA if (t is Diamond) != negated else BOX, g.modality), (g.operand, negated))
+        else:
+            if t is int:  # a row's parts are done; `negated` holds its modality
+                b = done.pop()
+                row = (g, negated, b) if g >= DIA else (g, done.pop(), b)
+            else:
+                row = (NEG if negated else LIT, g.letter if t is Prop else None, None)
+            done.append(ids.setdefault(row, len(ids)))
+    rows = list(ids)
+    return rows, done[0], frozenset(a for kind, a, _ in rows if kind <= NEG and a is not None)
+
+
 def to_nnf(f: Formula) -> Formula:
-    """Negation normal form: negation only on letters and T."""
-    if isinstance(f, (Top, Prop)):
-        return f
-    if isinstance(f, Or):
-        return Or(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, And):
-        return And(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Diamond):
-        return Diamond(f.modality, to_nnf(f.operand))
-    if isinstance(f, Box):
-        return Box(f.modality, to_nnf(f.operand))
-    g = f.operand
-    if isinstance(g, (Top, Prop)):
-        return f
-    if isinstance(g, Not):
-        return to_nnf(g.operand)
-    if isinstance(g, Or):
-        return And(to_nnf(Not(g.left)), to_nnf(Not(g.right)))
-    if isinstance(g, And):
-        return Or(to_nnf(Not(g.left)), to_nnf(Not(g.right)))
-    if isinstance(g, Diamond):
-        return Box(g.modality, to_nnf(Not(g.operand)))
-    return Diamond(g.modality, to_nnf(Not(g.operand)))
+    """Negation normal form: negation only on letters and T, decoded from the
+    table `sat_tableau` decides over, so equal subformulas share one node."""
+    rows, root, _ = _nnf_table(f)
+    nodes = []
+    for kind, a, b in rows:
+        if kind <= NEG:
+            a = Top() if a is None else Prop(a)
+            nodes.append(a if kind == LIT else Not(a))
+        elif kind <= OR:
+            nodes.append((And if kind == AND else Or)(nodes[a], nodes[b]))
+        else:
+            nodes.append((Diamond if kind == DIA else Box)(a, nodes[b]))
+    return nodes[root]
 
 
 def _diamond_profile(f: Formula) -> list[int]:
@@ -288,23 +314,25 @@ def sat_tableau(f: Formula, node_cap: int = DEFAULT_NODE_CAP) -> SatResult:
     """Complete satisfiability test; SAT verdicts carry a finite tree witness."""
     if node_cap < 1:
         raise ValueError("node_cap must be at least 1")
-    tree = _expand([to_nnf(f)], [node_cap])
+    rows, root, alphabet = _nnf_table(f)
+    tree = _expand(rows, [root], [node_cap])
     if tree is None:
         return SatResult(UNSAT)
     # The tableau's atoms and modalities are final: both maps return them as is.
-    model = _tree_to_model(*tree, frozenset, Modality, letters(f))
+    model = _tree_to_model(*tree, frozenset, Modality, alphabet)
     if not check(model, "w0", f):
         raise InternalError("tableau witness does not satisfy the formula")
     return SatResult(SAT, PointedModel(model, "w0"))
 
 
-def _expand(pending, budget):
+def _expand(rows, pending, budget):
     """Saturate one world; returns (atoms, children) or None on a clash.
 
-    One branch state serves every disjunction: the queue read from `head`,
-    `lits` (letter -> truth), the boxes and the diamonds.  A disjunction
-    saves their sizes with its right disjunct and takes the left; a clash,
-    here or in a successor, cuts them back and takes the latest saved one.
+    The queue and `seen` hold row ids of `_nnf_table`.  One branch state
+    serves every disjunction: the queue read from `head`, `lits` (letter ->
+    truth), the boxes and the diamonds.  A disjunction saves their sizes
+    with its right disjunct and takes the left; a clash, here or in a
+    successor, cuts them back and takes the latest saved one.
     """
     queue, head, lits, boxes, diamonds, choices, seen = list(pending), 0, {}, [], [], [], set()
     while True:
@@ -317,31 +345,33 @@ def _expand(pending, budget):
             if g in seen:
                 continue
             seen.add(g)
-            t = type(g)
-            if t is Prop and not lits.setdefault(g.letter, True):
-                break
-            elif t is Not and (type(g.operand) is Top or lits.setdefault(g.operand.letter, False)):
-                break
-            elif t is And:
-                queue += (g.left, g.right)
-            elif t is Or:
-                choices.append((head, len(queue), len(lits), len(boxes), len(diamonds), g.right))
-                queue.append(g.left)
+            kind, a, b = rows[g]
+            if kind == LIT:
+                if a is not None and not lits.setdefault(a, True):
+                    break
+            elif kind == NEG:
+                if a is None or lits.setdefault(a, False):
+                    break
+            elif kind == AND:
+                queue += (a, b)
+            elif kind == OR:
+                choices.append((head, len(queue), len(lits), len(boxes), len(diamonds), b))
+                queue.append(a)
                 seen = set()  # each branch expands a formula once, counted from its start
-            elif t is Diamond:
-                diamonds.append(g)
-            elif t is Box:
-                boxes.append(g)
+            elif kind == DIA:
+                diamonds.append((a, b))
+            else:
+                boxes.append((a, b))
         else:
             scopes = {}  # box operands by modality, grouped once per saturated world
-            for b in boxes:
-                scopes.setdefault(b.modality, []).append(b.operand)
+            for m, operand in boxes:
+                scopes.setdefault(m, []).append(operand)
             children = []
-            for d in diamonds:
-                sub = _expand([d.operand] + scopes.get(d.modality, []), budget)
+            for m, operand in diamonds:
+                sub = _expand(rows, [operand] + scopes.get(m, []), budget)
                 if sub is None:
                     break
-                children.append((d.modality, sub))
+                children.append((m, sub))
             else:
                 return (frozenset(a for a, true in lits.items() if true), tuple(children))
         if not choices:

@@ -21,6 +21,7 @@ from knfrag import (
     Or,
     Prop,
     TOP,
+    Top,
     check,
     enumerate_extensions,
     enumerate_fragment,
@@ -217,6 +218,33 @@ def reference_formula_key(f):
     if isinstance(f, Box):
         return (3, f.modality, reference_formula_key(f.operand))
     return (0,)  # Top
+
+
+def reference_nnf(f):
+    """Negation normal form by structural recursion, an oracle for `to_nnf`
+    and for the tableau's NNF table."""
+    if isinstance(f, (Top, Prop)):
+        return f
+    if isinstance(f, Or):
+        return Or(reference_nnf(f.left), reference_nnf(f.right))
+    if isinstance(f, And):
+        return And(reference_nnf(f.left), reference_nnf(f.right))
+    if isinstance(f, Diamond):
+        return Diamond(f.modality, reference_nnf(f.operand))
+    if isinstance(f, Box):
+        return Box(f.modality, reference_nnf(f.operand))
+    g = f.operand
+    if isinstance(g, (Top, Prop)):
+        return f
+    if isinstance(g, Not):
+        return reference_nnf(g.operand)
+    if isinstance(g, Or):
+        return And(reference_nnf(Not(g.left)), reference_nnf(Not(g.right)))
+    if isinstance(g, And):
+        return Or(reference_nnf(Not(g.left)), reference_nnf(Not(g.right)))
+    if isinstance(g, Diamond):
+        return Box(g.modality, reference_nnf(Not(g.operand)))
+    return Diamond(g.modality, reference_nnf(Not(g.operand)))
 
 
 def reference_diamond_profile(nnf):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from knfrag import (
     And,
+    Box,
     Diamond,
     InternalError,
     KripkeFrame,
@@ -28,17 +29,20 @@ from knfrag.solver import (
     UNSAT,
     CapExceeded,
     _diamond_profile,
+    _nnf_table,
     _world_bound,
     sat_bruteforce,
     sat_tableau,
     tree_model_bound,
 )
+from knfrag.syntax import subformulas
 from knfrag.translate import krom_to_krom_box, krom_to_krom_diamond
 from helpers import (
     formulas_up_to_size,
     krom_corpus,
     random_formula,
     reference_diamond_profile,
+    reference_nnf,
     table_check,
 )
 
@@ -237,6 +241,25 @@ def test_tableau_answers_are_pinned():
         count += 1
     assert count == 8732
     assert digest.hexdigest() == "e4b1699bd95febaeba725e08da67f6a4ea07671fcc5a81effdc85d1701c994a2"
+
+
+def test_nnf_table_is_the_nnf():
+    # `to_nnf` decodes the table back to the recursive NNF copy, and the
+    # table is exactly hash-consed: one row per distinct subformula of that
+    # copy, a negated literal counted as one node (its atom is a row of its
+    # own only where it also occurs bare).
+    for f in _tableau_pin_corpus():
+        nnf = reference_nnf(f)
+        assert to_nnf(f) == nnf
+        nodes, stack = set(), [nnf]
+        while stack:
+            g = stack.pop()
+            nodes.add(g)
+            if type(g) in (And, Or):
+                stack += (g.left, g.right)
+            elif type(g) in (Diamond, Box):
+                stack.append(g.operand)
+        assert len(_nnf_table(f)[0]) == len(nodes) <= len(set(subformulas(nnf)))
 
 
 def test_bruteforce_answers_are_pinned():
@@ -471,6 +494,26 @@ def test_tableau_time_grows_near_linearly_in_clause_count():
     # Eight times the clauses: near-linear growth reads about 12 times the
     # time, and a copy of the branch state per disjunction about 66 times.
     assert best_of_three(8000) < 24 * best_of_three(1000)
+
+
+def test_tableau_time_grows_near_linearly_on_parsed_chains():
+    # `parse` builds a conjunction chain left-deep; `seen` holds table ids,
+    # so no lookup hashes a subtree.  600 clauses keep the witness `check`
+    # below the default recursion limit.
+    def best_of_three(n):
+        f = parse(" & ".join(f"(p{i} | <a>q{i})" for i in range(n)))
+        runs = []
+        for _ in range(3):
+            start = time.perf_counter()
+            result = sat_tableau(f)
+            runs.append(time.perf_counter() - start)
+        assert result.status == SAT
+        assert check(result.witness.model, result.witness.world, f)
+        return min(runs)
+
+    # Eight times the clauses: near-linear growth reads about 10 times the
+    # time, and a node hash per `seen` lookup about 4.5 times per doubling.
+    assert best_of_three(600) < 24 * best_of_three(75)
 
 
 def test_tableau_rejects_a_witness_that_fails_the_check(monkeypatch):
