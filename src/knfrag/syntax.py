@@ -243,6 +243,15 @@ def modal_depth(lit: Formula) -> int:
 # --- Clausal form ---
 
 
+def _unchecked(cls, **fields):
+    """A `cls` value holding `fields` as given, with no validation: for
+    parts that were validated where they were built or read."""
+    value = object.__new__(cls)
+    for name in fields:
+        object.__setattr__(value, name, fields[name])
+    return value
+
+
 def _lit_tuple(items: Iterable) -> tuple[Formula, ...]:
     out = []
     for l in items:
@@ -300,7 +309,7 @@ class ClausalFormula:
         return reduce(And, (c.to_formula() for c in self.clauses))
 
     def alphabet(self) -> frozenset[str]:
-        return frozenset().union(*(clause_letters(c) for c in self.clauses))
+        return _chain_letters(l for c in self.clauses for l in c.negatives + c.positives)
 
     def __str__(self):
         if len(self.clauses) == 1:
@@ -317,20 +326,25 @@ def clause_texts(c: Clause) -> tuple[str, str]:
     return text, text
 
 
+def _chain_letters(literals) -> frozenset[str]:
+    """The letters of positive literals, each read at the end of its chain."""
+    acc = set()
+    for l in literals:
+        while type(l) is Diamond or type(l) is Box:
+            l = l.operand
+        if type(l) is Prop:
+            acc.add(l.letter)
+    return frozenset(acc)
+
+
 def clause_letters(c: Clause) -> frozenset[str]:
     """Letters occurring anywhere in the clause."""
-    acc = frozenset()
-    for l in c.negatives + c.positives:
-        acc |= letters(l)
-    return acc
+    return _chain_letters(c.negatives + c.positives)
 
 
 def consequent_letters(c: Clause) -> frozenset[str]:
     """Letters occurring in the positive (consequent) literals."""
-    acc = frozenset()
-    for l in c.positives:
-        acc |= letters(l)
-    return acc
+    return _chain_letters(c.positives)
 
 
 @dataclass(frozen=True)
@@ -353,12 +367,16 @@ def classify(cf: ClausalFormula) -> FragmentDescriptor:
     Horn: every clause has at most one positive literal.  Krom: every
     clause has at most two literals.  Core: both.  box_only/diamond_only:
     no diamond (resp. box) inside any literal; the clause prefix does not
-    count.
+    count.  One walk down each literal's modal chain.
     """
     horn = all(len(c.positives) <= 1 for c in cf.clauses)
     krom = all(len(c.negatives) + len(c.positives) <= 2 for c in cf.clauses)
-    kinds = {type(g) for c in cf.clauses for l in c.negatives + c.positives
-             for g in subformulas(l)}
+    kinds = set()
+    for c in cf.clauses:
+        for l in c.negatives + c.positives:
+            while (t := type(l)) is Diamond or t is Box:
+                kinds.add(t)
+                l = l.operand
     return FragmentDescriptor(horn, krom, horn and krom, Diamond not in kinds, Box not in kinds)
 
 
@@ -586,8 +604,10 @@ def _path(link) -> tuple[str, ...]:
 
 
 def _recognize_clause(f: Formula, link) -> Clause:
+    # Every disjunct is tested as a literal here and the prefix holds parsed
+    # `Box` modalities, so the clause is built without validating it again.
     if is_positive_literal(f):
-        return Clause((), (), (f,))
+        return _unchecked(Clause, prefix=(), negatives=(), positives=(f,))
     prefix = []
     while isinstance(f, Box):
         prefix.append(f.modality)
@@ -601,7 +621,8 @@ def _recognize_clause(f: Formula, link) -> Clause:
         else:
             what = "disjunct is not a literal" if isinstance(f, Or) else "not a clause"
             raise NotClausalError(f"{what}: {to_text(d)}", _path(leaf), d)
-    return Clause(tuple(prefix), tuple(negatives), tuple(positives))
+    return _unchecked(Clause, prefix=tuple(prefix), negatives=tuple(negatives),
+                      positives=tuple(positives))
 
 
 def recognize_clausal(f: Formula) -> ClausalFormula:

@@ -4,11 +4,11 @@ Both rewritings keep the formula Krom, introduce one fresh letter and one
 extra clause per step, and produce an equi-satisfiable result; the fresh
 letters are `_f0, _f1, ...`, skipping any that are already taken.
 
-A step fires on the first literal occurrence (clauses left to right,
-negated literals before positive ones) that still contains an offending
-modal constructor.  When the offending constructor is outermost, the
-occurrence is replaced by a guarded literal on the opposite side of the
-clause and a defining clause is appended right after:
+A step fires on a clause's first literal occurrence (negated literals
+before positive ones) that still contains an offending modal constructor.
+When the offending constructor is outermost, the occurrence is replaced by
+a guarded literal on the opposite side of the clause and a defining clause
+is added:
 
     prefix (<a>x | rest)   ->   prefix (~[a]p | rest)  &  prefix [a](p | x)
     prefix (~<a>x | rest)  ->   prefix ([a]p | rest)   &  prefix [a](~p | ~x)
@@ -23,29 +23,29 @@ peeling step names the operand instead:
 Each step removes exactly one offending constructor, so the step count,
 the added clauses, and the fresh letters all equal the initial offending
 count.
+
+The rewriting is one pass over a stack of clauses that starts with the
+input's, the first on top.  A popped clause with no offending literal is
+emitted; otherwise a step pushes the defining clause, then the rewritten
+one.  So each clause is rewritten until it is clean, and is followed by its
+defining clauses, the last one first, each translated in full before the
+next.  The fresh letters are numbered in step order.
+
+Validation happens once.  The input's clauses were validated when built,
+and its test is the Krom length test.  Steps build unchecked, since each
+literal is a part of an input literal or a guard over a fresh letter.  The
+scan sees every emitted literal end its modal chain at a letter or T, and
+`classify` confirms the output's fragment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .syntax import (
-    Box,
-    Clause,
-    ClausalFormula,
-    Diamond,
-    Formula,
-    InternalError,
-    Prop,
-    classify,
-)
+from .syntax import Box, Clause, ClausalFormula, Diamond, Formula, InternalError, Prop, Top
+from .syntax import _unchecked, classify
 
-__all__ = [
-    "FreshLetterSource",
-    "krom_to_krom_box",
-    "krom_to_krom_diamond",
-    "fresh_letters_of",
-]
+__all__ = ["FreshLetterSource", "krom_to_krom_box", "krom_to_krom_diamond", "fresh_letters_of"]
 
 
 @dataclass
@@ -77,61 +77,61 @@ def _offending_count(lit: Formula, bad) -> int:
 
 
 def _find_offending(clause: Clause, bad):
-    """(side, index, literal) of the first offending literal, side 0 for
-    the negatives and 1 for the positives; None if there is none."""
+    """(side, index, literal) of the first literal with a `bad` constructor
+    in its modal chain, side 0 for the negatives and 1 for the positives;
+    None if there is none, after seeing every chain end at a letter or T."""
     for side, lits in enumerate((clause.negatives, clause.positives)):
         for i, lit in enumerate(lits):
-            if _offending_count(lit, bad):
-                return side, i, lit
+            g = lit
+            while isinstance(g, (Diamond, Box)):
+                if isinstance(g, bad):
+                    return side, i, lit
+                g = g.operand
+            if not isinstance(g, (Top, Prop)):
+                raise InternalError("rewriting built a disjunct that is not a positive literal")
     return None
 
 
-def _rewrite_step(clause: Clause, side, index, lit, bad, fresh):
+def _rewrite_step(clause: Clause, side, index, lit, bad, letter):
     """One elimination or peeling step; returns (rewritten, defining) clauses."""
-    good = Box if bad is Diamond else Diamond
-    p = Prop(fresh.next())
-    sides = [list(clause.negatives), list(clause.positives)]
+    p = _unchecked(Prop, letter=letter)
+    guard = _unchecked(Box if bad is Diamond else Diamond, modality=lit.modality, operand=p)
+    sides = [clause.negatives, clause.positives]
+    rest = sides[side][:index] + sides[side][index + 1:]
     defining = [(), ()]
     if isinstance(lit, bad):
         # Outermost constructor is the offending kind: swap sides under a
         # guard of the other kind and define the guard one step deeper.
-        del sides[side][index]
-        sides[1 - side].insert(0, good(lit.modality, p))
+        sides[side], sides[1 - side] = rest, (guard,) + sides[1 - side]
         defining[side] = (p, lit.operand)
     else:
         # Outermost constructor is the harmless kind with offenders below:
-        # name its operand and recurse on the defining clause later.
-        sides[side][index] = good(lit.modality, p)
+        # name its operand and rewrite the defining clause later.
+        sides[side] = rest[:index] + (guard,) + rest[index:]
         defining[side], defining[1 - side] = (lit.operand,), (p,)
-    rewritten = Clause(clause.prefix, tuple(sides[0]), tuple(sides[1]))
-    return rewritten, Clause(clause.prefix + (lit.modality,), *defining)
+    rewritten = _unchecked(Clause, prefix=clause.prefix, negatives=sides[0], positives=sides[1])
+    return rewritten, _unchecked(Clause, prefix=clause.prefix + (lit.modality,),
+                                 negatives=defining[0], positives=defining[1])
 
 
 def _eliminate(cf: ClausalFormula, bad) -> ClausalFormula:
-    if not classify(cf).krom:
+    if any(len(c.negatives) + len(c.positives) > 2 for c in cf.clauses):
         raise ValueError("input is not Krom")
     fresh = FreshLetterSource(set(cf.alphabet()))
-    clauses = list(cf.clauses)
-    step_limit = sum(
-        _offending_count(l, bad)
-        for c in cf.clauses
-        for l in c.negatives + c.positives
-    )
-    steps = 0
-    i = 0
-    while i < len(clauses):
-        found = _find_offending(clauses[i], bad)
+    step_limit = sum(_offending_count(l, bad)
+                     for c in cf.clauses for l in c.negatives + c.positives)
+    out, stack, steps = [], list(reversed(cf.clauses)), 0
+    while stack:
+        clause = stack.pop()
+        found = _find_offending(clause, bad)
         if found is None:
-            i += 1
+            out.append(clause)
             continue
-        side, index, lit = found
-        rewritten, defining = _rewrite_step(clauses[i], side, index, lit, bad, fresh)
-        clauses[i] = rewritten
-        clauses.insert(i + 1, defining)
         steps += 1
         if steps > step_limit:
             raise InternalError("rewriting failed to shrink")
-    result = ClausalFormula(tuple(clauses))
+        stack.extend(reversed(_rewrite_step(clause, *found, bad, fresh.next())))
+    result = ClausalFormula(tuple(out))
     if len(result.clauses) != len(cf.clauses) + steps:
         raise InternalError("rewriting did not add one clause per step")
     flags = classify(result)

@@ -22,7 +22,9 @@ from knfrag import (
     Prop,
     TOP,
     Top,
+    InternalError,
     check,
+    classify,
     enumerate_extensions,
     enumerate_fragment,
     enumerate_models,
@@ -33,6 +35,7 @@ from knfrag import (
 )
 from knfrag import expressiveness
 from knfrag.solver import sat_tableau
+from knfrag.translate import FreshLetterSource, _offending_count
 
 
 # --- Independent truth oracle: table filling over all (subformula, world) ---
@@ -206,6 +209,78 @@ def reference_recognize_clausal(f):
 
     walk(f, ())
     return ClausalFormula(tuple(_reference_clause(g, path) for path, g in conjuncts))
+
+
+# --- Reference Krom rewriting: one clause list, each defining clause
+# inserted after the clause it defines, which is then rescanned ---
+
+
+def _reference_find_offending(clause: Clause, bad):
+    """(side, index, literal) of the first offending literal, side 0 for
+    the negatives and 1 for the positives; None if there is none."""
+    for side, lits in enumerate((clause.negatives, clause.positives)):
+        for i, lit in enumerate(lits):
+            if _offending_count(lit, bad):
+                return side, i, lit
+    return None
+
+
+def _reference_rewrite_step(clause: Clause, side, index, lit, bad, fresh):
+    """One elimination or peeling step; returns (rewritten, defining) clauses."""
+    good = Box if bad is Diamond else Diamond
+    p = Prop(fresh.next())
+    sides = [list(clause.negatives), list(clause.positives)]
+    defining = [(), ()]
+    if isinstance(lit, bad):
+        # Outermost constructor is the offending kind: swap sides under a
+        # guard of the other kind and define the guard one step deeper.
+        del sides[side][index]
+        sides[1 - side].insert(0, good(lit.modality, p))
+        defining[side] = (p, lit.operand)
+    else:
+        # Outermost constructor is the harmless kind with offenders below:
+        # name its operand and recurse on the defining clause later.
+        sides[side][index] = good(lit.modality, p)
+        defining[side], defining[1 - side] = (lit.operand,), (p,)
+    rewritten = Clause(clause.prefix, tuple(sides[0]), tuple(sides[1]))
+    return rewritten, Clause(clause.prefix + (lit.modality,), *defining)
+
+
+def reference_eliminate(cf: ClausalFormula, bad) -> ClausalFormula:
+    """`krom_to_krom_box` is `reference_eliminate(cf, Diamond)`, and
+    `krom_to_krom_diamond` is `reference_eliminate(cf, Box)`: every step
+    builds its clauses with the validating constructors."""
+    if not classify(cf).krom:
+        raise ValueError("input is not Krom")
+    fresh = FreshLetterSource(set(cf.alphabet()))
+    clauses = list(cf.clauses)
+    step_limit = sum(
+        _offending_count(l, bad)
+        for c in cf.clauses
+        for l in c.negatives + c.positives
+    )
+    steps = 0
+    i = 0
+    while i < len(clauses):
+        found = _reference_find_offending(clauses[i], bad)
+        if found is None:
+            i += 1
+            continue
+        side, index, lit = found
+        rewritten, defining = _reference_rewrite_step(clauses[i], side, index, lit, bad, fresh)
+        clauses[i] = rewritten
+        clauses.insert(i + 1, defining)
+        steps += 1
+        if steps > step_limit:
+            raise InternalError("rewriting failed to shrink")
+    result = ClausalFormula(tuple(clauses))
+    if len(result.clauses) != len(cf.clauses) + steps:
+        raise InternalError("rewriting did not add one clause per step")
+    flags = classify(result)
+    if not (flags.krom and (flags.box_only if bad is Diamond else flags.diamond_only)):
+        raise InternalError("box rewriting left a non-Krom or diamond literal" if bad is Diamond
+                            else "diamond rewriting left a non-Krom or box literal")
+    return result
 
 
 def reference_formula_key(f):

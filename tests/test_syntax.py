@@ -424,14 +424,35 @@ def assert_walkers_match_reference(f):
         return
     cf = recognize_clausal(f)
     assert cf == expected
+    for c in cf.clauses:
+        # built unchecked from parts the reader tested: what the validating
+        # constructor builds, prefix `Modality` values included
+        assert c == Clause(c.prefix, c.negatives, c.positives)
+        assert all(type(m) is Modality for m in c.prefix)
+    assert_chain_walks_match_reference(cf)
+
+
+def reference_flags(cf):
     lits = [l for c in cf.clauses for l in c.negatives + c.positives]
     horn = all(len(c.positives) <= 1 for c in cf.clauses)
     krom = all(len(c.negatives) + len(c.positives) <= 2 for c in cf.clauses)
-    assert classify(cf) == FragmentDescriptor(
+    return FragmentDescriptor(
         horn, krom, horn and krom,
         not any(reference_has_node(l, Diamond) for l in lits),
         not any(reference_has_node(l, Box) for l in lits),
     )
+
+
+def assert_chain_walks_match_reference(cf):
+    # `classify`, `clause_letters`, `consequent_letters` and `alphabet` walk
+    # each literal's modal chain once; the references walk every node.
+    assert classify(cf) == reference_flags(cf)
+    union = lambda lits: frozenset().union(*map(reference_letters, lits))
+    for c in cf.clauses:
+        assert clause_letters(c) == union(c.negatives + c.positives)
+        assert consequent_letters(c) == union(c.positives)
+    assert type(cf.alphabet()) is frozenset
+    assert cf.alphabet() == union(l for c in cf.clauses for l in c.negatives + c.positives)
 
 
 def test_walkers_match_reference_on_small_formulas():
@@ -451,6 +472,24 @@ def test_walkers_match_reference_hypothesis(data):
     assert_walkers_match_reference(random_formula(rng, depth=5, mods=("a", "b")))
     clauses = tuple(random_clause(rng, ("p", "q"), ("a", "b")) for _ in range(rng.randint(1, 4)))
     assert_walkers_match_reference(ClausalFormula(clauses).to_formula())
+
+
+def test_chain_walks_match_reference_on_krom_corpus():
+    for cf in krom_corpus():
+        assert_chain_walks_match_reference(cf)
+
+
+def test_chain_walks_match_reference_on_random_clauses():
+    # Up to two negated and two positive literals over p, q, _f0 and T, with
+    # both modal kinds and literal depth up to 4.
+    rng = random.Random(20)
+    for _ in range(2000):
+        clauses = tuple(
+            random_clause(rng, ("p", "q", "_f0"), ("a", "b"), lit_depth=4,
+                          max_negatives=2, max_positives=2)
+            for _ in range(rng.randint(1, 4))
+        )
+        assert_chain_walks_match_reference(ClausalFormula(clauses))
 
 
 def test_recognize_flat_conjunction_needs_no_recursion():

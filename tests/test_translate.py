@@ -11,6 +11,7 @@ from knfrag import (
     Diamond,
     Modality,
     Prop,
+    BOTTOM,
     TOP,
 )
 from knfrag import (
@@ -32,7 +33,14 @@ from knfrag.translate import (
     krom_to_krom_box,
     krom_to_krom_diamond,
 )
-from helpers import formulas_up_to_size, krom_corpus, random_formula, reference_offending_count
+from helpers import (
+    formulas_up_to_size,
+    krom_corpus,
+    random_formula,
+    random_literal,
+    reference_eliminate,
+    reference_offending_count,
+)
 
 
 def rc(text):
@@ -214,6 +222,72 @@ def test_translation_rechecks_its_fragment(monkeypatch, translate, message):
     with pytest.raises(InternalError) as raised:
         translate(rc("<a>p | [a]q"))
     assert str(raised.value) == message
+
+
+# --- one pass over a clause stack emits what the step-by-step rewriting did ---
+
+
+def random_krom_formula(rng):
+    """1-5 Krom clauses over literals up to 4 modalities deep, with letters
+    that include the fresh-letter names `_f0` and `_f2`."""
+    letters, mods = ("p", "q", "_f0", "_f2"), ("a", "b")
+    clauses = []
+    for _ in range(rng.randint(1, 5)):
+        size = rng.randint(1, 2)
+        n = rng.randint(0, size)
+        lits = [random_literal(rng, rng.randint(0, 4), letters, mods) for _ in range(size)]
+        prefix = tuple(rng.choice(mods) for _ in range(rng.randint(0, 2)))
+        clauses.append(Clause(prefix, tuple(lits[:n]), tuple(lits[n:])))
+    return ClausalFormula(tuple(clauses))
+
+
+def assert_translations_match_reference(cf):
+    for translate, bad in ((krom_to_krom_box, Diamond), (krom_to_krom_diamond, Box)):
+        out, expected = translate(cf), reference_eliminate(cf, bad)
+        assert out == expected
+        assert str(out) == str(expected)
+        assert fresh_letters_of(cf, out) == fresh_letters_of(cf, expected)
+        for c in out.clauses:
+            # every clause built unchecked is one the validating constructor
+            # builds, its prefix of `Modality` values included
+            assert c == Clause(c.prefix, c.negatives, c.positives)
+            assert all(type(m) is Modality for m in c.prefix)
+
+
+def test_translations_match_the_reference_rewriting_on_the_corpus():
+    for cf in krom_corpus():
+        assert_translations_match_reference(cf)
+
+
+def test_translations_match_the_reference_rewriting_on_random_formulas():
+    rng = random.Random(20)
+    for _ in range(2000):
+        assert_translations_match_reference(random_krom_formula(rng))
+
+
+def test_translations_reject_non_krom_input_like_the_reference():
+    cf = rc("p & q -> r")
+    for translate, bad in ((krom_to_krom_box, Diamond), (krom_to_krom_diamond, Box)):
+        with pytest.raises(ValueError) as expected:
+            reference_eliminate(cf, bad)
+        with pytest.raises(ValueError) as raised:
+            translate(cf)
+        assert str(raised.value) == str(expected.value) == "input is not Krom"
+
+
+@pytest.mark.parametrize("translate", [krom_to_krom_box, krom_to_krom_diamond])
+def test_translation_rechecks_every_emitted_literal(monkeypatch, translate):
+    # Steps build their literals unchecked; a fresh letter built as `~T`
+    # leaves a guard that is no positive literal, and the one scan of each
+    # emitted clause reports it.
+    import knfrag.translate
+
+    build = knfrag.translate._unchecked
+    monkeypatch.setattr("knfrag.translate._unchecked",
+                        lambda cls, **fields: BOTTOM if cls is Prop else build(cls, **fields))
+    with pytest.raises(InternalError) as raised:
+        translate(rc("<a>p | [a]q"))
+    assert str(raised.value) == "rewriting built a disjunct that is not a positive literal"
 
 
 # --- the offending count walks the modal chain in a loop ---
