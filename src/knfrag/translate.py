@@ -24,14 +24,13 @@ Each step removes exactly one offending constructor, so the step count,
 the added clauses, and the fresh letters all equal the initial offending
 count.
 
-The rewriting is one pass over a stack of clauses that starts with the
-input's, the first on top.  A popped clause with no offending literal is
-emitted; otherwise a step pushes the defining clause, then the rewritten
-one.  So each clause is rewritten until it is clean, and is followed by its
-defining clauses, the last one first, each translated in full before the
-next.  The fresh letters are numbered in step order.
+One pass over a stack of clauses, the input's first clause on top: a
+popped clause with no offending literal is emitted, and otherwise a step
+pushes the defining clause, then the rewritten one.  So a clause is
+rewritten until clean, then come its defining clauses, the last one first,
+each translated in full; fresh letters are numbered in step order.
 
-Validation happens once.  The input's clauses were validated when built,
+Validation happens once: the input's clauses were validated when built,
 and its test is the Krom length test.  Steps build unchecked, since each
 literal is a part of an input literal or a guard over a fresh letter.  The
 scan sees every emitted literal end its modal chain at a letter or T, and
@@ -77,17 +76,16 @@ def _offending_count(lit: Formula, bad) -> int:
 
 
 def _find_offending(clause: Clause, bad):
-    """(side, index, literal) of the first literal with a `bad` constructor
-    in its modal chain, side 0 for the negatives and 1 for the positives;
-    None if there is none, after seeing every chain end at a letter or T."""
+    """(side, index, literal) of the first literal with a `bad` constructor in
+    its chain, side 0 for negatives; None once every chain ends at T or a letter."""
     for side, lits in enumerate((clause.negatives, clause.positives)):
         for i, lit in enumerate(lits):
             g = lit
-            while isinstance(g, (Diamond, Box)):
-                if isinstance(g, bad):
+            while (t := type(g)) is Diamond or t is Box:
+                if t is bad:
                     return side, i, lit
                 g = g.operand
-            if not isinstance(g, (Top, Prop)):
+            if t is not Prop and t is not Top:
                 raise InternalError("rewriting built a disjunct that is not a positive literal")
     return None
 
@@ -115,11 +113,13 @@ def _rewrite_step(clause: Clause, side, index, lit, bad, letter):
 
 
 def _eliminate(cf: ClausalFormula, bad) -> ClausalFormula:
-    if any(len(c.negatives) + len(c.positives) > 2 for c in cf.clauses):
-        raise ValueError("input is not Krom")
+    step_limit = 0
+    for c in cf.clauses:
+        lits = c.negatives + c.positives
+        if len(lits) > 2:
+            raise ValueError("input is not Krom")
+        step_limit += sum(_offending_count(l, bad) for l in lits)
     fresh = FreshLetterSource(set(cf.alphabet()))
-    step_limit = sum(_offending_count(l, bad)
-                     for c in cf.clauses for l in c.negatives + c.positives)
     out, stack, steps = [], list(reversed(cf.clauses)), 0
     while stack:
         clause = stack.pop()
