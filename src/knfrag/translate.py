@@ -95,17 +95,17 @@ def _rewrite_step(clause: Clause, side, index, lit, bad, letter):
     p = _unchecked(Prop, letter=letter)
     guard = _unchecked(Box if bad is Diamond else Diamond, modality=lit.modality, operand=p)
     sides = [clause.negatives, clause.positives]
-    rest = sides[side][:index] + sides[side][index + 1:]
+    before, after = sides[side][:index], sides[side][index + 1:]
     defining = [(), ()]
     if isinstance(lit, bad):
         # Outermost constructor is the offending kind: swap sides under a
         # guard of the other kind and define the guard one step deeper.
-        sides[side], sides[1 - side] = rest, (guard,) + sides[1 - side]
+        sides[side], sides[1 - side] = before + after, (guard,) + sides[1 - side]
         defining[side] = (p, lit.operand)
     else:
         # Outermost constructor is the harmless kind with offenders below:
         # name its operand and rewrite the defining clause later.
-        sides[side] = rest[:index] + (guard,) + rest[index:]
+        sides[side] = before + (guard,) + after
         defining[side], defining[1 - side] = (lit.operand,), (p,)
     rewritten = _unchecked(Clause, prefix=clause.prefix, negatives=sides[0], positives=sides[1])
     return rewritten, _unchecked(Clause, prefix=clause.prefix + (lit.modality,),
