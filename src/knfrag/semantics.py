@@ -177,6 +177,9 @@ class PointedModel:
             return NotImplemented
         return self.model == other.model and self.world == other.world
 
+    def __hash__(self):
+        return hash((self.model, self.world))
+
     def __repr__(self):
         return f"PointedModel({self.model!r}, world={self.world!r})"
 

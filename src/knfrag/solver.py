@@ -9,9 +9,11 @@ d, are a complete class for satisfiability, so exhausting them up to
 `tree_model_bound` worlds certifies unsatisfiability.  It checks each tree
 on scratch tables with int worlds and builds a model only for the first
 satisfying one.  `sat_tableau` is a complete decision procedure over a
-table of f's NNF subformulas, hash-consed per call and decoded by `to_nnf`;
-every satisfiable verdict from either engine carries a witness model that
-is re-validated with `check` before being returned.
+table of f's NNF subformulas, hash-consed per call and decoded by `to_nnf`.
+One loop builds that table and, in the same walk, the letters and the
+per-depth diamond counts, so both engines and `tree_model_bound` read f
+once.  Every satisfiable verdict from either engine carries a witness
+model that is re-validated with `check` before being returned.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ from .syntax import (
     Or,
     Prop,
     Top,
-    formula_modalities,
-    letters,
 )
 
 __all__ = [
@@ -69,17 +69,21 @@ class SatResult:
 LIT, NEG, AND, OR, DIA, BOX = range(6)  # the kinds of `_nnf_table` rows
 
 
-def _nnf_table(f: Formula) -> tuple[list[tuple], int, frozenset[str]]:
-    """f's negation normal form as a hash-consed table, built by one loop.
+def _nnf_table(f: Formula) -> tuple[list[tuple], int, frozenset[str], list[int]]:
+    """f's negation normal form as a hash-consed table, built by one loop
+    that reads f for both engines.
 
     Each row follows its children: (LIT or NEG, letter or None for T, None),
     (AND or OR, left id, right id) or (DIA or BOX, modality, operand id).
-    Polarity is read off f the way `_diamond_profile` reads it, and a dict
-    local to the call numbers the distinct rows, so two NNF subformulas are
-    equal exactly when they share an id.  Returns the rows, the root's id
-    and the letters of f.
+    Polarity is read off f as the loop goes, and a dict local to the call
+    numbers the distinct rows, so two NNF subformulas are equal exactly when
+    they share an id.  The stack does not dedupe, so the loop also counts
+    the NNF's diamond occurrences per modal depth: the depth rises when a
+    modal node is popped and falls when its row's marker, which comes off
+    once the operand is done, is popped.  Returns the rows, the root's id,
+    the letters of f and that profile, which ends in 0 at the nesting depth.
     """
-    ids, done, stack = {}, [], [(f, False)]
+    ids, done, stack, profile, depth = {}, [], [(f, False)], [0], 0
     while stack:
         g, negated = stack.pop()
         t = type(g)
@@ -89,22 +93,33 @@ def _nnf_table(f: Formula) -> tuple[list[tuple], int, frozenset[str]]:
             kind = AND if (t is And) != negated else OR
             stack += ((kind, None), (g.right, negated), (g.left, negated))
         elif t is Diamond or t is Box:
-            stack += ((DIA if (t is Diamond) != negated else BOX, g.modality), (g.operand, negated))
+            kind = DIA if (t is Diamond) != negated else BOX
+            if kind == DIA:
+                profile[depth] += 1
+            depth += 1
+            if depth == len(profile):
+                profile.append(0)
+            stack += ((kind, g.modality), (g.operand, negated))
         else:
             if t is int:  # a row's parts are done; `negated` holds its modality
                 b = done.pop()
-                row = (g, negated, b) if g >= DIA else (g, done.pop(), b)
+                if g >= DIA:
+                    depth -= 1
+                    row = (g, negated, b)
+                else:
+                    row = (g, done.pop(), b)
             else:
                 row = (NEG if negated else LIT, g.letter if t is Prop else None, None)
             done.append(ids.setdefault(row, len(ids)))
     rows = list(ids)
-    return rows, done[0], frozenset(a for kind, a, _ in rows if kind <= NEG and a is not None)
+    alphabet = frozenset(a for kind, a, _ in rows if kind <= NEG and a is not None)
+    return rows, done[0], alphabet, profile
 
 
 def to_nnf(f: Formula) -> Formula:
     """Negation normal form: negation only on letters and T, decoded from the
     table `sat_tableau` decides over, so equal subformulas share one node."""
-    rows, root, _ = _nnf_table(f)
+    rows, root, _, _ = _nnf_table(f)
     nodes = []
     for kind, a, b in rows:
         if kind <= NEG:
@@ -117,33 +132,6 @@ def to_nnf(f: Formula) -> Formula:
     return nodes[root]
 
 
-def _diamond_profile(f: Formula) -> list[int]:
-    """Diamond occurrences of f's NNF at each modal depth, read off f itself.
-
-    Entry d counts the diamonds under an even number of negations and the
-    boxes under an odd number (those NNF turns into diamonds) that sit
-    under exactly d modal operators; the list runs from depth 0 to the
-    modal nesting depth, so its length is the nesting depth plus one and
-    its last entry is 0.
-    """
-    counts = [0]
-    stack = [(f, 0, False)]
-    while stack:
-        g, d, negated = stack.pop()
-        if isinstance(g, (Diamond, Box)):
-            if isinstance(g, Diamond) != negated:
-                counts[d] += 1
-            if d + 1 == len(counts):
-                counts.append(0)
-            stack.append((g.operand, d + 1, negated))
-        elif isinstance(g, (Or, And)):
-            stack.append((g.left, d, negated))
-            stack.append((g.right, d, negated))
-        elif isinstance(g, Not):
-            stack.append((g.operand, d, not negated))
-    return counts
-
-
 def _world_bound(profile: list[int]) -> int:
     branching = max(1, sum(profile))
     return sum(branching**k for k in range(len(profile)))
@@ -154,7 +142,7 @@ def tree_model_bound(f: Formula) -> int:
     at most B worlds: sum of D^k for k up to the modal nesting depth,
     where D counts diamond occurrences after NNF (at least 1).  B is a
     count of worlds, never clamped by a count of models."""
-    return _world_bound(_diamond_profile(f))
+    return _world_bound(_nnf_table(f)[3])
 
 
 # --- Canonical tree-model enumeration ---
@@ -265,10 +253,9 @@ def sat_bruteforce(
         raise ValueError("max_worlds must be at least 1")
     if model_cap < 1:
         raise ValueError("model_cap must be at least 1")
-    alpha = tuple(sorted(letters(f)))
-    mods = tuple(sorted(formula_modalities(f)))
-    profile = _diamond_profile(f)
-    alphabet = frozenset(alpha)
+    rows, _, alphabet, profile = _nnf_table(f)
+    alpha = tuple(sorted(alphabet))
+    mods = tuple(sorted({a for kind, a, _ in rows if kind >= DIA}))
     child_sets = {}  # child masks only, which the memoized subtree lists hold anyway
 
     def letters_of(mask):
@@ -314,7 +301,7 @@ def sat_tableau(f: Formula, node_cap: int = DEFAULT_NODE_CAP) -> SatResult:
     """Complete satisfiability test; SAT verdicts carry a finite tree witness."""
     if node_cap < 1:
         raise ValueError("node_cap must be at least 1")
-    rows, root, alphabet = _nnf_table(f)
+    rows, root, alphabet, _ = _nnf_table(f)
     tree = _expand(rows, [root], [node_cap])
     if tree is None:
         return SatResult(UNSAT)

@@ -323,8 +323,9 @@ def reference_nnf(f):
 
 
 def reference_diamond_profile(nnf):
-    """Diamond occurrences of an NNF formula at each modal depth: the
-    profile the brute-force bound once took from a `to_nnf` copy."""
+    """Diamond occurrences of an NNF formula at each modal depth, read off
+    the NNF copy itself: the oracle for the profile that `_nnf_table`
+    counts while it builds the table both SAT engines read."""
     counts = [0]
     stack = [(nnf, 0)]
     while stack:

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +22,7 @@ from knfrag import (
     Prop,
     check,
     enumerate_models,
+    formula_modalities,
     letters,
     model_to_json,
     parse,
@@ -27,8 +32,9 @@ from knfrag.solver import (
     SAT,
     UNKNOWN_AT_BOUND,
     UNSAT,
+    BOX,
+    DIA,
     CapExceeded,
-    _diamond_profile,
     _nnf_table,
     _world_bound,
     sat_bruteforce,
@@ -89,12 +95,15 @@ def test_tree_model_bound_counts_negated_boxes():
     assert tree_model_bound(parse("[a][a]p")) == 3
 
 
-# --- the bound is read off the formula, with no NNF copy ---
+# --- the bound, letters and modalities come from the one NNF table walk ---
 
 
 def assert_profile_matches_the_nnf_copy(f):
     expected = reference_diamond_profile(to_nnf(f))
-    assert _diamond_profile(f) == expected
+    rows, _, alphabet, profile = _nnf_table(f)
+    assert profile == expected
+    assert alphabet == letters(f)
+    assert {a for kind, a, _ in rows if kind in (DIA, BOX)} == formula_modalities(f)
     assert tree_model_bound(f) == _world_bound(expected)
 
 
@@ -145,6 +154,40 @@ def test_tree_model_bound_is_not_clamped_by_a_model_count():
 
 def test_bruteforce_unknown_below_bound():
     assert sat_bruteforce(parse("<a>p"), 1).status == UNKNOWN_AT_BOUND
+
+
+def test_bound_profile_and_bruteforce_of_deep_input_need_no_recursion():
+    # The bound of <a>x3,000 p has more than 4,300 digits, past what an int
+    # may print by default, so the child compares it rather than printing it.
+    script = (
+        "import sys\n"
+        "from knfrag import parse\n"
+        "from knfrag.solver import _nnf_table, _world_bound, sat_bruteforce, tree_model_bound\n"
+        "sys.setrecursionlimit(120)\n"
+        "deep = parse('<a>' * 3000 + 'p')\n"
+        "chain = parse(' & '.join(f'(p{i} | <a>q{i})' for i in range(10000)))\n"
+        "print(tree_model_bound(deep) == _world_bound([1] * 3000 + [0]))\n"
+        "print(_nnf_table(chain)[3])\n"
+        "print(sat_bruteforce(deep, max_worlds=1).status)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.split("\n") == ["True", "[10000, 0]", UNKNOWN_AT_BOUND, ""]
+
+
+def test_sat_results_hash_like_they_compare():
+    # Equal results hash equal, witness and all.  A `Verdict` that carries a
+    # counterexample stays unhashable: `Counterexample.details` is a dict
+    # by design.
+    f = parse("<a>p")
+    tableau, again, brute = sat_tableau(f), sat_tableau(parse("<a>p")), sat_bruteforce(f, 2)
+    assert tableau == again == brute
+    assert hash(tableau) == hash(again) == hash(brute)
+    assert len({tableau, again, brute, sat_tableau(parse("p & ~p"))}) == 2
+    assert hash(sat_tableau(parse("p & ~p"))) == hash(sat_bruteforce(parse("p & ~p"), 1))
 
 
 def test_bruteforce_witnesses_validate():
