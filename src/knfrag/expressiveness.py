@@ -16,7 +16,6 @@ replays several ids in one run, each result once.
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import dataclass
 from functools import reduce
 from itertools import count
 from itertools import product as iproduct
@@ -47,6 +46,7 @@ from .syntax import (
     parse,
     recognize_clausal,
 )
+from .syntax import _Record, _store
 from .translate import krom_to_krom_box, krom_to_krom_diamond
 
 __all__ = [
@@ -69,16 +69,18 @@ EQUIVALENT_UP_TO_BOUND = "EQUIVALENT_UP_TO_BOUND"
 COUNTEREXAMPLE = "COUNTEREXAMPLE"
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    pointed: PointedModel
-    details: dict
+class Counterexample(_Record):
+    __slots__ = ("pointed", "details")
+
+    def __init__(self, pointed: PointedModel, details: dict):
+        _store(self, pointed, details)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str
-    counterexample: Counterexample | None = None
+class Verdict(_Record):
+    __slots__ = ("status", "counterexample")
+
+    def __init__(self, status: str, counterexample: Counterexample | None = None):
+        _store(self, status, counterexample)
 
 
 def _first_disagreement(pf, pg, alphabet, fresh, max_worlds, right_key) -> Verdict:
@@ -343,10 +345,11 @@ def search_weak_translation(
 # --- Theorem replays ---
 
 
-@dataclass(frozen=True)
-class TheoremReport:
-    theorem: str
-    steps: tuple
+class TheoremReport(_Record):
+    __slots__ = ("theorem", "steps")
+
+    def __init__(self, theorem: str, steps: tuple):
+        _store(self, theorem, steps)
 
     @property
     def overall(self) -> bool:

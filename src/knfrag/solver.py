@@ -18,8 +18,6 @@ model that is re-validated with `check` before being returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .semantics import KripkeFrame, KripkeModel, PointedModel, _check, check
 from .syntax import (
     And,
@@ -33,6 +31,7 @@ from .syntax import (
     Prop,
     Top,
 )
+from .syntax import _Record, _store
 
 __all__ = [
     "SAT",
@@ -60,10 +59,11 @@ class CapExceeded(RuntimeError):
     """The configured resource ceiling was hit before a verdict."""
 
 
-@dataclass(frozen=True)
-class SatResult:
-    status: str
-    witness: PointedModel | None = None
+class SatResult(_Record):
+    __slots__ = ("status", "witness")
+
+    def __init__(self, status: str, witness: PointedModel | None = None):
+        _store(self, status, witness)
 
 
 LIT, NEG, AND, OR, DIA, BOX = range(6)  # the kinds of `_nnf_table` rows

@@ -15,10 +15,11 @@ desugars into negation and disjunction; `<a>` / `[a]` are the diamond and
 box indexed by modality `a`.  Idents with a leading underscore are reserved
 for machine-generated letters (the parser accepts them so that translated
 formulas read back, but users should not introduce them).
-`parse` and `to_text` are loops over explicit stacks, so no nesting depth
-or chain length meets the interpreter's recursion limit.  The tokenizer
-is one regex pass that keeps each token's offset; line and column are
-computed only for a `ParseError`.
+Nodes, clauses and clausal formulas are immutable `__slots__` records, not
+dataclasses.  `parse`, `to_text` and the nodes' `==`, `hash` and `repr` are
+loops over explicit stacks, so no nesting depth or chain length meets the
+interpreter's recursion limit.  The tokenizer is one regex pass that keeps
+each token's offset; line and column are computed only for a `ParseError`.
 
 A *positive literal* is built from `T`, letters, diamonds and boxes only.
 A *clause* is a (possibly empty) chain of boxes over a disjunction of
@@ -30,8 +31,8 @@ and print in implicative form (`p & q -> r`).
 from __future__ import annotations
 
 import re
-from dataclasses import asdict, dataclass
 from functools import reduce
+from operator import eq
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -105,62 +106,149 @@ class Modality(str):
 # --- Abstract syntax ---
 
 
-@dataclass(frozen=True)
-class Formula:
-    """Base class for formula nodes."""
+class _Record:
+    """An immutable record of its classes' `__slots__` fields, base first.  It
+    compares, hashes and prints by them, in order, as a frozen dataclass does,
+    with `repr` a loop over an explicit stack.  `__init__` stores the fields
+    past the frozen `__setattr__`, and `__reduce__` rebuilds a record through
+    its constructor, for `pickle` and `copy`."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        cls._fields = cls._fields + cls.__dict__.get("__slots__", ())
+        cls.__match_args__ = cls._fields
+
+    def __setattr__(self, name, *value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self):
+        return hash(self.__reduce__()[1])
+
+    def __repr__(self):
+        out, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                out.append(item)
+                continue
+            parts = [f"{type(item).__qualname__}("]
+            for i, name in enumerate(item._fields):
+                v = getattr(item, name)
+                parts += [f"{', ' if i else ''}{name}=", v if isinstance(v, _Record) else repr(v)]
+            stack += reversed(parts + [")"])
+        return "".join(out)
+
+
+def _store(record, *values):
+    """Set a new record's fields, in `_fields` order."""
+    for name, value in zip(record._fields, values):
+        object.__setattr__(record, name, value)
+
+
+class Formula(_Record):
+    """Base class for formula nodes, compared and hashed by their spelling."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or all(map(eq, _spelling(self), _spelling(other)))
+
+    def __hash__(self):
+        return hash(tuple(_spelling(self)))
 
     def __str__(self):
         return to_text(self)
 
 
-@dataclass(frozen=True)
 class Top(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Prop(Formula):
-    letter: str
+    __slots__ = ("letter",)
 
-    def __post_init__(self):
-        if not _IDENT_RE.match(self.letter):
-            raise ValueError(f"bad letter: {self.letter!r}")
+    def __init__(self, letter):
+        if not _IDENT_RE.match(letter):
+            raise ValueError(f"bad letter: {letter!r}")
+        _set_letter(self, letter)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    operand: Formula
+    __slots__ = ("operand",)
+
+    def __init__(self, operand):
+        _set_negated(self, operand)
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        _set_left(self, left)
+        _set_right(self, right)
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Diamond(Formula):
-    modality: Modality
-    operand: Formula
-
-    def __post_init__(self):
-        object.__setattr__(self, "modality", Modality(self.modality))
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Box(Formula):
-    modality: Modality
-    operand: Formula
+class _Modal(Formula):
+    __slots__ = ("modality", "operand")
 
-    def __post_init__(self):
-        object.__setattr__(self, "modality", Modality(self.modality))
+    def __init__(self, modality, operand):
+        _set_modality(self, Modality(modality))
+        _set_operand(self, operand)
 
+
+class Diamond(_Modal):
+    __slots__ = ()
+
+
+class Box(_Modal):
+    __slots__ = ()
+
+
+# The node constructors store through the slot descriptors: faster than `_store`.
+_set_letter, _set_negated = Prop.letter.__set__, Not.operand.__set__
+_set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
+_set_modality, _set_operand = _Modal.modality.__set__, _Modal.operand.__set__
+
+_TAGS = {Formula: "Formula", Top: "T", Not: "~", Or: "|", And: "&", Diamond: "<>", Box: "[]"}
+
+
+def _spelling(f: Formula) -> Iterator:
+    """f's nodes in the pre-order of `subformulas`: a letter spelt as itself,
+    a diamond or box as its tag and then its modality, any other node as its
+    tag, and a child that is not a formula as the 1-tuple of itself.  A tag
+    fixes its node's arity, so no spelling is a proper prefix of another and
+    two formulas are equal exactly when their spellings agree item by item."""
+    for g in subformulas(f):
+        t = type(g)
+        if t is Prop:
+            yield g.letter
+        else:
+            yield _TAGS.get(t) or (g,)
+            if t is Diamond or t is Box:
+                yield g.modality
 
 TOP = Top()
 BOTTOM = Not(TOP)
@@ -261,8 +349,7 @@ def _lit_tuple(items: Iterable) -> tuple[Formula, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(_Record):
     """A box prefix over a disjunction of negated and positive literals.
 
     `negatives` holds the literals that occur negated; `positives` the
@@ -270,16 +357,14 @@ class Clause:
     negated literal the clause with empty positives.
     """
 
-    prefix: tuple[Modality, ...] = ()
-    negatives: tuple[Formula, ...] = ()
-    positives: tuple[Formula, ...] = ()
+    __slots__ = ("prefix", "negatives", "positives")
 
-    def __post_init__(self):
-        object.__setattr__(self, "prefix", tuple(Modality(m) for m in self.prefix))
-        object.__setattr__(self, "negatives", _lit_tuple(self.negatives))
-        object.__setattr__(self, "positives", _lit_tuple(self.positives))
-        if not self.negatives and not self.positives:
+    def __init__(self, prefix=(), negatives=(), positives=()):
+        prefix = tuple(Modality(m) for m in prefix)
+        negatives, positives = _lit_tuple(negatives), _lit_tuple(positives)
+        if not negatives and not positives:
             raise ValueError("empty clause")
+        _store(self, prefix, negatives, positives)
 
     def to_formula(self) -> Formula:
         disjuncts = [Not(l) for l in self.negatives] + list(self.positives)
@@ -292,18 +377,18 @@ class Clause:
         return _clause_text(self)
 
 
-@dataclass(frozen=True)
-class ClausalFormula:
+class ClausalFormula(_Record):
     """A non-empty conjunction of clauses."""
 
-    clauses: tuple[Clause, ...]
+    __slots__ = ("clauses",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "clauses", tuple(self.clauses))
-        if not self.clauses:
+    def __init__(self, clauses):
+        clauses = tuple(clauses)
+        if not clauses:
             raise ValueError("clausal formula needs at least one clause")
-        if not all(isinstance(c, Clause) for c in self.clauses):
+        if not all(isinstance(c, Clause) for c in clauses):
             raise ValueError("clauses must be Clause values")
+        _store(self, clauses)
 
     def to_formula(self) -> Formula:
         return reduce(And, (c.to_formula() for c in self.clauses))
@@ -347,18 +432,16 @@ def consequent_letters(c: Clause) -> frozenset[str]:
     return _chain_letters(c.positives)
 
 
-@dataclass(frozen=True)
-class FragmentDescriptor:
+class FragmentDescriptor(_Record):
     """Which clausal fragments a formula inhabits."""
 
-    horn: bool
-    krom: bool
-    core: bool
-    box_only: bool
-    diamond_only: bool
+    __slots__ = ("horn", "krom", "core", "box_only", "diamond_only")
+
+    def __init__(self, horn: bool, krom: bool, core: bool, box_only: bool, diamond_only: bool):
+        _store(self, horn, krom, core, box_only, diamond_only)
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in self._fields}
 
 
 def classify(cf: ClausalFormula) -> FragmentDescriptor:

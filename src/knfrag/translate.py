@@ -39,20 +39,22 @@ scan sees every emitted literal end its modal chain at a letter or T, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .syntax import Box, Clause, ClausalFormula, Diamond, Formula, InternalError, Prop, Top
-from .syntax import _unchecked, classify
+from .syntax import _Record, _unchecked, classify
 
 __all__ = ["FreshLetterSource", "krom_to_krom_box", "krom_to_krom_diamond", "fresh_letters_of"]
 
 
-@dataclass
-class FreshLetterSource:
-    """Emits letters `_f<k>` that collide neither with `reserved` nor each other."""
+class FreshLetterSource(_Record):
+    """Emits letters `_f<k>` that collide neither with `reserved` nor each other.
+    Mutable, unlike the other records, and so unhashable."""
 
-    reserved: set[str] = field(default_factory=set)
-    counter: int = 0
+    __slots__ = ("reserved", "counter")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, reserved: set[str] | None = None, counter: int = 0):
+        self.reserved = set() if reserved is None else reserved
+        self.counter = counter
 
     def next(self) -> str:
         while True:

@@ -290,6 +290,18 @@ def test_cli_runs_without_docstrings():
     assert json.loads(optimised.stdout)["formula"] == "p & q"
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # Each command starts a fresh interpreter; the records are plain slot
+    # classes, so importing the command line pays for no dataclass machinery.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    script = "import sys, knfrag.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def test_world_option_does_not_carry_over(model_file):
     assert run(["check", model_file, "<a>p", "--world", "w1"])[:2] == (1, "false\n")
     assert run(["check", model_file, "<a>p"])[:2] == (0, "true\n")

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 import sys
 import threading
@@ -12,7 +14,13 @@ from knfrag import (
     COUNTEREXAMPLE,
     EQUIVALENT_UP_TO_BOUND,
     THEOREM_IDS,
+    TOP,
     And,
+    Box,
+    Clause,
+    ClausalFormula,
+    Diamond,
+    FragmentDescriptor,
     Not,
     Or,
     Prop,
@@ -34,7 +42,7 @@ from knfrag import (
 from knfrag import expressiveness
 from knfrag.semantics import compile_formula, valuation_batches
 from knfrag.solver import sat_tableau
-from knfrag.translate import krom_to_krom_box, krom_to_krom_diamond
+from knfrag.translate import FreshLetterSource, krom_to_krom_box, krom_to_krom_diamond
 from helpers import (
     count_replays,
     random_formula,
@@ -752,10 +760,60 @@ def test_concurrent_runs_share_no_reports(monkeypatch):
     (lambda: weak_equiv_check(parse("p"), parse("q"), max_worlds=1), "status"),
     (lambda: weak_equiv_check(parse("p"), parse("q"), max_worlds=1).counterexample, "details"),
     (lambda: replay_theorem("horn-vs-bool"), "steps"),
-], ids=["SatResult", "Verdict", "Counterexample", "TheoremReport"])
+    (lambda: TOP, "letter"),
+    (lambda: Prop("p"), "letter"),
+    (lambda: Not(TOP), "operand"),
+    (lambda: Or(TOP, TOP), "left"),
+    (lambda: And(TOP, TOP), "right"),
+    (lambda: Diamond("a", TOP), "modality"),
+    (lambda: Box("a", TOP), "operand"),
+    (lambda: Clause(positives=[TOP]), "positives"),
+    (lambda: recognize_clausal(parse("p & q")), "clauses"),
+    (lambda: classify(recognize_clausal(parse("p"))), "horn"),
+], ids=["SatResult", "Verdict", "Counterexample", "TheoremReport", "Top", "Prop", "Not", "Or",
+        "And", "Diamond", "Box", "Clause", "ClausalFormula", "FragmentDescriptor"])
 def test_result_records_are_frozen(record, field):
     with pytest.raises(FrozenInstanceError):
         setattr(record(), field, None)
+    with pytest.raises(FrozenInstanceError):
+        delattr(record(), field)
+
+
+def every_record():
+    """One value of each record type, built the way the library builds it."""
+    verdict = weak_equiv_check(parse("p"), parse("q"), max_worlds=1)
+    source = FreshLetterSource({"p"})
+    source.next()
+    return [TOP, Prop("p"), Not(TOP), Or(TOP, Prop("q")), And(Prop("p"), TOP),
+            Diamond("a", Prop("p")), Box("b", TOP), parse("<a>(p | ~q) & [b]T"),
+            Clause(["a"], [Prop("p")], [Diamond("b", TOP)]), recognize_clausal(parse("p & (q | r)")),
+            FragmentDescriptor(True, False, False, True, True), sat_tableau(parse("<a>p")),
+            sat_tableau(parse("p & ~p")), verdict, verdict.counterexample,
+            weak_equiv_check(parse("p"), parse("p"), max_worlds=1),
+            replay_theorem("horn-vs-bool"), source]
+
+
+@pytest.mark.parametrize("record", every_record(), ids=lambda r: type(r).__name__)
+def test_records_round_trip_through_pickle_and_copy(record):
+    # Each copy is rebuilt through the constructor, so it is validated again.
+    # Protocols 0 and 1 cannot pickle the slots of a witness's PointedModel.
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(record, protocol)) == record
+    shallow, deep = copy.copy(record), copy.deepcopy(record)
+    assert type(shallow) is type(deep) is type(record)
+    assert shallow == record and deep == record and repr(deep) == repr(record)
+    if type(record) is FreshLetterSource:
+        assert deep.next() == record.next() == "_f1" and "_f1" not in FreshLetterSource().reserved
+    elif "details" not in repr(record):  # a counterexample's details are a dict
+        assert hash(shallow) == hash(deep) == hash(record)
+
+
+def test_fresh_letter_source_is_mutable_and_unhashable():
+    source = FreshLetterSource()
+    source.counter = 5
+    assert source.next() == "_f5" and source == FreshLetterSource({"_f5"}, 6)
+    with pytest.raises(TypeError):
+        hash(source)
 
 
 # Fragment pairs that no path of the hierarchy may join, in either

@@ -23,6 +23,7 @@ from knfrag import (
     ParseError,
     Prop,
     TOP,
+    Top,
     classify,
     clause_letters,
     consequent_letters,
@@ -369,7 +370,7 @@ def test_parse_results_are_unchanged():
 
 
 def test_parse_and_print_deep_input_need_no_recursion():
-    # Texts, not formulas, are compared: `==` on the nodes still recurses.
+    # Texts are compared; `test_deep_formulas_compare_hash_and_print` covers `==`.
     script = (
         "import json, sys\n"
         "from knfrag import parse, to_text\n"
@@ -518,3 +519,83 @@ def test_recognize_deep_box_prefix_needs_no_recursion():
         recognize_clausal(g)
     assert err.value.path == ("operand",) * 3000
     assert err.value.offending == And(Prop("p"), Prop("q"))
+
+
+def chain_repr(n):
+    """The repr of the parsed conjunction of `(p_i | <a>q_i)`, i < n, built by a loop."""
+    clause = ("Or(left=Prop(letter='p{0}'), right=Diamond(modality=Modality(name='a'), "
+              "operand=Prop(letter='q{0}')))")
+    return "And(left=" * (n - 1) + clause.format(0) + "".join(
+        f", right={clause.format(i)})" for i in range(1, n))
+
+
+def mixed_chain(n, modality="a"):
+    """n nodes below the root, alternately `T | _` and `<modality>_`, over p."""
+    f, m = Prop("p"), Modality(modality)
+    for i in range(n):
+        f = Diamond(m, f) if i % 2 else Or(TOP, f)
+    return f
+
+
+def test_deep_formulas_compare_hash_and_print():
+    text = " & ".join(f"(p{i} | <a>q{i})" for i in range(10_000))
+    f, g = parse(text), parse(text)
+    assert f is not g and f == g and hash(f) == hash(g)
+    assert repr(f) == chain_repr(10_000)
+    assert repr(recognize_clausal(f)) == repr(recognize_clausal(g))
+    last = f.right
+    assert f != And(f.left, Or(last.left, Box("a", last.right.operand)))
+    assert f != And(f.left, Or(last.left, Diamond("a", Prop("q_9999"))))
+    assert f != And(f, TOP) and f != Or(f.left, f.right)
+    nested, negated = mixed_chain(100_000), Prop("p")
+    for _ in range(100_000):
+        negated = Not(negated)
+    again = mixed_chain(100_000)
+    assert nested == again and hash(nested) == hash(again)
+    assert nested != mixed_chain(100_000, "b") and nested != again.operand
+    assert negated != Not(negated) and hash(negated) == hash(Not(negated.operand))
+    assert repr(negated) == "Not(operand=" * 100_000 + "Prop(letter='p')" + ")" * 100_000
+    assert repr(nested).count("Diamond(modality=Modality(name='a'), operand=") == 50_000
+
+
+def test_equal_formulas_hash_alike_and_print_as_before():
+    rng = random.Random(22)
+    formulas = [random_formula(rng, depth=rng.randint(0, 5), letters=("p", "q"), mods=("a", "b"))
+                for _ in range(500)]
+    assert repr(parse("[a](p | ~T) & <b>F")) == (
+        "And(left=Box(modality=Modality(name='a'), operand=Or(left=Prop(letter='p'), "
+        "right=Not(operand=Top()))), right=Diamond(modality=Modality(name='b'), "
+        "operand=Not(operand=Top())))")
+    for f, g in zip(formulas, formulas[1:] + formulas[:1]):
+        again = parse(to_text(f))
+        assert again == f and hash(again) == hash(f) and repr(again) == repr(f)
+        assert (f == g) == (to_text(f) == to_text(g))
+    # Nodes of different kinds over the same parts differ.
+    p, q = Prop("p"), Prop("q")
+    assert len({And(p, q), Or(p, q), Diamond("a", p), Box("a", p), Not(p), p, TOP}) == 7
+    assert Diamond("a", p) != Diamond("b", p) and Prop("p") != "p" and Not(p) != Not(3)
+
+
+def test_nodes_match_by_field_order():
+    def shape(f):
+        match f:
+            case And(Diamond(m, Prop(l)), r):
+                return f"diamond {m} {l} and {to_text(r)}"
+            case Or(left=Not(operand=Top())):
+                return "bottom or"
+            case Box(modality="a"):
+                return "box a"
+            case Prop(letter):
+                return letter
+        return None
+
+    assert shape(parse("<b>p & (q | r)")) == "diamond b p and q | r"
+    assert shape(parse("<b>[a]p & q")) is None
+    assert shape(parse("F | p")) == "bottom or"
+    assert shape(parse("[a]<b>T")) == "box a" and shape(parse("[b]T")) is None
+    assert shape(Prop("x1")) == "x1"
+    assert [cls.__match_args__ for cls in (Top, Prop, Not, Or, And, Diamond, Box)] == [
+        (), ("letter",), ("operand",), ("left", "right"), ("left", "right"),
+        ("modality", "operand"), ("modality", "operand")]
+    assert Clause.__match_args__ == ("prefix", "negatives", "positives")
+    assert FragmentDescriptor.__match_args__ == ("horn", "krom", "core", "box_only", "diamond_only")
