@@ -46,7 +46,7 @@ from .syntax import (
     parse,
     recognize_clausal,
 )
-from .syntax import _Record, _store
+from .syntax import _Record, _set
 from .translate import krom_to_krom_box, krom_to_krom_diamond
 
 __all__ = [
@@ -73,14 +73,16 @@ class Counterexample(_Record):
     __slots__ = ("pointed", "details")
 
     def __init__(self, pointed: PointedModel, details: dict):
-        _store(self, pointed, details)
+        _set(self, "pointed", pointed)
+        _set(self, "details", details)
 
 
 class Verdict(_Record):
     __slots__ = ("status", "counterexample")
 
     def __init__(self, status: str, counterexample: Counterexample | None = None):
-        _store(self, status, counterexample)
+        _set(self, "status", status)
+        _set(self, "counterexample", counterexample)
 
 
 def _first_disagreement(pf, pg, alphabet, fresh, max_worlds, right_key) -> Verdict:
@@ -349,7 +351,8 @@ class TheoremReport(_Record):
     __slots__ = ("theorem", "steps")
 
     def __init__(self, theorem: str, steps: tuple):
-        _store(self, theorem, steps)
+        _set(self, "theorem", theorem)
+        _set(self, "steps", steps)
 
     @property
     def overall(self) -> bool:

@@ -31,7 +31,7 @@ from .syntax import (
     Prop,
     Top,
 )
-from .syntax import _Record, _store
+from .syntax import _Record, _set
 
 __all__ = [
     "SAT",
@@ -63,7 +63,8 @@ class SatResult(_Record):
     __slots__ = ("status", "witness")
 
     def __init__(self, status: str, witness: PointedModel | None = None):
-        _store(self, status, witness)
+        _set(self, "status", status)
+        _set(self, "witness", witness)
 
 
 LIT, NEG, AND, OR, DIA, BOX = range(6)  # the kinds of `_nnf_table` rows

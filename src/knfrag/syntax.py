@@ -107,11 +107,10 @@ class Modality(str):
 
 
 class _Record:
-    """An immutable record of its classes' `__slots__` fields, base first.  It
+    """An immutable record of its classes' `__slots__` fields, base first: it
     compares, hashes and prints by them, in order, as a frozen dataclass does,
-    with `repr` a loop over an explicit stack.  `__init__` stores the fields
-    past the frozen `__setattr__`, and `__reduce__` rebuilds a record through
-    its constructor, for `pickle` and `copy`."""
+    with `repr` a loop over an explicit stack, and `__reduce__` rebuilds it
+    through its constructor, for `pickle` and `copy`."""
 
     __slots__ = ()
     _fields = ()
@@ -150,12 +149,6 @@ class _Record:
                 parts += [f"{', ' if i else ''}{name}=", v if isinstance(v, _Record) else repr(v)]
             stack += reversed(parts + [")"])
         return "".join(out)
-
-
-def _store(record, *values):
-    """Set a new record's fields, in `_fields` order."""
-    for name, value in zip(record._fields, values):
-        object.__setattr__(record, name, value)
 
 
 class Formula(_Record):
@@ -227,7 +220,8 @@ class Box(_Modal):
     __slots__ = ()
 
 
-# The node constructors store through the slot descriptors: faster than `_store`.
+# Stores past the frozen `__setattr__`: `_set` for records, slot descriptors (faster) for nodes.
+_set = object.__setattr__
 _set_letter, _set_negated = Prop.letter.__set__, Not.operand.__set__
 _set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
 _set_modality, _set_operand = _Modal.modality.__set__, _Modal.operand.__set__
@@ -236,11 +230,10 @@ _TAGS = {Formula: "Formula", Top: "T", Not: "~", Or: "|", And: "&", Diamond: "<>
 
 
 def _spelling(f: Formula) -> Iterator:
-    """f's nodes in the pre-order of `subformulas`: a letter spelt as itself,
-    a diamond or box as its tag and then its modality, any other node as its
-    tag, and a child that is not a formula as the 1-tuple of itself.  A tag
-    fixes its node's arity, so no spelling is a proper prefix of another and
-    two formulas are equal exactly when their spellings agree item by item."""
+    """f's nodes in `subformulas` order: a letter as itself, a diamond or box as
+    its tag then its modality, another node as its tag, a non-formula child as
+    its 1-tuple.  Tags fix arities, so no spelling is a proper prefix of another
+    and formulas are equal exactly when their spellings agree item by item."""
     for g in subformulas(f):
         t = type(g)
         if t is Prop:
@@ -336,7 +329,7 @@ def _unchecked(cls, **fields):
     parts that were validated where they were built or read."""
     value = object.__new__(cls)
     for name in fields:
-        object.__setattr__(value, name, fields[name])
+        _set(value, name, fields[name])
     return value
 
 
@@ -360,11 +353,11 @@ class Clause(_Record):
     __slots__ = ("prefix", "negatives", "positives")
 
     def __init__(self, prefix=(), negatives=(), positives=()):
-        prefix = tuple(Modality(m) for m in prefix)
-        negatives, positives = _lit_tuple(negatives), _lit_tuple(positives)
-        if not negatives and not positives:
+        _set(self, "prefix", tuple(Modality(m) for m in prefix))
+        _set(self, "negatives", _lit_tuple(negatives))
+        _set(self, "positives", _lit_tuple(positives))
+        if not self.negatives and not self.positives:
             raise ValueError("empty clause")
-        _store(self, prefix, negatives, positives)
 
     def to_formula(self) -> Formula:
         disjuncts = [Not(l) for l in self.negatives] + list(self.positives)
@@ -388,7 +381,7 @@ class ClausalFormula(_Record):
             raise ValueError("clausal formula needs at least one clause")
         if not all(isinstance(c, Clause) for c in clauses):
             raise ValueError("clauses must be Clause values")
-        _store(self, clauses)
+        _set(self, "clauses", clauses)
 
     def to_formula(self) -> Formula:
         return reduce(And, (c.to_formula() for c in self.clauses))
@@ -438,7 +431,11 @@ class FragmentDescriptor(_Record):
     __slots__ = ("horn", "krom", "core", "box_only", "diamond_only")
 
     def __init__(self, horn: bool, krom: bool, core: bool, box_only: bool, diamond_only: bool):
-        _store(self, horn, krom, core, box_only, diamond_only)
+        _set(self, "horn", horn)
+        _set(self, "krom", krom)
+        _set(self, "core", core)
+        _set(self, "box_only", box_only)
+        _set(self, "diamond_only", diamond_only)
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in self._fields}
