@@ -43,25 +43,34 @@ def product(m1: KripkeModel, m2: KripkeModel) -> KripkeModel:
     """
     if m1.alphabet != m2.alphabet:
         raise ValueError("product needs identical alphabets")
+    # Plain loops, not comprehensions: before Python 3.12 each comprehension
+    # is a function call of its own, and this runs once per product.
     f1, f2 = m1.frame, m2.frame
-    names = {u: {v: product_world(u, v) for v in f2.worlds} for u in f1.worlds}
-    val = {
-        name: m1.valuation[u] & m2.valuation[v]
-        for u, row in names.items()
-        for v, name in row.items()
-    }
+    val1, val2 = m1.valuation, m2.valuation
+    names, val = {}, {}
+    for u in f1.worlds:
+        row = names[u] = {}
+        letters = val1[u]
+        for v in f2.worlds:
+            name = row[v] = product_world(u, v)
+            val[name] = letters & val2[v]
     if len(val) != len(f1.worlds) * len(f2.worlds):
         raise ValueError("duplicate world identifiers")
     succ = {}
     for m, rows1 in f1._succ.items():
         rows2 = f2._succ.get(m)
         if rows2:
-            # Sorted, because the text order of "(u,v)" need not be pair order.
-            succ[m] = {
-                names[u][v]: tuple(sorted([names[u2][v2] for u2 in us for v2 in vs]))
-                for u, us in rows1.items()
-                for v, vs in rows2.items()
-            }
+            rows = succ[m] = {}
+            for u, us in rows1.items():
+                for v, vs in rows2.items():
+                    out = []
+                    for u2 in us:
+                        row = names[u2]
+                        for v2 in vs:
+                            out.append(row[v2])
+                    # Sorted, because the text order of "(u,v)" need not be pair order.
+                    out.sort()
+                    rows[names[u][v]] = tuple(out)
     frame = KripkeFrame._direct(tuple(val), succ)
     return KripkeModel._direct(frame, val, m1.alphabet)
 

@@ -81,7 +81,7 @@ def test_intersection_closure_randomized():
 
 def test_product_closure_randomized():
     rng = random.Random(0xB0B)
-    trials, exercised, violations = 10_000, 0, 0
+    trials, exercised, violations, product_s = 10_000, 0, 0, 0.0
     for _ in range(trials):
         m1 = random_model(rng, max_worlds=5, letters=("p", "q", "r"),
                           mods=("a", "b"), letter_bias=0.7)
@@ -92,12 +92,16 @@ def test_product_closure_randomized():
         w2 = rng.choice(m2.frame.worlds)
         if check(m1, w1, phi) and check(m2, w2, phi):
             exercised += 1
-            if not check(product(m1, m2), product_world(w1, w2), phi):
+            started = time.thread_time()
+            prod = product(m1, m2)
+            product_s += time.thread_time() - started
+            if not check(prod, product_world(w1, w2), phi):
                 violations += 1
     _report(
         "product closure of the diamond-restricted Horn fragment",
         violations == 0 and exercised >= 500,
-        f"{trials} trials, {exercised} exercised, {violations} violations",
+        f"{trials} trials, {exercised} exercised, {violations} violations; "
+        f"{exercised:,} products in {product_s * 1000:.0f} ms of thread CPU time",
     )
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -272,6 +274,9 @@ def test_combinator_frames_match_the_public_constructor():
                  for u, u2 in p1.get(m, ()) for v, v2 in p2.get(m, ())}
              for m in ("a", "b")},
         )
+        for u in m1.frame.worlds:
+            for v in m2.frame.worlds:
+                assert prod.valuation[product_world(u, v)] == m1.valuation[u] & m2.valuation[v]
 
         other = KripkeModel(m1.frame, {w: set("pq") for w in m1.frame.worlds}, set("pqr"))
         _assert_same_frame(intersect(m1, other), m1.frame.worlds, p1)
@@ -291,3 +296,17 @@ def test_product_rejects_colliding_world_names():
     right = KripkeModel(KripkeFrame(["c", "b,c"]), {}, set())
     with pytest.raises(ValueError):
         product(left, right)
+
+
+def test_product_output_is_pinned():
+    # sha256 over each product's JSON, repr, valuation key order, and
+    # modality, row key and successor order, one pair a line; recorded from
+    # the comprehension-built product.
+    rng, digest = random.Random(2025), hashlib.sha256()
+    for _ in range(500):
+        prod = product(_named_model(rng), _named_model(rng))
+        rows = [[m, [[u, list(vs)] for u, vs in succ.items()]]
+                for m, succ in prod.frame._succ.items()]
+        line = json.dumps([model_to_json(prod), repr(prod), list(prod.valuation), rows])
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == "6bdb5642f5b2dca06eaf01ed6f3e81faf80e72bf477d4a3b086695c4adeef425"
