@@ -83,6 +83,10 @@ class KripkeFrame:
             for m, rows in self._succ.items()
         }
 
+    def __reduce__(self):
+        # Through the constructor, so a copy is validated again.
+        return type(self), (self.worlds, self.relations)
+
     def successors(self, world: str, modality) -> tuple[str, ...]:
         rows = self._succ.get(modality)
         return rows.get(world, ()) if rows else ()
@@ -137,6 +141,9 @@ class KripkeModel:
         m.alphabet = alphabet
         return m
 
+    def __reduce__(self):
+        return type(self), (self.frame, self.valuation, self.alphabet)
+
     def letters_at(self, world: str) -> frozenset[str]:
         return self.valuation[world]
 
@@ -171,6 +178,9 @@ class PointedModel:
             raise ValueError(f"designated world {world!r} is not in the frame")
         self.model = model
         self.world = world
+
+    def __reduce__(self):
+        return type(self), (self.model, self.world)
 
     def __eq__(self, other):
         if not isinstance(other, PointedModel):

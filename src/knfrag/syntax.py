@@ -17,8 +17,8 @@ for machine-generated letters (the parser accepts them so that translated
 formulas read back, but users should not introduce them).
 Nodes, clauses and clausal formulas are immutable `__slots__` records, not
 dataclasses.  `parse`, `to_text` and the nodes' `==`, `hash` and `repr` are
-loops over explicit stacks, so no nesting depth or chain length meets the
-interpreter's recursion limit.  The tokenizer is one regex pass that keeps
+loops over explicit stacks, and a node pickles and copies as its text, so
+no nesting depth or chain length meets the interpreter's recursion limit.  The tokenizer is one regex pass that keeps
 each token's offset; line and column are computed only for a `ParseError`.
 
 A *positive literal* is built from `T`, letters, diamonds and boxes only.
@@ -152,7 +152,8 @@ class _Record:
 
 
 class Formula(_Record):
-    """Base class for formula nodes, compared and hashed by their spelling."""
+    """Base class for formula nodes, compared and hashed by their spelling,
+    and pickled and copied as their text."""
 
     __slots__ = ()
 
@@ -163,6 +164,11 @@ class Formula(_Record):
 
     def __hash__(self):
         return hash(tuple(_spelling(self)))
+
+    def __reduce__(self):
+        # Through the text, not the fields: `to_text` and `parse` are loops,
+        # so `pickle` and `copy` handle formulas of any depth.
+        return parse, (to_text(self),)
 
     def __str__(self):
         return to_text(self)

@@ -796,8 +796,7 @@ def every_record():
 @pytest.mark.parametrize("record", every_record(), ids=lambda r: type(r).__name__)
 def test_records_round_trip_through_pickle_and_copy(record):
     # Each copy is rebuilt through the constructor, so it is validated again.
-    # Protocols 0 and 1 cannot pickle the slots of a witness's PointedModel.
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         assert pickle.loads(pickle.dumps(record, protocol)) == record
     shallow, deep = copy.copy(record), copy.deepcopy(record)
     assert type(shallow) is type(deep) is type(record)

@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -556,6 +558,15 @@ def test_deep_formulas_compare_hash_and_print():
     assert negated != Not(negated) and hash(negated) == hash(Not(negated.operand))
     assert repr(negated) == "Not(operand=" * 100_000 + "Prop(letter='p')" + ")" * 100_000
     assert repr(nested).count("Diamond(modality=Modality(name='a'), operand=") == 50_000
+
+
+def test_deep_formulas_pickle_and_copy():
+    # The 3,000-clause chain once raised RecursionError in `pickle` and `copy`.
+    f = parse(" & ".join(f"(p{i} | <a>q{i})" for i in range(3000)))
+    copies = [pickle.loads(pickle.dumps(f, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for again in copies + [copy.copy(f), copy.deepcopy(f)]:
+        assert type(again) is And and again == f and repr(again) == repr(f)
 
 
 def test_equal_formulas_hash_alike_and_print_as_before():
