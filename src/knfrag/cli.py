@@ -41,7 +41,6 @@ from .solver import (
     UNSAT,
     sat_bruteforce,
     sat_tableau,
-    tree_model_bound,
 )
 from .syntax import (
     InternalError,
@@ -142,8 +141,7 @@ def _cmd_sat(args) -> int:
     f = parse(_read_formula(args.formula))
     if args.engine == "brute":
         cap = args.cap if args.cap is not None else DEFAULT_MODEL_CAP
-        max_worlds = tree_model_bound(f) if args.max_worlds is None else args.max_worlds
-        result = sat_bruteforce(f, max_worlds, model_cap=cap)
+        result = sat_bruteforce(f, args.max_worlds, model_cap=cap)
     else:
         cap = args.cap if args.cap is not None else DEFAULT_NODE_CAP
         result = sat_tableau(f, node_cap=cap)

@@ -30,7 +30,7 @@ from .semantics import (
     compile_formula,
     valuation_batches,
 )
-from .solver import _multisets, sat_bruteforce, sat_tableau, tree_model_bound
+from .solver import _multisets, sat_bruteforce, sat_tableau
 from .syntax import (
     Box,
     Clause,
@@ -547,7 +547,7 @@ def _replay_krom_equiv(to):
                d.krom and (d.box_only if to == "box" else d.diamond_only))
         f = cf.to_formula()
         yield (f"translation of {text} is equi-satisfiable",
-               sat_bruteforce(f, tree_model_bound(f)).status
+               sat_bruteforce(f).status
                == sat_tableau(out.to_formula()).status)
 
     # Same-alphabet separation: the added successor flips the target while

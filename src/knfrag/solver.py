@@ -235,7 +235,7 @@ def _tree_to_model(root_letters, entries, letters_of, modality_of, alphabet) -> 
 
 
 def sat_bruteforce(
-    f: Formula, max_worlds: int, model_cap: int = DEFAULT_MODEL_CAP
+    f: Formula, max_worlds: int | None = None, model_cap: int = DEFAULT_MODEL_CAP
 ) -> SatResult:
     """Exhaustive bounded satisfiability over canonical tree models.
 
@@ -247,14 +247,17 @@ def sat_bruteforce(
     keeps one witness child per diamond), so exhausting it up to
     `tree_model_bound(f)` worlds proves UNSAT.  Returns the first witness
     in the enumeration order, UNSAT when `max_worlds` reaches the bound,
-    and UNKNOWN_AT_BOUND otherwise.  Raises `CapExceeded` past
-    `model_cap` enumerated trees of that class.
+    and UNKNOWN_AT_BOUND otherwise.  `max_worlds=None` means that bound,
+    read off the same table, so the answer is never UNKNOWN_AT_BOUND.
+    Raises `CapExceeded` past `model_cap` enumerated trees of that class.
     """
-    if max_worlds < 1:
+    if max_worlds is not None and max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
     if model_cap < 1:
         raise ValueError("model_cap must be at least 1")
     rows, _, alphabet, profile = _nnf_table(f)
+    if max_worlds is None:
+        max_worlds = _world_bound(profile)
     alpha = tuple(sorted(alphabet))
     mods = tuple(sorted({a for kind, a, _ in rows if kind >= DIA}))
     child_sets = {}  # child masks only, which the memoized subtree lists hold anyway

@@ -323,6 +323,17 @@ def test_bruteforce_answers_are_pinned():
     assert digest.hexdigest() == "5e1c64ea5486e8698de3d922606265c9297d8411c9ccf76ec25601d76d014bc7"
 
 
+def test_bruteforce_default_bound_is_the_tree_model_bound():
+    # `max_worlds=None` reads the bound off the one NNF table of the call.
+    corpus = list(formulas_up_to_size(5)) + [cf.to_formula() for cf in krom_corpus()]
+    for f in corpus:
+        default, explicit = sat_bruteforce(f), sat_bruteforce(f, tree_model_bound(f))
+        assert default.status == explicit.status != UNKNOWN_AT_BOUND
+        assert default.witness == explicit.witness
+        if default.witness is not None:
+            assert model_to_json(default.witness.model) == model_to_json(explicit.witness.model)
+
+
 def test_engines_agree_on_small_corpus():
     for f in formulas_up_to_size(4):
         assert sat_tableau(f).status == sat_bruteforce(f, tree_model_bound(f)).status
