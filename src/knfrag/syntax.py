@@ -18,8 +18,9 @@ formulas read back, but users should not introduce them).
 Nodes, clauses and clausal formulas are immutable `__slots__` records, not
 dataclasses.  `parse`, `to_text` and the nodes' `==`, `hash` and `repr` are
 loops over explicit stacks, and a node pickles and copies as its text, so
-no nesting depth or chain length meets the interpreter's recursion limit.  The tokenizer is one regex pass that keeps
-each token's offset; line and column are computed only for a `ParseError`.
+no nesting depth or chain length meets the interpreter's recursion limit.
+The tokenizer is one regex pass that keeps each token's offset; line and
+column are computed only for a `ParseError`.
 
 A *positive literal* is built from `T`, letters, diamonds and boxes only.
 A *clause* is a (possibly empty) chain of boxes over a disjunction of
