@@ -166,55 +166,79 @@ def parse_fragment_spec(spec: str) -> FragmentDescriptor:
                               suffix == "-box", suffix.startswith("-dia"))
 
 
-def _literals_by_size(max_size, alphabet, mods, allow_dia, allow_box):
-    """Each literal up to the size as (size, literal, index of its operand
-    in this list, None for T and the letters), by size and then T, letters,
-    diamonds, boxes; then modality; then operand, as `mods` is sorted."""
+def _literal_rows(alphabet, mods, allow_dia, allow_box):
+    """A list of the literals of each size from 1 up, as (size, literal,
+    index of its operand in the lists laid end to end, None for T and the
+    letters): T, letters, diamonds, boxes; then modality, as in `mods`."""
     kinds = [kind for kind, allowed in ((Diamond, allow_dia), (Box, allow_box)) if allowed]
-    lits, below = [(1, l, None) for l in (TOP, *map(Prop, alphabet))], range(1 + len(alphabet))
-    for s in range(2, max_size + 1):
-        lits += [(s, kind(m, lits[o][1]), o) for kind in kinds for m in mods for o in below]
-        below = range(below.stop, len(lits))
-    return lits
+    row, start = [(1, l, None) for l in (TOP, *map(Prop, alphabet))], 0
+    for s in count(2):
+        yield row
+        row, start = [(s, kind(m, lit), o) for kind in kinds for m in mods
+                      for o, (_, lit, _) in enumerate(row, start)], start + len(row)
 
 
-def _fragment_pool(alphabet, modalities, size_bound, fragment):
-    """A fragment's literals (`_literals_by_size`) and its clauses up to the
-    bound, by size only, as (size, prefix, negative and positive indices).
-
-    Each side's literal multisets come from one `_multisets` call, bucketed
-    by (count, cost): a negative literal costs its size plus two (its `Not`
-    and an `Or`), a positive one its size plus one, so a clause's size is
-    its prefix length plus both costs minus one."""
+def _pool_by_size(alphabet, modalities, size_bound, fragment):
+    """A fragment's literals (`_literal_rows`) and clauses, grown by size:
+    for s = 1 to the bound, yields the same two lists with the size-s ones
+    appended, so indices stay stable.  A clause is (size, prefix, negative
+    and positive literal indices).  A negative literal costs its size plus
+    two (its `Not` and an `Or`), a positive one its size plus one, so a
+    clause's size is its prefix length plus both costs minus one."""
     req = fragment if isinstance(fragment, FragmentDescriptor) else parse_fragment_spec(fragment)
     alphabet = tuple(sorted(str(l) for l in set(alphabet)))
     mods = tuple(sorted({Modality(m) for m in modalities}))
-    lits = _literals_by_size(size_bound, alphabet, mods, not req.box_only, not req.diamond_only)
-
-    def buckets(extra, most):
-        out = {}
-        rows = _multisets([s + extra for s, *_ in lits], size_bound + 1, most)
-        for cost, row in enumerate(rows):
-            for picks in row:
-                out.setdefault((len(picks), cost), []).append(picks)
-        return out.items()
-
+    rows = _literal_rows(alphabet, mods, not req.box_only, not req.diamond_only)
     widest = 2 if req.krom else size_bound
-    negatives, positives = buckets(2, widest), buckets(1, 1 if req.horn else widest)
-    pairs = [(n, m, neg_cost + pos_cost - 1, negs, poss)
-             for (n, neg_cost), negs in negatives for (m, pos_cost), poss in positives
-             if 1 <= n + m and not (req.krom and n + m > 2)]
-    clauses = []
-    for prefix_len in range(0, size_bound):
-        for prefix in iproduct(mods, repeat=prefix_len):
-            for n, m, body_size, negs, poss in pairs:
-                if prefix_len and n == 0 and m == 1:
-                    continue  # same clause as the box-extended bare literal
-                if prefix_len + body_size <= size_bound:
-                    clauses.extend((prefix_len + body_size, prefix, ns, ps)
-                                   for ns in negs for ps in poss)
-    clauses.sort(key=itemgetter(0))
-    return lits, clauses
+    lits, pool, bodies = [], [], [None]  # bodies[b]: (negatives, positives) of size b
+    for s in range(1, size_bound + 1):
+        lits += next(rows)
+        negs = _multisets([size + 2 for size, *_ in lits], s + 1, widest)
+        poss = _multisets([size + 1 for size, *_ in lits], s + 1, 1 if req.horn else widest)
+        bodies.append([(ns, ps) for c in range(s + 2) for ns in negs[c] for ps in poss[s + 1 - c]
+                       if not (req.krom and len(ns) + len(ps) > 2)])
+        pool += [(s, prefix, ns, ps) for p in range(s) for prefix in iproduct(mods, repeat=p)
+                 for ns, ps in bodies[s - p]
+                 if not (p and not ns and len(ps) == 1)]  # same as the box-extended literal
+        yield lits, pool
+
+
+def _fragment_pool(alphabet, modalities, size_bound, fragment):
+    """The literals and the whole clause pool up to the bound."""
+    *_, whole = _pool_by_size(alphabet, modalities, size_bound, fragment)
+    return whole
+
+
+def _least_upper_bound(batch, truth, alphabet, mods, size_bound, req):
+    """The AND on the batch of the clauses up to the bound of the fragment
+    `req` that hold wherever `truth` does, from distinct values alone: the
+    literal values with their least sizes, the clause bodies' with their
+    least costs as in `_pool_by_size`, and those their prefix boxes reach."""
+    kinds = [box for box, ok in ((False, not req.box_only), (True, not req.diamond_only)) if ok]
+    budget, full, levels, seen = size_bound + 1, batch.layout.full, [], set()
+    new = [full, *(batch.packed.get(l, 0) for l in alphabet)]
+    for _ in range(size_bound):  # levels[s - 1]: the literal values of least size s
+        levels.append([v for v in dict.fromkeys(new) if v not in seen])
+        seen.update(levels[-1])
+        new = [batch._modal(box, m, v) for v in levels[-1] for box in kinds for m in mods]
+    bodies = {(0, 0): {0: 0}}  # (negatives, positives) -> {OR of the literals: least cost}
+    for n, m in [(n, t - n) for t in range(budget // 2) for n in range(t + 1)]:
+        for value, cost in bodies.get((n, m), {}).items():
+            for size, level in enumerate(levels[:budget - cost - 1], 1):
+                for key, c, flip in (((n + 1, m), cost + size + 2, full),
+                                     ((n, m + 1), cost + size + 1, 0)):
+                    if c <= budget and not (req.krom and n + m == 2 or req.horn and key[1] > 1):
+                        row = bodies.setdefault(key, {})
+                        for v in level:
+                            row[flip ^ v | value] = min(row.get(flip ^ v | value, c), c)
+    room = dict.fromkeys(seen, 0)  # clause value -> the most prefix boxes it may take
+    for key, row in bodies.items():  # none over a bare positive literal, as in the pool
+        for value, cost in row.items() if key not in ((0, 0), (0, 1)) else ():
+            room[value] = max(room.get(value, 0), budget - cost)
+    for left in range(size_bound - 1, 0, -1):
+        for w in [batch._modal(True, m, v) for v, r in room.items() if r == left for m in mods]:
+            room[w] = max(room.get(w, 0), left - 1)
+    return reduce(and_, (v for v in room if not truth & ~v), full)
 
 
 def _layer(pool, live, s):
@@ -257,11 +281,12 @@ def enumerate_fragment(alphabet, modalities, size_bound, fragment):
     Size is the constructor count of the rendered formula, prefix boxes
     included.  Literal and clause multisets are kept in a canonical order,
     so reorderings of the same clause body appear once.  Yields in
-    ascending size, then text order, each size layer built on reaching it.
+    ascending size, then text order, each size layer and the clauses it
+    adds built on reaching it.
     """
-    lits, pool = _fragment_pool(alphabet, modalities, size_bound, fragment)
-    built, every = {}, range(len(pool))
-    for s in range(1, size_bound + 1):
+    built, layers = {}, _pool_by_size(alphabet, modalities, size_bound, fragment)
+    for s, (lits, pool) in enumerate(layers, 1):
+        every = range(len(pool))
         layer = (_text_order(lits, pool, built, picks) for picks in _layer(pool, every, s))
         yield from (ClausalFormula(clauses) for _, clauses in sorted(layer, key=itemgetter(0)))
 
@@ -276,16 +301,16 @@ def search_weak_translation(
     Candidates range over one generic modality (plus any in the target)
     unless `modalities` says otherwise; a target that mentions a letter
     outside `alphabet`, or a modality outside an explicit `modalities`,
-    raises `ValueError`.  Size layers are built and tried one at a time;
-    of a layer's agreeing candidates only the least text, the first of
-    `enumerate_fragment`, is rendered and returned.  Only the target is
-    compiled: a candidate's value on a batch is the AND of its clauses',
-    a clause's the OR of its `_literal_value`s under its prefix boxes.
-    After a failed layer only clauses true on the first batch wherever
-    the target is stay; if their AND, the fragment's least upper bound of
-    the target (Selman & Kautz, JACM 1996), is not the target there, None
-    is returned.  Memory is one layer's index tuples and, per batch
-    reached, k * B bits for the target and each literal and clause valued.
+    raises `ValueError`.  Size layers and their clauses are built and
+    tried one at a time; of a layer's agreeing candidates only the least
+    text, the first of `enumerate_fragment`, is rendered.  Only the target
+    is compiled: a candidate's value on a batch is the AND of its clauses',
+    a clause's the OR of its `_literal_value`s under its prefix boxes.  If
+    layer 1 fails and the fragment's least upper bound of the target on
+    the first batch (Selman & Kautz, JACM 1996) is not the target, None is
+    returned; later layers use only clauses true there wherever the target
+    is.  Memory: the pool up to the layer reached, a layer's index tuples,
+    and k * B bits per value (target, literal, clause, and the bound's).
     """
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
@@ -300,7 +325,6 @@ def search_weak_translation(
         raise ValueError("target mentions letters outside the alphabet")
     if not goal.modalities <= mods:
         raise ValueError("target mentions modalities outside the search's modalities")
-    lits, pool = _fragment_pool(alphabet, mods, formula_size_bound, fragment)
     batches = valuation_batches(alphabet, mods, max_worlds)
     seen = []  # (batch, target value, {literal index: value}, {pool index: value})
 
@@ -331,15 +355,21 @@ def search_weak_translation(
             if value != truth:
                 return False
 
-    live, built = range(len(pool)), {}
-    for s in range(1, formula_size_bound + 1):
+    def implied(j):  # true on the first batch wherever the target is
+        values = seen[0][3]
+        return not seen[0][1] & ~(values[j] if j in values else clause_value(0, j))
+
+    req = fragment if isinstance(fragment, FragmentDescriptor) else parse_fragment_spec(fragment)
+    built = {}
+    for s, (lits, pool) in enumerate(_pool_by_size(alphabet, mods, formula_size_bound, req), 1):
+        live = [j for j in range(len(pool)) if s == 1 or implied(j)]
         found = [_text_order(lits, pool, built, picks)
                  for picks in _layer(pool, live, s) if agrees(picks)]
         if found:
             return ClausalFormula(min(found, key=itemgetter(0))[1])
-        batch, truth, _, values = seen[0]  # layer 1 holds T
-        live = [j for j in live if not truth & ~(values[j] if j in values else clause_value(0, j))]
-        if reduce(and_, map(values.get, live), batch.layout.full) != truth:
+        batch, truth, _, _ = seen[0]  # layer 1 holds T
+        if s == 1 and truth != _least_upper_bound(batch, truth, alphabet, mods,
+                                                  formula_size_bound, req):
             return None
     return None
 

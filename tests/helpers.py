@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import threading
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, islice, product
 
 from knfrag import (
     COUNTEREXAMPLE,
@@ -34,6 +34,7 @@ from knfrag import (
     to_text,
 )
 from knfrag import expressiveness
+from knfrag.semantics import compile_formula
 from knfrag.solver import sat_tableau
 from knfrag.translate import FreshLetterSource, _offending_count
 
@@ -344,16 +345,22 @@ def reference_diamond_profile(nnf):
     return counts
 
 
-def reference_fragment_layers(alphabet, modalities, size_bound, fragment):
-    """The literals, clause pool and size layers of a fragment, built by the
-    two recursive pickers and the loop nest that `_multisets` replaced.
-    Pool entries are (size, prefix, negative indices, positive indices)
-    into the literals; layer s holds the size-s formulas as pool index
-    tuples."""
+def literals_by_size(max_size, alphabet, mods, allow_dia, allow_box):
+    """Every literal up to the size, in one list: the rows of
+    `expressiveness._literal_rows` laid end to end."""
+    rows = expressiveness._literal_rows(alphabet, mods, allow_dia, allow_box)
+    return [lit for row in islice(rows, max_size) for lit in row]
+
+
+def reference_fragment_pool(alphabet, modalities, size_bound, fragment):
+    """The literals and clause pool of a fragment, built by the two
+    recursive pickers and the loop nest that `_multisets` replaced.  Pool
+    entries are (size, prefix, negative indices, positive indices) into
+    the literals."""
     req = expressiveness.parse_fragment_spec(fragment)
     alphabet = tuple(sorted(str(l) for l in set(alphabet)))
     mods = tuple(sorted({Modality(m) for m in modalities}))
-    lits = expressiveness._literals_by_size(
+    lits = literals_by_size(
         size_bound, alphabet, mods, allow_dia=not req.box_only, allow_box=not req.diamond_only
     )
     sized = [(s, l) for s, l, _ in lits]
@@ -395,6 +402,13 @@ def reference_fragment_layers(alphabet, modalities, size_bound, fragment):
                                 for poss in side_multisets(m, total - neg_total):
                                     pool.append((connective_cost + total, prefix, negs, poss))
     pool.sort(key=lambda clause: clause[0])
+    return [l for _, l in sized], pool
+
+
+def reference_fragment_layers(alphabet, modalities, size_bound, fragment):
+    """`reference_fragment_pool` and the fragment's size layers: layer s
+    holds the size-s formulas as pool index tuples."""
+    lits, pool = reference_fragment_pool(alphabet, modalities, size_bound, fragment)
     layers = [[] for _ in range(size_bound + 1)]
 
     def pick(start, budget, chosen):
@@ -408,7 +422,30 @@ def reference_fragment_layers(alphabet, modalities, size_bound, fragment):
             chosen.pop()
 
     pick(0, size_bound, [])
-    return [l for _, l in sized], pool, layers
+    return lits, pool, layers
+
+
+def reference_least_upper_bounds(cases, alphabet, modalities, max_size, fragment):
+    """For each (batch, truth) case, a list whose entry s - 1 is the AND on
+    the batch of the clauses of size at most s in the pool of
+    `reference_fragment_layers` that hold wherever the truth does, for s =
+    1..max_size; each clause is valued by `Batch.value(compile_formula(...))`."""
+    lits, pool = reference_fragment_pool(alphabet, modalities, max_size, fragment)
+    programs = [(size, compile_formula(Clause(prefix, tuple(lits[i] for i in negs),
+                                              tuple(lits[i] for i in poss)).to_formula()))
+                for size, prefix, negs, poss in pool]  # ascending size
+    bounds, values = [], {}  # values: batch -> each clause's value there
+    for batch, truth in cases:
+        if batch not in values:
+            values[batch] = [batch.value(program) for _, program in programs]
+        row, value = [], batch.layout.full
+        for (size, _), v in zip(programs, values[batch]):
+            while len(row) < size - 1:
+                row.append(value)
+            if not truth & ~v:
+                value &= v
+        bounds.append(row + [value] * (max_size - len(row)))
+    return bounds
 
 
 # --- Random generators (plain seeded random, no framework) ---

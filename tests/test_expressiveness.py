@@ -45,9 +45,12 @@ from knfrag.solver import sat_tableau
 from knfrag.translate import FreshLetterSource, krom_to_krom_box, krom_to_krom_diamond
 from helpers import (
     count_replays,
+    literals_by_size,
+    random_clause,
     random_formula,
     reference_formula_key,
     reference_fragment_layers,
+    reference_least_upper_bounds,
     reference_search,
     reference_strong,
     reference_weak_equiv,
@@ -409,6 +412,47 @@ def test_implied_clause_filter_matches_the_reference(monkeypatch):
     assert min(outcomes.values()) >= 20, outcomes
 
 
+FRAGMENT_SPECS = [name + suffix for name in ("horn", "krom", "core", "bool")
+                  for suffix in ("", "-box", "-diamond")]
+
+
+def test_least_upper_bound_matches_the_clause_by_clause_and(monkeypatch):
+    # Each fragment spec over each alphabet and modality set: at size
+    # bounds 1-7 with one modality and at most two letters, 1-5 otherwise
+    # (at 7 the reference pool reaches 63,547 clauses).  Three targets,
+    # one of them a random clause, on the first batch and on a random
+    # batch of 2-world models with nonempty frames; one combination in
+    # four runs on batches of 4 models.
+    rng = random.Random("least-upper-bound")
+    cases = 0
+    for i, (fragment, alphabet, mods) in enumerate(product(
+        FRAGMENT_SPECS, ((), ("p",), ("p", "q"), ("p", "q", "r")), (("a",), ("a", "b"))
+    )):
+        size = 7 if len(mods) == 1 and len(alphabet) <= 2 else 5
+        letters_or_p = alphabet or ("p",)
+        with monkeypatch.context() as patched:
+            if i % 4 == 0:
+                patched.setattr("knfrag.semantics._CHUNK_CELLS", 2)
+            batches = list(valuation_batches(alphabet, mods, 2))
+            framed = [b for b in batches if b.layout.k == 2 and b.layout.mods]
+            targets, points = [], []
+            for batch in (batches[0], rng.choice(framed)):
+                for j in range(3):
+                    target = (random_clause(rng, letters_or_p, mods).to_formula() if j == 2
+                              else random_formula(rng, rng.randint(1, 3), letters_or_p, mods))
+                    targets.append(target)
+                    points.append((batch, batch.value(compile_formula(target))))
+            want = reference_least_upper_bounds(points, alphabet, mods, size, fragment)
+            req = parse_fragment_spec(fragment)
+            for target, (batch, truth), row in zip(targets, points, want):
+                for s, expected in enumerate(row, 1):
+                    got = expressiveness._least_upper_bound(batch, truth, alphabet, mods, s, req)
+                    assert got == expected, (fragment, alphabet, mods, s, str(target),
+                                             batch.layout.k, batch.start)
+                    cases += 1
+    assert cases >= 1000, cases
+
+
 def test_krom_refutation_memory_stays_bounded():
     # No candidate text, `Clause` or compiled clause program is kept: the
     # size-7 Krom refutation peaks near 1.6 MB; a text key per candidate,
@@ -459,13 +503,45 @@ def test_krom_refutation_renders_no_text_and_compiles_no_clause(monkeypatch):
     assert len(compiled) == 1 and compiled[0] is target, len(compiled)
 
 
+def test_searches_build_the_pool_only_up_to_the_layer_reached(monkeypatch):
+    # A refutation tries layer 1 and then needs only the least upper bound,
+    # so no clause above size 1 is built, and none is valued; an answer at
+    # layer 4 of 11 builds the 172 clauses of size at most 4, where the
+    # whole pool up to size 11 holds 133,692.
+    layer, pool_by_size = expressiveness._layer, expressiveness._pool_by_size
+    reached, pools = [], []
+
+    def recorded_layer(pool, live, s):
+        reached.append(s)
+        return layer(pool, live, s)
+
+    def recorded_pool_by_size(*args):
+        for lits, pool in pool_by_size(*args):
+            pools.append(pool)
+            yield lits, pool
+
+    monkeypatch.setattr(expressiveness, "_layer", recorded_layer)
+    monkeypatch.setattr(expressiveness, "_pool_by_size", recorded_pool_by_size)
+    for target, fragment, alphabet, size, layers, clauses, found in (
+        ("p | q", "horn", {"p", "q"}, 7, [1], 3, "None"),
+        ("p & q -> r", "krom", {"p", "q", "r"}, 7, [1], 4, "None"),
+        ("p -> q", "krom", {"p", "q", "r"}, 11, [1, 2, 3, 4], 172, "p -> q"),
+    ):
+        reached.clear()
+        pools.clear()
+        got = search_weak_translation(parse(target), fragment, alphabet, size, max_worlds=3)
+        assert str(got) == found and reached == layers, (target, reached)
+        pool = pools[-1]
+        assert len(pool) == clauses and max(s for s, *_ in pool) == layers[-1], (target, len(pool))
+
+
 @pytest.mark.parametrize("chunk", [12, 9])
 def test_literals_are_valued_from_their_operands(chunk, monkeypatch):
     # With 9 cells a batch ends inside the relation cells: after a's first
     # pair at 2 worlds, after b's third at 3.  Literals are valued from the
     # largest down, so each one's operand chain is valued on demand.
     monkeypatch.setattr("knfrag.semantics._CHUNK_CELLS", chunk)
-    lits = expressiveness._literals_by_size(5, ("p", "q"), ("a", "b"), True, True)
+    lits = literals_by_size(5, ("p", "q"), ("a", "b"), True, True)
     programs = [compile_formula(lit) for _, lit, _ in lits]
     batches = chain(valuation_batches({"p", "q"}, {"a", "b"}, 2),
                     islice(valuation_batches({"p", "q"}, {"a", "b"}, 3), 0, None, 997))
@@ -493,7 +569,7 @@ def test_literal_pool_keeps_the_sorted_order():
     for alphabet, mods, allow_dia, allow_box in product(
         (("p",), ("p", "q")), (("a",), ("a", "b")), (False, True), (False, True)
     ):
-        lits = expressiveness._literals_by_size(7, alphabet, mods, allow_dia, allow_box)
+        lits = literals_by_size(7, alphabet, mods, allow_dia, allow_box)
         pool = [(size, l) for size, l, _ in lits]
         assert pool == sorted(pool, key=lambda t: (t[0], reference_formula_key(t[1])))
         assert all(l.operand is lits[o][1] if size > 1 else o is None for size, l, o in lits)
