@@ -5,12 +5,14 @@ up to a world bound; `strong_translation_check` lets the second formula use
 fresh letters and searches model extensions for them.  Both return a
 verdict that is either equivalence-up-to-the-bound or a concrete pointed
 counterexample.  `search_weak_translation` refutes translatability claims
-by exhausting a clausal fragment up to a size bound.  `replay_theorem`
-re-runs the concrete model constructions behind each catalogued result and
-reports step-by-step outcomes: each replay yields `(description, outcome)`
-pairs, and `replay_theorem` records them with each outcome as a `bool`.  A
-corollary cites the results it rests on by id, and `replay_theorems`
-replays several ids in one run, each result once.
+by exhausting a clausal fragment up to a size bound, growing its clause
+pool by size, or at once when the fragment's least upper bound of the
+target, computed on one batch from distinct values in memory linear in
+their count, is not the target.  `replay_theorem` re-runs the concrete
+model constructions behind each catalogued result and reports step by
+step: each replay yields `(description, outcome)` pairs, recorded with
+each outcome as a `bool`.  A corollary cites the results it rests on by
+id, and `replay_theorems` replays several ids in one run, each once.
 """
 
 from __future__ import annotations
@@ -169,7 +171,7 @@ def parse_fragment_spec(spec: str) -> FragmentDescriptor:
 def _literal_rows(alphabet, mods, allow_dia, allow_box):
     """A list of the literals of each size from 1 up, as (size, literal,
     index of its operand in the lists laid end to end, None for T and the
-    letters): T, letters, diamonds, boxes; then modality, as in `mods`."""
+    letters): T, letters, diamonds, boxes; then modality, as in `mods`; then operand."""
     kinds = [kind for kind, allowed in ((Diamond, allow_dia), (Box, allow_box)) if allowed]
     row, start = [(1, l, None) for l in (TOP, *map(Prop, alphabet))], 0
     for s in count(2):
@@ -210,10 +212,9 @@ def _fragment_pool(alphabet, modalities, size_bound, fragment):
 
 
 def _least_upper_bound(batch, truth, alphabet, mods, size_bound, req):
-    """The AND on the batch of the clauses up to the bound of the fragment
-    `req` that hold wherever `truth` does, from distinct values alone: the
-    literal values with their least sizes, the clause bodies' with their
-    least costs as in `_pool_by_size`, and those their prefix boxes reach."""
+    """The AND on the batch of the clauses of the fragment `req` up to the
+    bound that hold wherever `truth` does, from the distinct values of its
+    literals, bodies (least costs as in `_pool_by_size`) and boxed bodies."""
     kinds = [box for box, ok in ((False, not req.box_only), (True, not req.diamond_only)) if ok]
     budget, full, levels, seen = size_bound + 1, batch.layout.full, [], set()
     new = [full, *(batch.packed.get(l, 0) for l in alphabet)]
@@ -326,7 +327,7 @@ def search_weak_translation(
     if not goal.modalities <= mods:
         raise ValueError("target mentions modalities outside the search's modalities")
     batches = valuation_batches(alphabet, mods, max_worlds)
-    seen = []  # (batch, target value, {literal index: value}, {pool index: value})
+    seen, built = [], {}  # seen: (batch, target value, {literal: value}, {clause: value})
 
     def clause_value(b, j):
         batch, _, lit_values, values = seen[b]
@@ -360,7 +361,6 @@ def search_weak_translation(
         return not seen[0][1] & ~(values[j] if j in values else clause_value(0, j))
 
     req = fragment if isinstance(fragment, FragmentDescriptor) else parse_fragment_spec(fragment)
-    built = {}
     for s, (lits, pool) in enumerate(_pool_by_size(alphabet, mods, formula_size_bound, req), 1):
         live = [j for j in range(len(pool)) if s == 1 or implied(j)]
         found = [_text_order(lits, pool, built, picks)
