@@ -37,10 +37,8 @@ from .semantics import (
     check,
     enumerate_extensions,
     enumerate_models,
-    is_extension,
     model_from_json,
     model_to_json,
-    restrict_alphabet,
 )
 from .solver import (
     SAT,

@@ -17,7 +17,6 @@ id, and `replay_theorems` replays several ids in one run, each once.
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from functools import reduce
 from itertools import count
 from itertools import product as iproduct
@@ -203,12 +202,6 @@ def _pool_by_size(alphabet, modalities, size_bound, fragment):
                  for ns, ps in bodies[s - p]
                  if not (p and not ns and len(ps) == 1)]  # same as the box-extended literal
         yield lits, pool
-
-
-def _fragment_pool(alphabet, modalities, size_bound, fragment):
-    """The literals and the whole clause pool up to the bound."""
-    *_, whole = _pool_by_size(alphabet, modalities, size_bound, fragment)
-    return whole
 
 
 def _least_upper_bound(batch, truth, alphabet, mods, size_bound, req):
@@ -670,33 +663,29 @@ _HIERARCHY = {
     ),
 }
 
-# Reports by id of the run in progress in this context; a new thread is in none.
-_RUN_REPORTS = ContextVar("replay_run_reports")
-
 
 def replay_theorems(theorem_ids) -> list:
     """Reports for the ids, replayed in one run: each catalogued result is
     replayed at most once, however many of the ids cite it."""
-    token = _RUN_REPORTS.set({})
-    try:
-        return [replay_theorem(theorem_id) for theorem_id in theorem_ids]
-    finally:
-        _RUN_REPORTS.reset(token)
+    reports = {}
+    return [_replay(theorem_id, reports) for theorem_id in theorem_ids]
 
 
 def replay_theorem(theorem_id: str) -> TheoremReport:
-    """Re-run one catalogued construction; see `THEOREM_IDS`.  The results
-    it cites are replayed first, once each per run; a call outside
-    `replay_theorems` is a run of its own."""
+    """Re-run one catalogued construction, a run of its own; see
+    `THEOREM_IDS`.  The results it cites are replayed first, once each."""
+    return _replay(theorem_id, {})
+
+
+def _replay(theorem_id, reports):
+    # The report for the id, replayed after the results it cites unless
+    # the run's `reports` already hold it.
     if theorem_id not in _CATALOGUE:
         known = ", ".join(THEOREM_IDS)
         raise ValueError(f"unknown theorem id {theorem_id!r} (known: {known})")
-    reports = _RUN_REPORTS.get(None)
-    if reports is None:
-        return replay_theorems([theorem_id])[0]
     if theorem_id not in reports:
         replay, cites = _CATALOGUE[theorem_id]
-        verdicts = [replay_theorem(cited).overall for cited in cites]
+        verdicts = [_replay(cited, reports).overall for cited in cites]
         steps = tuple((description, bool(ok)) for description, ok in replay(*verdicts))
         reports[theorem_id] = TheoremReport(theorem_id, steps)
     return reports[theorem_id]

@@ -27,9 +27,7 @@ __all__ = [
     "KripkeModel",
     "PointedModel",
     "check",
-    "is_extension",
     "enumerate_extensions",
-    "restrict_alphabet",
     "enumerate_models",
     "compile_formula",
     "valuation_batches",
@@ -237,18 +235,6 @@ def _check(val, succ, w, f):
     raise TypeError(f"not a formula: {f!r}")
 
 
-def is_extension(base: KripkeModel, ext: KripkeModel) -> bool:
-    """True iff `ext` has the same frame, a superset alphabet, and agrees
-    with `base` once restricted to the base alphabet."""
-    if base.frame != ext.frame:
-        return False
-    if not base.alphabet <= ext.alphabet:
-        return False
-    return all(
-        ext.valuation[w] & base.alphabet == base.valuation[w] for w in base.frame.worlds
-    )
-
-
 def enumerate_extensions(base: KripkeModel, new_letters):
     """All extensions of `base` over the fresh letters, exactly once each.
 
@@ -272,13 +258,6 @@ def enumerate_extensions(base: KripkeModel, new_letters):
         )
 
 
-def restrict_alphabet(model: KripkeModel, alphabet) -> KripkeModel:
-    """The same model with its valuation cut down to `alphabet`."""
-    alphabet = frozenset(str(l) for l in alphabet)
-    val = {w: ls & alphabet for w, ls in model.valuation.items()}
-    return KripkeModel._direct(model.frame, val, alphabet)
-
-
 # --- Deterministic model streams ---
 
 
@@ -292,8 +271,9 @@ def _frame(ws, mods, index: int) -> KripkeFrame:
 
     The counter holds one relation bitmask per modality, the last
     modality's lowest, and bit u*k + v of a mask is the pair (ws[u], ws[v])
-    on k worlds.  `_frames` counts it up and `Batch.first_difference`
-    decodes it from a model index, so both follow this one frame order.
+    on k worlds.  `enumerate_models` counts it up and
+    `Batch.first_difference` decodes it from a model index, so both follow
+    this one frame order.
     """
     k = len(ws)
     succ = {}
@@ -307,13 +287,6 @@ def _frame(ws, mods, index: int) -> KripkeFrame:
         if rows:
             succ[m] = rows
     return KripkeFrame._direct(ws, succ)
-
-
-def _frames(ws, mods):
-    """Every frame on the worlds `ws` over the sorted modality names
-    `mods`, counter ascending (see `_frame`); the empty frame comes first."""
-    for index in range(1 << len(mods) * len(ws) ** 2):
-        yield _frame(ws, mods, index)
 
 
 def _valuation(ws, letters, mask: int) -> dict:
@@ -339,7 +312,8 @@ def enumerate_models(alphabet, modalities, max_worlds: int):
     for k in range(1, max_worlds + 1):
         ws = _world_names(k)
         vals = [_valuation(ws, letters, mask) for mask in range(1 << k * len(letters))]
-        for frame in _frames(ws, mods):
+        for index in range(1 << len(mods) * k * k):
+            frame = _frame(ws, mods, index)
             for val in vals:
                 yield KripkeModel._direct(frame, val, alpha)
 

@@ -675,20 +675,29 @@ def reference_search(target, fragment, alphabet, size_bound, max_worlds, modalit
     return None
 
 
+def note_replays(monkeypatch, note):
+    """Wrap every catalogue entry so that each evaluation first calls
+    `note(theorem_id)`."""
+    def noted(theorem_id, replay):
+        def wrapper(*verdicts):
+            note(theorem_id)
+            return replay(*verdicts)
+        return wrapper
+
+    for theorem_id, (replay, cites) in list(expressiveness._CATALOGUE.items()):
+        monkeypatch.setitem(expressiveness._CATALOGUE, theorem_id,
+                            (noted(theorem_id, replay), cites))
+
+
 def count_replays(monkeypatch):
     """Wrap every catalogue entry with a counter of its evaluations, safe
     across threads; returns the counts by theorem id."""
     lock = threading.Lock()
     counts = dict.fromkeys(expressiveness.THEOREM_IDS, 0)
 
-    def counted(theorem_id, replay):
-        def wrapper(*verdicts):
-            with lock:
-                counts[theorem_id] += 1
-            return replay(*verdicts)
-        return wrapper
+    def counted(theorem_id):
+        with lock:
+            counts[theorem_id] += 1
 
-    for theorem_id, (replay, cites) in list(expressiveness._CATALOGUE.items()):
-        monkeypatch.setitem(expressiveness._CATALOGUE, theorem_id,
-                            (counted(theorem_id, replay), cites))
+    note_replays(monkeypatch, counted)
     return counts

@@ -292,10 +292,12 @@ def test_cli_runs_without_docstrings():
 
 def test_import_loads_neither_dataclasses_nor_inspect():
     # Each command starts a fresh interpreter; the records are plain slot
-    # classes, so importing the command line pays for no dataclass machinery.
+    # classes, so importing the command line pays for no dataclass machinery,
+    # and a replay run keeps its reports in a local dict, not a context variable.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
-    script = "import sys, knfrag.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    script = ("import sys, knfrag.cli; "
+              "print(sorted({'contextvars', 'dataclasses', 'inspect'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=60)
     assert done.returncode == 0, done.stderr

@@ -46,6 +46,7 @@ from knfrag.translate import FreshLetterSource, krom_to_krom_box, krom_to_krom_d
 from helpers import (
     count_replays,
     literals_by_size,
+    note_replays,
     random_clause,
     random_formula,
     reference_formula_key,
@@ -454,9 +455,10 @@ def test_least_upper_bound_matches_the_clause_by_clause_and(monkeypatch):
 
 
 def test_krom_refutation_memory_stays_bounded():
-    # No candidate text, `Clause` or compiled clause program is kept: the
-    # size-7 Krom refutation peaks near 1.6 MB; a text key per candidate,
-    # sorted before the search, took it near 3.9 MB.
+    # The size-7 Krom refutation ends after layer 1 and the least upper
+    # bound, so it builds only the size-1 clauses and keeps no candidate
+    # text, `Clause` or compiled clause program: it peaks near 12 KB.  A
+    # pool built to size 7 before layer 1 took it to 0.4-0.8 MB.
     tracemalloc.start()
     try:
         found = search_weak_translation(
@@ -466,7 +468,7 @@ def test_krom_refutation_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert found is None
-    assert peak < 3_000_000, peak
+    assert peak < 200_000, peak
 
 
 def test_search_breaks_ties_in_a_layer_by_text():
@@ -589,7 +591,7 @@ def _canonical_layers(lits, pool, layers, ids):
 def _layers_built_when_reached(alphabet, mods, size, fragment):
     """The pool and its layers 0..size, each from the search's per-layer
     builder over the whole pool."""
-    lits, pool = expressiveness._fragment_pool(alphabet, mods, size, fragment)
+    *_, (lits, pool) = expressiveness._pool_by_size(alphabet, mods, size, fragment)
     return [l for _, l, _ in lits], pool, [expressiveness._layer(pool, range(len(pool)), s)
                                            for s in range(size + 1)]
 
@@ -765,13 +767,41 @@ def test_search_rejects_size_bounds_below_one(size):
         search_weak_translation(parse("p | q"), "horn", {"p", "q"}, size)
 
 
-def test_replay_run_leaves_no_state():
+def assert_next_run_replays_each_result_once(monkeypatch):
+    counts = count_replays(monkeypatch)
+    reports = replay_theorems(THEOREM_IDS)
+    assert counts == dict.fromkeys(THEOREM_IDS, 1)
+    assert all(report.overall for report in reports)
+
+
+def test_replay_run_leaves_no_state(monkeypatch):
     with pytest.raises(ValueError):
         replay_theorems(["horn-vs-bool", "no-such-result"])
-    assert expressiveness._RUN_REPORTS.get(None) is None
     report = replay_theorem("box-dia-incomparable")
-    assert expressiveness._RUN_REPORTS.get(None) is None
     assert report.overall
+    assert_next_run_replays_each_result_once(monkeypatch)
+
+
+@pytest.mark.parametrize("run, order", [
+    (lambda: replay_theorems(THEOREM_IDS),
+     ["horn-vs-bool", "krom-vs-bool", "intersection-closure", "hornbox-vs-horn",
+      "product-closure", "horndia-vs-horn", "krombox-equiv", "kromdia-equiv",
+      "horn-krom-incomparable", "box-dia-incomparable"]),
+    (lambda: replay_theorem("box-dia-incomparable"),
+     ["hornbox-vs-horn", "horndia-vs-horn", "krombox-equiv", "kromdia-equiv",
+      "box-dia-incomparable"]),
+    (lambda: replay_theorems(THEOREM_IDS[::-1]),
+     ["hornbox-vs-horn", "horndia-vs-horn", "krombox-equiv", "kromdia-equiv",
+      "box-dia-incomparable", "horn-vs-bool", "krom-vs-bool", "horn-krom-incomparable",
+      "product-closure", "intersection-closure"]),
+], ids=["all", "box-dia-incomparable", "all-reversed"])
+def test_replays_run_in_citation_order(run, order, monkeypatch):
+    # Cited results run first, in citation order, and a run skips the ones
+    # it has already replayed.
+    ran = []
+    note_replays(monkeypatch, ran.append)
+    run()
+    assert ran == order
 
 
 def test_replay_outcomes_are_recorded_as_bool(monkeypatch):
@@ -791,10 +821,12 @@ def test_replay_failing_midway_leaves_no_state(monkeypatch):
         yield "a first step", True
         raise RuntimeError("replay broke")
 
-    monkeypatch.setitem(expressiveness._CATALOGUE, "krom-vs-bool", (broken, ()))
+    replay, cites = expressiveness._CATALOGUE["krom-vs-bool"]
+    monkeypatch.setitem(expressiveness._CATALOGUE, "krom-vs-bool", (broken, cites))
     with pytest.raises(RuntimeError, match="replay broke"):
         replay_theorems(THEOREM_IDS)
-    assert expressiveness._RUN_REPORTS.get(None) is None
+    monkeypatch.setitem(expressiveness._CATALOGUE, "krom-vs-bool", (replay, cites))
+    assert_next_run_replays_each_result_once(monkeypatch)
 
 
 def test_replay_theorems_matches_single_replays():

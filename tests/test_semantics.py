@@ -14,7 +14,6 @@ from knfrag import (
     enumerate_extensions,
     enumerate_models,
     intersect,
-    is_extension,
     is_positive_literal,
     model_from_json,
     model_to_json,
@@ -22,7 +21,6 @@ from knfrag import (
     parse,
     product,
     product_world,
-    restrict_alphabet,
 )
 from knfrag.semantics import compile_formula, valuation_batches
 from helpers import (
@@ -106,20 +104,6 @@ def test_positive_literal_monotone_under_enlargement():
             assert check(bigger, w, lit)
 
 
-def test_is_extension(fan_model):
-    plain = KripkeModel(fan_model.frame, fan_model.valuation, {"p", "f0"})
-    assert is_extension(fan_model, plain)
-    changed = KripkeModel(fan_model.frame, {"w2": ["p"]}, {"p"})
-    assert not is_extension(fan_model, changed)
-    for ext in enumerate_extensions(fan_model, {"f0"}):
-        assert is_extension(fan_model, ext)
-
-
-def test_is_extension_requires_same_frame(fan_model):
-    other = KripkeModel(KripkeFrame(["w0", "w1", "w2"]), {"w1": ["p"]}, {"p"})
-    assert not is_extension(fan_model, other)
-
-
 def test_enumerate_extensions_counts():
     one = KripkeModel(KripkeFrame(["w0"]), {}, {"p"})
     assert len(list(enumerate_extensions(one, {"x"}))) == 2
@@ -130,22 +114,23 @@ def test_enumerate_extensions_counts():
     assert sum(1 for _ in stream) == 64
 
 
-def test_enumerate_extensions_distinct_and_first_minimal():
+def test_enumerate_extensions_distinct_and_first_minimal(fan_model):
     base = KripkeModel(KripkeFrame(["w0", "w1"]), {"w0": ["p"]}, {"p"})
     exts = list(enumerate_extensions(base, {"x"}))
     assert len(set(exts)) == len(exts)
     first = exts[0]
     assert all("x" not in first.valuation[w] for w in first.frame.worlds)
+    # Every extension keeps the base's frame and agrees with it on its letters.
+    for model in (base, fan_model):
+        for ext in enumerate_extensions(model, {"x"}):
+            assert ext.frame == model.frame and ext.alphabet == model.alphabet | {"x"}
+            assert all(ext.valuation[w] & model.alphabet == model.valuation[w]
+                       for w in model.frame.worlds)
 
 
 def test_enumerate_extensions_rejects_clash(fan_model):
     with pytest.raises(ValueError):
         list(enumerate_extensions(fan_model, {"p"}))
-
-
-def test_restrict_alphabet(fan_model):
-    ext = next(iter(enumerate_extensions(fan_model, {"f0"})))
-    assert restrict_alphabet(ext, {"p"}) == fan_model
 
 
 def test_model_json_roundtrip(fan_model):
