@@ -8,9 +8,10 @@ Exit codes: 64 usage, 65 bad formula or model data, 66 unreadable file,
 69 resource cap (a solver cap, or input nested too deeply for the
 recursion limit), 70 internal error (a guarantee the library re-checks
 failed, which is a bug in knfrag), 73 unwritable `translate --sidecar`
-file.  `sat` exits 0/1/2 for satisfiable / unsatisfiable / unknown at the
-bound; `check` exits 0/1 for true/false; `equiv` and `search` exit 0/1 for
-found/not.
+file, 74 failed input or output (stdout closed by its reader, or a full
+disk), 130 interrupted (Ctrl-C: 128 + SIGINT).  `sat` exits 0/1/2 for
+satisfiable / unsatisfiable / unknown at the bound; `check` exits 0/1 for
+true/false; `equiv` and `search` exit 0/1 for found/not.
 
 The argument parser is built once, when the module is imported, and every
 `main` call parses into a fresh namespace, so calls share no state.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .expressiveness import (
@@ -61,6 +63,8 @@ EX_NOINPUT = 66
 EX_UNAVAILABLE = 69
 EX_SOFTWARE = 70
 EX_CANTCREAT = 73
+EX_IOERR = 74
+EX_INTERRUPTED = 130  # 128 + SIGINT
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -290,13 +294,28 @@ def _build_parser() -> _ArgumentParser:
 _PARSER = _build_parser()
 
 
+def _discard_stdout():
+    """Point stdout's file descriptor, if it has one, at the null device, so
+    that the interpreter's flush at exit meets no closed pipe (the note on
+    SIGPIPE in the `signal` module's documentation)."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # io.UnsupportedOperation is both
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     if args.cap is not None and args.verb != "sat":
         sys.stderr.write(f"knfrag {args.verb}: error: --cap applies to sat only\n")
         return EX_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ParseError as e:
         sys.stderr.write(f"parse error: {e}\n")
         return EX_DATAERR
@@ -315,6 +334,14 @@ def main(argv=None) -> int:
     except ValueError as e:
         sys.stderr.write(f"error: {e}\n")
         return EX_DATAERR
+    except OSError as e:
+        if isinstance(e, BrokenPipeError):
+            _discard_stdout()
+        sys.stderr.write(f"i/o error: {e.strerror or e}\n")
+        return EX_IOERR
+    except KeyboardInterrupt:
+        sys.stderr.write("interrupted\n")
+        return EX_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -19,8 +19,9 @@ Nodes, clauses and clausal formulas are immutable `__slots__` records, not
 dataclasses.  `parse`, `to_text` and the nodes' `==`, `hash` and `repr` are
 loops over explicit stacks, and a node pickles and copies as its text, so
 no nesting depth or chain length meets the interpreter's recursion limit.
-The tokenizer is one regex pass that keeps each token's offset; line and
-column are computed only for a `ParseError`.
+`parse` reads its lexemes with one `findall` and builds each node from
+parts it has already checked; a lexeme's offset, line and column are
+computed only for a `ParseError`.
 
 A *positive literal* is built from `T`, letters, diamonds and boxes only.
 A *clause* is a (possibly empty) chain of boxes over a disjunction of
@@ -480,9 +481,10 @@ class ParseError(ValueError):
         self.expected = tuple(expected)
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<arrow>->)|(?P<ident>_?[a-z][a-z0-9_]*)|(?P<sym>[TF~&|()<>\[\]]))"
-)
+# Lexemes: `->`, an ident, or any other non-space character, which is a
+# symbol or, when it is none, a character the grammar stops on.
+_LEXEME_RE = re.compile(r"->|_?[a-z][a-z0-9_]*|\S")
+_SYMBOLS = frozenset(("->", "T", "F", "~", "&", "|", "(", ")", "<", ">", "[", "]"))
 
 
 def _position(text, offset):
@@ -490,29 +492,19 @@ def _position(text, offset):
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _tokenize(text):
-    """(kind, lexeme, offset) triples, the last of kind "end"; a symbol is
-    its own kind.  Each match must start where the last one ended."""
-    tokens, pos = [], 0
-    for m in _TOKEN_RE.finditer(text):
-        if m.start() != pos:
-            break
-        kind = m.lastgroup
-        lexeme = m[kind]
-        pos = m.end()
-        tokens.append((lexeme if kind == "sym" else kind, lexeme, pos - len(lexeme)))
-    rest = text[pos:].lstrip()
-    if rest:
-        offset = len(text) - len(rest)
-        raise ParseError(f"unexpected character {rest[0]!r}", *_position(text, offset))
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-def _fail(text, token, expected):
-    _, lexeme, offset = token
-    shown = lexeme or "end of input"
-    message = f"expected {' or '.join(expected)}, found {shown!r}"
+def _fail(text, index, expected=(), message=None):
+    """Raise the `ParseError` for lexeme `index` of `text` (past the last one:
+    the end), with `message` or "expected ..., found ...".  Offsets are read
+    here only.  A character that starts no token is reported first, wherever
+    it stands: stray characters are errors before any grammar error is."""
+    offset, lexeme = len(text), ""
+    for j, m in enumerate(_LEXEME_RE.finditer(text)):
+        if m[0] not in _SYMBOLS and not _IDENT_RE.match(m[0]):
+            raise ParseError(f"unexpected character {m[0]!r}", *_position(text, m.start()))
+        if j == index:
+            offset, lexeme = m.start(), m[0]
+    if message is None:
+        message = f"expected {' or '.join(expected)}, found {lexeme or 'end of input'!r}"
     raise ParseError(message, *_position(text, offset), expected)
 
 
@@ -523,8 +515,8 @@ def _desugar_implies(antecedent: Formula, consequent: Formula) -> Formula:
     return reduce(Or, disjuncts)
 
 
-# Binary operator token -> (precedence, constructor); `->` groups to the right.
-_BINARY = {"arrow": (0, _desugar_implies), "|": (1, Or), "&": (2, And)}
+# Binary operator -> (precedence, node class or desugaring); `->` groups to the right.
+_BINARY = {"->": (0, _desugar_implies), "|": (1, Or), "&": (2, And)}
 
 
 def parse(text: str, alphabet=None) -> Formula:
@@ -532,73 +524,85 @@ def parse(text: str, alphabet=None) -> Formula:
 
     If `alphabet` is given, letters outside it are rejected.  Raises
     `ParseError` with line/column and the expected-token set on bad input.
-    One loop by operator precedence: `pending` holds the (left operand,
-    precedence, constructor) of each binary operator awaiting its right
-    operand, `prefixes` the unary operators awaiting theirs, and `opened`
-    the (pending, prefixes) saved at each `(`.
+    One `findall` reads the lexemes, and one loop by operator precedence
+    builds the nodes from parts it has checked, without validating them
+    again: `pending` holds the (left operand, precedence, constructor) of
+    each binary operator awaiting its right operand, `prefixes` the unary
+    operators awaiting theirs, and `opened` the (pending, prefixes) saved at
+    each `(`.
     """
-    tokens = _tokenize(text)
-    props, modalities = {}, {}  # one node per letter, one Modality per name
+    lexemes = _LEXEME_RE.findall(text)
+    lexemes.append("")  # the end
+    new = object.__new__
+    atoms, modalities = {"T": TOP, "F": BOTTOM}, {}  # one node per letter, one Modality per name
     pending, prefixes, opened = [], [], []
     i = 0
     while True:
-        kind, lexeme, offset = tokens[i]
+        lexeme = lexemes[i]
         i += 1
-        if kind == "ident":
-            f = props.get(lexeme)
-            if f is None:
-                if alphabet is not None and lexeme not in alphabet:
-                    message = f"letter {lexeme!r} not in the declared alphabet"
-                    raise ParseError(message, *_position(text, offset))
-                f = props[lexeme] = Prop(lexeme)
-        elif kind == "T":
-            f = TOP
-        elif kind == "F":
-            f = BOTTOM
-        elif kind == "~":
-            prefixes.append((Not, None))
-            continue
-        elif kind == "(":
-            opened.append((pending, prefixes))
-            pending, prefixes = [], []
-            continue
-        elif kind == "<" or kind == "[":
-            close = ">" if kind == "<" else "]"
-            if tokens[i][0] != "ident":
-                _fail(text, tokens[i], ("ident",))
-            if tokens[i + 1][0] != close:
-                _fail(text, tokens[i + 1], (close,))
-            name = tokens[i][1]
-            if name not in modalities:
-                modalities[name] = Modality(name)
-            prefixes.append((Diamond if kind == "<" else Box, modalities[name]))
-            i += 2
-            continue
-        else:
-            _fail(text, tokens[i - 1], ("T", "F", "ident", "(", "~", "<", "["))
+        f = atoms.get(lexeme)
+        if f is None:
+            if lexeme == "~":
+                prefixes.append((Not, None))
+                continue
+            if lexeme == "(":
+                opened.append((pending, prefixes))
+                pending, prefixes = [], []
+                continue
+            if lexeme == "<" or lexeme == "[":
+                name = lexemes[i]
+                m = modalities.get(name)
+                if m is None:
+                    if not _IDENT_RE.match(name):
+                        _fail(text, i, ("ident",))
+                    m = modalities[name] = Modality(name)
+                close = ">" if lexeme == "<" else "]"
+                if lexemes[i + 1] != close:
+                    _fail(text, i + 1, (close,))
+                prefixes.append((Diamond if lexeme == "<" else Box, m))
+                i += 2
+                continue
+            if not _IDENT_RE.match(lexeme):
+                _fail(text, i - 1, ("T", "F", "ident", "(", "~", "<", "["))
+            if alphabet is not None and lexeme not in alphabet:
+                _fail(text, i - 1, message=f"letter {lexeme!r} not in the declared alphabet")
+            f = atoms[lexeme] = new(Prop)
+            _set_letter(f, lexeme)
         # f is a whole operand: apply its prefixes, then read the operator
         # after it; a `)` or the end makes the group's value the operand.
         while True:
             while prefixes:
                 cls, m = prefixes.pop()
-                f = cls(f) if m is None else cls(m, f)
-            kind = tokens[i][0]
-            prec, make = _BINARY.get(kind, (-1, None))  # -1: a group ends
+                g = new(cls)
+                if m is None:
+                    _set_negated(g, f)
+                else:
+                    _set_modality(g, m)
+                    _set_operand(g, f)
+                f = g
+            lexeme = lexemes[i]
+            prec, make = _BINARY.get(lexeme, (-1, None))  # -1: a group ends
             floor = prec or 1  # an `->` reduces only the tighter operators
             while pending and pending[-1][1] >= floor:
                 left, _, join = pending.pop()
-                f = join(left, f)
+                if join is _desugar_implies:
+                    f = join(left, f)
+                else:
+                    g = new(join)
+                    _set_left(g, left)
+                    _set_right(g, f)
+                    f = g
             if make is not None:
                 pending.append((f, prec, make))
                 i += 1
                 break
-            if kind == ")" and opened:
+            if lexeme == ")" and opened:
                 pending, prefixes = opened.pop()
                 i += 1
-            elif kind == "end" and not opened:
+            elif lexeme == "" and not opened:
                 return f
             else:
-                _fail(text, tokens[i], (")",) if opened else ("end",))
+                _fail(text, i, (")",) if opened else ("end",))
 
 
 # --- Printing ---

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import threading
 from itertools import combinations_with_replacement, islice, product
 
@@ -9,6 +10,7 @@ from knfrag import (
     COUNTEREXAMPLE,
     EQUIVALENT_UP_TO_BOUND,
     And,
+    BOTTOM,
     Box,
     Clause,
     ClausalFormula,
@@ -19,6 +21,7 @@ from knfrag import (
     Not,
     NotClausalError,
     Or,
+    ParseError,
     Prop,
     TOP,
     Top,
@@ -36,6 +39,7 @@ from knfrag import (
 from knfrag import expressiveness
 from knfrag.semantics import compile_formula
 from knfrag.solver import sat_tableau
+from knfrag.syntax import _desugar_implies, _position
 from knfrag.translate import FreshLetterSource, _offending_count
 
 
@@ -446,6 +450,112 @@ def reference_least_upper_bounds(cases, alphabet, modalities, max_size, fragment
                 value &= v
         bounds.append(row + [value] * (max_size - len(row)))
     return bounds
+
+
+# --- Reference parser: the tokenizer and loop `parse` had before it read
+# its lexemes with one `findall`, kept as written then; `_position` and
+# `_desugar_implies` are shared, unchanged ---
+
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<arrow>->)|(?P<ident>_?[a-z][a-z0-9_]*)|(?P<sym>[TF~&|()<>\[\]]))"
+)
+
+
+def _reference_tokenize(text):
+    """(kind, lexeme, offset) triples, the last of kind "end"; a symbol is
+    its own kind.  Each match must start where the last one ended."""
+    tokens, pos = [], 0
+    for m in _REFERENCE_TOKEN_RE.finditer(text):
+        if m.start() != pos:
+            break
+        kind = m.lastgroup
+        lexeme = m[kind]
+        pos = m.end()
+        tokens.append((lexeme if kind == "sym" else kind, lexeme, pos - len(lexeme)))
+    rest = text[pos:].lstrip()
+    if rest:
+        offset = len(text) - len(rest)
+        raise ParseError(f"unexpected character {rest[0]!r}", *_position(text, offset))
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+def _reference_fail(text, token, expected):
+    _, lexeme, offset = token
+    shown = lexeme or "end of input"
+    message = f"expected {' or '.join(expected)}, found {shown!r}"
+    raise ParseError(message, *_position(text, offset), expected)
+
+
+_REFERENCE_BINARY = {"arrow": (0, _desugar_implies), "|": (1, Or), "&": (2, And)}
+
+
+def reference_parse(text, alphabet=None):
+    """`parse` through a tokenizer that keeps every token's offset and
+    nodes built by their validating constructors."""
+    tokens = _reference_tokenize(text)
+    props, modalities = {}, {}  # one node per letter, one Modality per name
+    pending, prefixes, opened = [], [], []
+    i = 0
+    while True:
+        kind, lexeme, offset = tokens[i]
+        i += 1
+        if kind == "ident":
+            f = props.get(lexeme)
+            if f is None:
+                if alphabet is not None and lexeme not in alphabet:
+                    message = f"letter {lexeme!r} not in the declared alphabet"
+                    raise ParseError(message, *_position(text, offset))
+                f = props[lexeme] = Prop(lexeme)
+        elif kind == "T":
+            f = TOP
+        elif kind == "F":
+            f = BOTTOM
+        elif kind == "~":
+            prefixes.append((Not, None))
+            continue
+        elif kind == "(":
+            opened.append((pending, prefixes))
+            pending, prefixes = [], []
+            continue
+        elif kind == "<" or kind == "[":
+            close = ">" if kind == "<" else "]"
+            if tokens[i][0] != "ident":
+                _reference_fail(text, tokens[i], ("ident",))
+            if tokens[i + 1][0] != close:
+                _reference_fail(text, tokens[i + 1], (close,))
+            name = tokens[i][1]
+            if name not in modalities:
+                modalities[name] = Modality(name)
+            prefixes.append((Diamond if kind == "<" else Box, modalities[name]))
+            i += 2
+            continue
+        else:
+            _reference_fail(text, tokens[i - 1], ("T", "F", "ident", "(", "~", "<", "["))
+        # f is a whole operand: apply its prefixes, then read the operator
+        # after it; a `)` or the end makes the group's value the operand.
+        while True:
+            while prefixes:
+                cls, m = prefixes.pop()
+                f = cls(f) if m is None else cls(m, f)
+            kind = tokens[i][0]
+            prec, make = _REFERENCE_BINARY.get(kind, (-1, None))  # -1: a group ends
+            floor = prec or 1  # an `->` reduces only the tighter operators
+            while pending and pending[-1][1] >= floor:
+                left, _, join = pending.pop()
+                f = join(left, f)
+            if make is not None:
+                pending.append((f, prec, make))
+                i += 1
+                break
+            if kind == ")" and opened:
+                pending, prefixes = opened.pop()
+                i += 1
+            elif kind == "end" and not opened:
+                return f
+            else:
+                _reference_fail(text, tokens[i], (")",) if opened else ("end",))
 
 
 # --- Random generators (plain seeded random, no framework) ---

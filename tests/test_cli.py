@@ -2,9 +2,11 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -270,11 +272,17 @@ def test_internal_error_exit_code(monkeypatch):
 # --- the parser built once at import ---
 
 
-def run_process(argv, flags=(), input=None):
+def cli_process_args(argv, flags=()):
+    """The command and environment that run the command line in a child."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *flags, "-m", "knfrag.cli", *argv], input=input,
-                          capture_output=True, text=True, env=env, timeout=60)
+    return [sys.executable, *flags, "-m", "knfrag.cli", *argv], env
+
+
+def run_process(argv, flags=(), input=None):
+    command, env = cli_process_args(argv, flags)
+    return subprocess.run(command, input=input, capture_output=True, text=True, env=env,
+                          timeout=60)
 
 
 def run_module(*flags):
@@ -529,6 +537,78 @@ def test_unwritable_sidecar_is_a_cantcreat_exit():
     assert (done.returncode, done.stdout) == (73, "")
     assert "Traceback" not in done.stderr and done.stderr.count("\n") == 1
     assert done.stderr == f"cannot write {path}: No such file or directory\n"
+
+
+# --- output that cannot be written, and Ctrl-C: documented exits, no traceback ---
+
+
+def run_to(stdout, argv, flags):
+    command, env = cli_process_args(argv, flags)
+    return subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+                          timeout=60)
+
+
+@pytest.mark.parametrize("flags", [(), ("-OO",)])
+def test_closed_pipe_is_an_ioerr_exit(flags):
+    # The reader is gone before the child starts, so every write fails,
+    # however soon the child writes.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = run_to(write_end, ["verify-paper"], flags)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 74
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+    assert done.stderr == "i/o error: Broken pipe\n"
+
+
+def test_closed_pipe_leaves_stdout_on_the_null_device():
+    # So that no interpreter's flush at exit meets the closed pipe again.
+    script = ("import os, sys\n"
+              "from knfrag.cli import main\n"
+              "code = main(['verify-paper'])\n"
+              "null = os.path.samestat(os.fstat(sys.stdout.fileno()), os.stat(os.devnull))\n"
+              "sys.stderr.write(f'{code} {null}\\n')\n")
+    command, env = cli_process_args([])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-c", script], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, "i/o error: Broken pipe\n74 True\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("flags", [(), ("-OO",)])
+def test_full_disk_is_an_ioerr_exit(flags):
+    with open("/dev/full", "w") as full:
+        done = run_to(full, ["parse", "p"], flags)
+    assert done.returncode == 74
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+    assert done.stderr == "i/o error: No space left on device\n"
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="SIGINT cannot be sent to a child")
+@pytest.mark.parametrize("flags", [(), ("-OO",)])
+def test_interrupt_is_exit_130(flags):
+    # Brute force on this chain runs for minutes; the signal comes after 1 s.
+    chain = " & ".join(f"(p{i} | <a>q{i})" for i in range(100))
+    command, env = cli_process_args(["sat", "--engine", "brute", chain], flags)
+    child = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             text=True, env=env)
+    try:
+        time.sleep(1)
+        assert child.poll() is None, "the run ended before it was interrupted"
+        child.send_signal(signal.SIGINT)
+        out, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+        child.wait()
+    assert (child.returncode, out) == (130, "")
+    assert "Traceback" not in err and err == "interrupted\n"
 
 
 @pytest.mark.parametrize("size", ["0", "-3"])

@@ -50,6 +50,7 @@ from helpers import (
     reference_letters,
     reference_modalities,
     reference_node_count,
+    reference_parse,
     reference_recognize_clausal,
     subformulas_postorder,
 )
@@ -369,6 +370,69 @@ def test_parse_results_are_unchanged():
         for alphabet in (None, {"p", "q"}):
             digest.update((parse_outcome(text, alphabet) + "\n").encode())
     assert digest.hexdigest() == "b0f4900b0efbcc82698c4fff9de1880ddf0e6333602dd4526a4d5a89c92e4972"
+
+
+# --- `parse` against the tokenizer and loop it replaced ---
+
+
+def parenthesised(f):
+    """Fully parenthesised text, as the benchmark's command-line requests
+    spell their formulas; `to_text` is not used."""
+    if isinstance(f, (And, Or)):
+        op = " & " if isinstance(f, And) else " | "
+        return f"({parenthesised(f.left)}{op}{parenthesised(f.right)})"
+    if isinstance(f, Not):
+        return "~" + parenthesised(f.operand)
+    if isinstance(f, (Diamond, Box)):
+        left, right = ("<", ">") if isinstance(f, Diamond) else ("[", "]")
+        return f"{left}{f.modality}{right}{parenthesised(f.operand)}"
+    return to_text(f)
+
+
+def balanced_conjunction(rng, target_len):
+    """Random formulas joined by `&` into a balanced tree once their text
+    reaches `target_len` characters."""
+    parts, length = [], 0
+    while not parts or length < target_len:
+        parts.append(random_formula(rng, 4, ("p", "q", "r"), ("a", "b")))
+        length += len(parenthesised(parts[-1])) + 3
+    while len(parts) > 1:
+        parts = [And(*parts[i:i + 2]) if i + 1 < len(parts) else parts[i]
+                 for i in range(0, len(parts), 2)]
+    return parts[0]
+
+
+# Lexemes and stray characters for the differential soups: Unicode and
+# ASCII spaces, non-ASCII and uppercase letters, digits, underscores that
+# start no ident, halves of `->`, and brackets that need not balance.
+DIFF_SOUP = SOUP + ("\t", "\u00a0", "\u2003", "\u00e9", "p\u00e9", "A", "Q", "_", "_1", "__p",
+                    "-", ">", "->", "- >", "<b", "[a", "(", "))", "1", "p1_", "<_x>", "\r\n")
+
+
+def parse_result(parser, text, alphabet):
+    try:
+        f = parser(text, alphabet)
+    except ParseError as e:
+        return "error", str(e), e.line, e.column, e.expected
+    return "ok", f, to_text(f)
+
+
+def test_parse_agrees_with_the_reference_parser():
+    rng = random.Random(2026)
+    texts = [to_text(random_formula(rng, depth=rng.randint(1, 7), letters=("p", "q", "_f0"),
+                                    mods=("a", "b_1"))) for _ in range(2000)]
+    texts += [parenthesised(balanced_conjunction(rng, int(10 * 100 ** rng.random())))
+              for _ in range(300)]
+    texts += ["".join(rng.choice(DIFF_SOUP) for _ in range(rng.randint(0, 20)))
+              for _ in range(20_000)]
+    assert min(map(len, texts[2000:2300])) >= 10 and max(map(len, texts[2000:2300])) >= 900
+    outcomes = {"ok": 0, "error": 0}
+    for text in texts:
+        for alphabet in (None, {"p", "q"}):
+            expected = parse_result(reference_parse, text, alphabet)
+            assert parse_result(parse, text, alphabet) == expected, (text, alphabet)
+            outcomes[expected[0]] += 1
+    assert min(outcomes.values()) > 3000, outcomes
 
 
 def test_parse_and_print_deep_input_need_no_recursion():
