@@ -7,7 +7,7 @@ import subprocess
 import sys
 import threading
 import time
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -542,25 +542,29 @@ def test_unwritable_sidecar_is_a_cantcreat_exit():
 # --- output that cannot be written, and Ctrl-C: documented exits, no traceback ---
 
 
-def run_to(stdout, argv, flags):
+def run_to(stdout, argv, flags=()):
     command, env = cli_process_args(argv, flags)
     return subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
                           timeout=60)
 
 
-@pytest.mark.parametrize("flags", [(), ("-OO",)])
-def test_closed_pipe_is_an_ioerr_exit(flags):
-    # The reader is gone before the child starts, so every write fails,
-    # however soon the child writes.
+@contextmanager
+def closed_pipe():
+    """The write end of a pipe whose reader is gone before any child starts,
+    so that every write fails, however soon it comes."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        done = run_to(write_end, ["verify-paper"], flags)
+        yield write_end
     finally:
         os.close(write_end)
-    assert done.returncode == 74
-    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
-    assert done.stderr == "i/o error: Broken pipe\n"
+
+
+@pytest.mark.parametrize("flags", [(), ("-OO",)])
+def test_closed_pipe_is_an_ioerr_exit(flags):
+    with closed_pipe() as stdout:
+        done = run_to(stdout, ["verify-paper"], flags)
+    assert (done.returncode, done.stderr) == (74, "i/o error: Broken pipe\n")
 
 
 def test_closed_pipe_leaves_stdout_on_the_null_device():
@@ -570,14 +574,10 @@ def test_closed_pipe_leaves_stdout_on_the_null_device():
               "code = main(['verify-paper'])\n"
               "null = os.path.samestat(os.fstat(sys.stdout.fileno()), os.stat(os.devnull))\n"
               "sys.stderr.write(f'{code} {null}\\n')\n")
-    command, env = cli_process_args([])
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        done = subprocess.run([sys.executable, "-c", script], stdout=write_end,
+    _, env = cli_process_args([])
+    with closed_pipe() as stdout:
+        done = subprocess.run([sys.executable, "-c", script], stdout=stdout,
                               stderr=subprocess.PIPE, text=True, env=env, timeout=60)
-    finally:
-        os.close(write_end)
     assert (done.returncode, done.stderr) == (0, "i/o error: Broken pipe\n74 True\n")
 
 
@@ -586,9 +586,7 @@ def test_closed_pipe_leaves_stdout_on_the_null_device():
 def test_full_disk_is_an_ioerr_exit(flags):
     with open("/dev/full", "w") as full:
         done = run_to(full, ["parse", "p"], flags)
-    assert done.returncode == 74
-    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
-    assert done.stderr == "i/o error: No space left on device\n"
+    assert (done.returncode, done.stderr) == (74, "i/o error: No space left on device\n")
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="SIGINT cannot be sent to a child")
@@ -607,8 +605,7 @@ def test_interrupt_is_exit_130(flags):
     finally:
         child.kill()
         child.wait()
-    assert (child.returncode, out) == (130, "")
-    assert "Traceback" not in err and err == "interrupted\n"
+    assert (child.returncode, out, err) == (130, "", "interrupted\n")
 
 
 @pytest.mark.parametrize("size", ["0", "-3"])
