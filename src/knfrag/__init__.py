@@ -70,15 +70,9 @@ from .syntax import (
     TOP,
     Top,
     classify,
-    clause_letters,
-    consequent_letters,
     formula_modalities,
-    has_box,
-    has_diamond,
     is_positive_literal,
     letters,
-    modal_depth,
-    node_count,
     parse,
     recognize_clausal,
     to_text,

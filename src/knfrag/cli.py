@@ -68,6 +68,12 @@ EX_INTERRUPTED = 130  # 128 + SIGINT
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse's own writer swallows a failed write; `main` maps it to exit 74.
+        file = file or sys.stdout
+        file.write(self.format_help())
+        file.flush()
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
@@ -308,11 +314,11 @@ def _discard_stdout():
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
-    if args.cap is not None and args.verb != "sat":
-        sys.stderr.write(f"knfrag {args.verb}: error: --cap applies to sat only\n")
-        return EX_USAGE
     try:
+        args = _PARSER.parse_args(argv)
+        if args.cap is not None and args.verb != "sat":
+            sys.stderr.write(f"knfrag {args.verb}: error: --cap applies to sat only\n")
+            return EX_USAGE
         code = args.func(args)
         sys.stdout.flush()
         return code

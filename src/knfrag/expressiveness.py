@@ -28,11 +28,12 @@ from .semantics import (
     KripkeModel,
     PointedModel,
     check,
-    compile_formula,
     valuation_batches,
 )
 from .solver import _multisets, sat_bruteforce, sat_tableau
 from .syntax import (
+    NEG,
+    And,
     Box,
     Clause,
     ClausalFormula,
@@ -47,7 +48,7 @@ from .syntax import (
     parse,
     recognize_clausal,
 )
-from .syntax import _Record, _set
+from .syntax import _nnf_table, _Record, _set
 from .translate import krom_to_krom_box, krom_to_krom_diamond
 
 __all__ = [
@@ -86,16 +87,19 @@ class Verdict(_Record):
         _set(self, "counterexample", counterexample)
 
 
-def _first_disagreement(pf, pg, alphabet, fresh, max_worlds, right_key) -> Verdict:
+def _first_disagreement(table, left, right, alphabet, fresh, max_worlds, right_key) -> Verdict:
     """The first point, in the order of `enumerate_models` over `alphabet`,
-    where pf disagrees with "some assignment to `fresh` satisfies pg", with
-    pf's truth under "left" and the other side's under `right_key`.  With no
-    fresh letters `exists_fresh` is the identity: pointwise agreement."""
-    for batch in valuation_batches(alphabet, pf.modalities | pg.modalities, max_worlds, fresh):
-        left = batch.exists_fresh(batch.value(pf))
-        diff = left ^ batch.exists_fresh(batch.value(pg))
+    where row `left` of `table` disagrees with "some assignment to `fresh`
+    satisfies row `right`", with the left row's truth under "left" and the
+    other side's under `right_key`.  With no fresh letters `exists_fresh`
+    is the identity: pointwise agreement."""
+    rows, modalities = table[0], table[4]
+    for batch in valuation_batches(alphabet, modalities, max_worlds, fresh):
+        values = batch.value(rows)
+        lhs = batch.exists_fresh(values[left])
+        diff = lhs ^ batch.exists_fresh(values[right])
         if diff:
-            pointed, a = batch.first_difference(diff, left)
+            pointed, a = batch.first_difference(diff, lhs)
             return Verdict(COUNTEREXAMPLE, Counterexample(pointed, {"left": a, right_key: not a}))
     return Verdict(EQUIVALENT_UP_TO_BOUND)
 
@@ -105,23 +109,23 @@ def weak_equiv_check(f: Formula, g: Formula, alphabet=None, max_worlds: int = 3)
     (and the union of their modalities) with up to `max_worlds` worlds.
 
     Up to 2**12 models, frames and valuations alike, are checked at once
-    (`semantics.valuation_batches`): the first set bit of the XOR of the
-    two values is the first disagreement in the deterministic order of
+    (`semantics.valuation_batches`) on one NNF table of `f & g`, whose
+    root's children are the two sides: the first set bit of the XOR of
+    their values is the first disagreement in the deterministic order of
     `enumerate_models` (frame, then valuation mask, then world), which is
-    returned as the counterexample.  Memory per batch is O(nodes * k * B)
-    bits, with k the world count and B <= 2**12 the models in the batch.
+    returned as the counterexample.  Memory per batch is O(rows * k * B)
+    bits, with rows the distinct NNF subformulas of f and g, k the world
+    count and B <= 2**12 the models in the batch.
     """
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
-    pf, pg = compile_formula(f), compile_formula(g)
-    used = pf.letters | pg.letters
-    if alphabet is None:
-        alphabet = used
-    else:
-        alphabet = frozenset(str(l) for l in alphabet)
-        if not used <= alphabet:
-            raise ValueError("formulas mention letters outside the alphabet")
-    return _first_disagreement(pf, pg, alphabet, (), max_worlds, "right")
+    table = _nnf_table(And(f, g))
+    rows, root, used = table[:3]
+    _, left, right = rows[root]
+    alphabet = used if alphabet is None else frozenset(str(l) for l in alphabet)
+    if not used <= alphabet:
+        raise ValueError("formulas mention letters outside the alphabet")
+    return _first_disagreement(table, left, right, alphabet, (), max_worlds, "right")
 
 
 def strong_translation_check(
@@ -130,21 +134,25 @@ def strong_translation_check(
     """Model-extension agreement: on every model over f's alphabet and every
     world, f holds iff some extension over g's extra letters satisfies g.
 
-    Bitsliced like `weak_equiv_check`: the fresh-letter cells take the low
-    model bits, so "some extension satisfies g" is an OR over each block
-    of 2**(k*|fresh|) bits.  The first counterexample is the one the order
-    of `enumerate_models` over f's alphabet meets first.  Memory per batch
-    is O(nodes * k * B) bits, with B <= max(2**12, 2**(k*|fresh|)) the
-    models in the batch.
+    Bitsliced like `weak_equiv_check`, on one NNF table of `f & g`: the
+    fresh-letter cells take the low model bits, so "some extension
+    satisfies g" is an OR over each block of 2**(k*|fresh|) bits.  The
+    first counterexample is the one the order of `enumerate_models` over
+    f's alphabet meets first.  Memory per batch is O(rows * k * B) bits,
+    with B <= max(2**12, 2**(k*|fresh|)) the models in the batch.
     """
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
-    pf, pg = compile_formula(f), compile_formula(g)
-    base_alpha = pf.letters if alphabet is None else frozenset(str(l) for l in alphabet)
-    if not pf.letters <= base_alpha:
+    table = _nnf_table(And(f, g))
+    rows, root, used = table[:3]
+    _, left, right = rows[root]
+    own = frozenset(a for kind, a, _ in rows[:left + 1] if kind <= NEG) - {None}  # f's rows
+    base_alpha = own if alphabet is None else frozenset(str(l) for l in alphabet)
+    if not own <= base_alpha:
         raise ValueError("f mentions letters outside its alphabet")
-    fresh = pg.letters - base_alpha
-    return _first_disagreement(pf, pg, base_alpha, fresh, max_worlds, "extended_right")
+    fresh = used - base_alpha
+    return _first_disagreement(table, left, right, base_alpha, fresh, max_worlds,
+                               "extended_right")
 
 
 # --- Fragment-bounded candidate enumeration ---
@@ -298,26 +306,26 @@ def search_weak_translation(
     raises `ValueError`.  Size layers and their clauses are built and
     tried one at a time; of a layer's agreeing candidates only the least
     text, the first of `enumerate_fragment`, is rendered.  Only the target
-    is compiled: a candidate's value on a batch is the AND of its clauses',
-    a clause's the OR of its `_literal_value`s under its prefix boxes.  If
-    layer 1 fails and the fragment's least upper bound of the target on
-    the first batch (Selman & Kautz, JACM 1996) is not the target, None is
-    returned; later layers use only clauses true there wherever the target
-    is.  Memory: the pool up to the layer reached, a layer's index tuples,
+    is read into an NNF table: a candidate's value on a batch is the AND of
+    its clauses', a clause's the OR of its `_literal_value`s under its
+    prefix boxes.  If layer 1 fails and the fragment's least upper bound of
+    the target on the first batch (Selman & Kautz, JACM 1996) is not the
+    target, None is returned; later layers use only clauses true there
+    wherever the target is.  Memory: the pool up to the layer reached, a layer's index tuples,
     and k * B bits per value (target, literal, clause, and the bound's).
     """
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
     if formula_size_bound < 1:
         raise ValueError("formula_size_bound must be at least 1")
-    goal = compile_formula(target)
+    rows, root, used, _, used_mods = _nnf_table(target)
     if modalities is None:
-        modalities = {"a"} | goal.modalities
+        modalities = {"a"} | used_mods
     mods = frozenset(str(m) for m in modalities)
     alphabet = frozenset(str(l) for l in alphabet)
-    if not goal.letters <= alphabet:
+    if not used <= alphabet:
         raise ValueError("target mentions letters outside the alphabet")
-    if not goal.modalities <= mods:
+    if not used_mods <= mods:
         raise ValueError("target mentions modalities outside the search's modalities")
     batches = valuation_batches(alphabet, mods, max_worlds)
     seen, built = [], {}  # seen: (batch, target value, {literal: value}, {clause: value})
@@ -341,7 +349,7 @@ def search_weak_translation(
                 batch = next(batches, None)
                 if batch is None:
                     return True
-                seen.append((batch, batch.value(goal), {}, {}))
+                seen.append((batch, batch.value(rows)[root], {}, {}))
             _, truth, _, values = seen[i]
             value = -1
             for j in picks:

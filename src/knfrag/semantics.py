@@ -2,9 +2,10 @@
 
 `check` evaluates one formula at one world of one model.  The model
 streams share one frame order: `enumerate_models` yields models one at a
-time, and `valuation_batches` with `compile_formula` evaluate a formula on
-up to 2**12 models at once, frames and valuations alike bitsliced, for the
-bounded checks in `expressiveness`.
+time, and `valuation_batches` yields batches of up to 2**12 models, frames
+and valuations alike bitsliced, on which `Batch.value` evaluates every row
+of a formula's NNF table at once, for the bounded checks in
+`expressiveness`.
 
 Worlds are strings.  A frame keeps its worlds in declared order and one
 successor table, modality name -> world -> successors sorted by name, with
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 
-from .syntax import And, Box, Diamond, Formula, Modality, Not, Or, Prop, Top, subformulas
+from .syntax import AND, BOX, LIT, NEG, OR, And, Box, Diamond, Formula, Modality, Not, Or, Prop, Top
 
 __all__ = [
     "KripkeFrame",
@@ -29,9 +30,7 @@ __all__ = [
     "check",
     "enumerate_extensions",
     "enumerate_models",
-    "compile_formula",
     "valuation_batches",
-    "Program",
     "Batch",
     "model_from_json",
     "model_to_json",
@@ -321,60 +320,19 @@ def enumerate_models(alphabet, modalities, max_worlds: int):
 # --- Bitsliced evaluation: up to 2**12 models at once ---
 #
 # This is the labelling algorithm of Clarke, Emerson & Sistla (TOPLAS 1986)
-# sliced across models as in Biham (FSE 1997).  A model on k worlds is one
-# bit per cell, valuation cells and relation pairs alike (see `_Layout`),
-# and a batch is a block of n = 2**c consecutive models.  A formula's value
-# on it is one int: world w owns bits [w*n, (w+1)*n), and bit j of that
-# slice is the truth at w in the block's j-th model.  The Boolean
-# connectives are int operations.  At world u a diamond ORs, over the
-# worlds v, the slice of v ANDed with the bits of the pair (u, v); it runs
-# as one shift and mask per diagonal u - v.  A box is the dual diamond.
+# over the subformula DAG, the rows of `syntax._nnf_table`, sliced across
+# models as in Biham (FSE 1997).  A model on k worlds is one bit per cell,
+# valuation cells and relation pairs alike (see `_Layout`), and a batch is
+# a block of n = 2**c consecutive models.  A formula's value on it is one
+# int: world w owns bits [w*n, (w+1)*n), and bit j of that slice is the
+# truth at w in the block's j-th model.  The Boolean connectives are int
+# operations.  At world u a diamond ORs, over the worlds v, the slice of v
+# ANDed with the bits of the pair (u, v); it runs as one shift and mask per
+# diagonal u - v.  A box is the dual diamond.
 
 # Cells resolved inside one batch; a wider layout is split into blocks,
 # which bounds a value at k * 2**12 bits.
 _CHUNK_CELLS = 12
-
-_LETTER, _TOP, _NOT, _AND, _OR, _DIAMOND, _BOX = range(7)
-_TOP_OP, _NOT_OP, _AND_OP, _OR_OP = (_TOP, None), (_NOT, None), (_AND, None), (_OR, None)
-
-
-class Program:
-    """A formula compiled to post-order stack code, with the letters and
-    modality names it mentions."""
-
-    __slots__ = ("code", "letters", "modalities")
-
-    def __init__(self, code, letters, modalities):
-        self.code = code
-        self.letters = letters
-        self.modalities = modalities
-
-
-def compile_formula(f: Formula) -> Program:
-    """Post-order code for f: one instruction per node of `subformulas(f)`,
-    reversed.  Deep formulas raise no RecursionError."""
-    code = []
-    emit = code.append
-    letters = set()
-    mods = set()
-    for g in subformulas(f):
-        t = type(g)
-        if t is Prop:
-            emit((_LETTER, g.letter))
-            letters.add(g.letter)
-        elif t is Not:
-            emit(_NOT_OP)
-        elif t is And or t is Or:
-            emit(_AND_OP if t is And else _OR_OP)
-        elif t is Diamond or t is Box:
-            mods.add(g.modality)
-            emit((_DIAMOND if t is Diamond else _BOX, g.modality))
-        elif t is Top:
-            emit(_TOP_OP)
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-    code.reverse()
-    return Program(code, frozenset(letters), frozenset(mods))
 
 
 class _Layout:
@@ -388,7 +346,8 @@ class _Layout:
     M sorted modalities is cell vcells + (M-1-i)*k*k + u*k + v.  So a
     model's index, frame counter (`_frame`) * 2**vcells + valuation mask,
     counts the models in the order of `enumerate_models`.  The lowest `low`
-    cells vary inside a batch, the others from one block to the next.
+    cells vary inside a batch, the others from one block to the next; a
+    batch's packed values are all that `Batch.value` reads of it.
     """
 
     __slots__ = ("k", "n", "ones", "full", "low", "vcells", "blocks", "letters",
@@ -452,25 +411,24 @@ class Batch:
         self.packed = packed
         self.start = start
 
-    def value(self, program: Program) -> int:
-        """The program's truth at every world of every model of the block."""
+    def value(self, rows) -> list[int]:
+        """The truth of every row of an `_nnf_table` at every world of every
+        model of the block, by row id, each row valued once from its children's."""
         packed, full = self.packed, self.layout.full
-        stack = []
-        push, pop = stack.append, stack.pop
-        for op, arg in program.code:
-            if op == _LETTER:
-                push(packed.get(arg, 0))
-            elif op == _NOT:
-                push(full ^ pop())
-            elif op == _AND:
-                push(pop() & pop())
-            elif op == _OR:
-                push(pop() | pop())
-            elif op == _TOP:
-                push(full)
+        values = []
+        push = values.append
+        for kind, a, b in rows:
+            if kind == LIT:
+                push(full if a is None else packed.get(a, 0))
+            elif kind == NEG:
+                push(0 if a is None else full ^ packed.get(a, 0))
+            elif kind == AND:
+                push(values[a] & values[b])
+            elif kind == OR:
+                push(values[a] | values[b])
             else:
-                push(self._modal(op == _BOX, arg, pop()))
-        return pop()
+                push(self._modal(kind == BOX, a, values[b]))
+        return values
 
     def _modal(self, box, modality, x):
         """[modality]x if `box`, else <modality>x: x moved by d slices and

@@ -10,10 +10,11 @@ d, are a complete class for satisfiability, so exhausting them up to
 on scratch tables with int worlds and builds a model only for the first
 satisfying one.  `sat_tableau` is a complete decision procedure over a
 table of f's NNF subformulas, hash-consed per call and decoded by `to_nnf`.
-One loop builds that table and, in the same walk, the letters and the
-per-depth diamond counts, so both engines and `tree_model_bound` read f
-once.  Every satisfiable verdict from either engine carries a witness
-model that is re-validated with `check` before being returned.
+One loop in `syntax` builds that table and, in the same walk, the letters,
+the modalities and the per-depth diamond counts, so both engines and
+`tree_model_bound` read f once; the bitsliced checks read the same table.
+Every satisfiable verdict from either engine carries a witness model that
+is re-validated with `check` before being returned.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .syntax import (
     Prop,
     Top,
 )
-from .syntax import _Record, _set
+from .syntax import AND, DIA, LIT, NEG, OR, _nnf_table, _Record, _set
 
 __all__ = [
     "SAT",
@@ -67,60 +68,10 @@ class SatResult(_Record):
         _set(self, "witness", witness)
 
 
-LIT, NEG, AND, OR, DIA, BOX = range(6)  # the kinds of `_nnf_table` rows
-
-
-def _nnf_table(f: Formula) -> tuple[list[tuple], int, frozenset[str], list[int]]:
-    """f's negation normal form as a hash-consed table, built by one loop
-    that reads f for both engines.
-
-    Each row follows its children: (LIT or NEG, letter or None for T, None),
-    (AND or OR, left id, right id) or (DIA or BOX, modality, operand id).
-    Polarity is read off f as the loop goes, and a dict local to the call
-    numbers the distinct rows, so two NNF subformulas are equal exactly when
-    they share an id.  The stack does not dedupe, so the loop also counts
-    the NNF's diamond occurrences per modal depth: the depth rises when a
-    modal node is popped and falls when its row's marker, which comes off
-    once the operand is done, is popped.  Returns the rows, the root's id,
-    the letters of f and that profile, which ends in 0 at the nesting depth.
-    """
-    ids, done, stack, profile, depth = {}, [], [(f, False)], [0], 0
-    while stack:
-        g, negated = stack.pop()
-        t = type(g)
-        if t is Not:
-            stack.append((g.operand, not negated))
-        elif t is And or t is Or:
-            kind = AND if (t is And) != negated else OR
-            stack += ((kind, None), (g.right, negated), (g.left, negated))
-        elif t is Diamond or t is Box:
-            kind = DIA if (t is Diamond) != negated else BOX
-            if kind == DIA:
-                profile[depth] += 1
-            depth += 1
-            if depth == len(profile):
-                profile.append(0)
-            stack += ((kind, g.modality), (g.operand, negated))
-        else:
-            if t is int:  # a row's parts are done; `negated` holds its modality
-                b = done.pop()
-                if g >= DIA:
-                    depth -= 1
-                    row = (g, negated, b)
-                else:
-                    row = (g, done.pop(), b)
-            else:
-                row = (NEG if negated else LIT, g.letter if t is Prop else None, None)
-            done.append(ids.setdefault(row, len(ids)))
-    rows = list(ids)
-    alphabet = frozenset(a for kind, a, _ in rows if kind <= NEG and a is not None)
-    return rows, done[0], alphabet, profile
-
-
 def to_nnf(f: Formula) -> Formula:
     """Negation normal form: negation only on letters and T, decoded from the
     table `sat_tableau` decides over, so equal subformulas share one node."""
-    rows, root, _, _ = _nnf_table(f)
+    rows, root = _nnf_table(f)[:2]
     nodes = []
     for kind, a, b in rows:
         if kind <= NEG:
@@ -255,11 +206,11 @@ def sat_bruteforce(
         raise ValueError("max_worlds must be at least 1")
     if model_cap < 1:
         raise ValueError("model_cap must be at least 1")
-    rows, _, alphabet, profile = _nnf_table(f)
+    _, _, alphabet, profile, modalities = _nnf_table(f)
     if max_worlds is None:
         max_worlds = _world_bound(profile)
     alpha = tuple(sorted(alphabet))
-    mods = tuple(sorted({a for kind, a, _ in rows if kind >= DIA}))
+    mods = tuple(sorted(modalities))
     child_sets = {}  # child masks only, which the memoized subtree lists hold anyway
 
     def letters_of(mask):
@@ -305,7 +256,7 @@ def sat_tableau(f: Formula, node_cap: int = DEFAULT_NODE_CAP) -> SatResult:
     """Complete satisfiability test; SAT verdicts carry a finite tree witness."""
     if node_cap < 1:
         raise ValueError("node_cap must be at least 1")
-    rows, root, alphabet, _ = _nnf_table(f)
+    rows, root, alphabet, _, _ = _nnf_table(f)
     tree = _expand(rows, [root], [node_cap])
     if tree is None:
         return SatResult(UNSAT)

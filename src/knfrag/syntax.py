@@ -21,7 +21,9 @@ loops over explicit stacks, and a node pickles and copies as its text, so
 no nesting depth or chain length meets the interpreter's recursion limit.
 `parse` reads its lexemes with one `findall` and builds each node from
 parts it has already checked; a lexeme's offset, line and column are
-computed only for a `ParseError`.
+computed only for a `ParseError`.  `_nnf_table` reads a formula, in one
+loop, into the hash-consed table of its negation normal form that every
+evaluator reads: both SAT engines, the bitsliced checks and the search.
 
 A *positive literal* is built from `T`, letters, diamonds and boxes only.
 A *clause* is a (possibly empty) chain of boxes over a disjunction of
@@ -60,16 +62,10 @@ __all__ = [
     "recognize_clausal",
     "classify",
     "is_positive_literal",
-    "modal_depth",
-    "clause_letters",
     "clause_texts",
-    "consequent_letters",
     "subformulas",
     "letters",
     "formula_modalities",
-    "node_count",
-    "has_diamond",
-    "has_box",
 ]
 
 class InternalError(RuntimeError):
@@ -305,28 +301,63 @@ def formula_modalities(f: Formula) -> frozenset[Modality]:
     return frozenset({g.modality for g in subformulas(f) if type(g) in (Diamond, Box)})
 
 
-def node_count(f: Formula) -> int:
-    """Number of constructors in f (atoms count as one each)."""
-    return sum(1 for _ in subformulas(f))
+LIT, NEG, AND, OR, DIA, BOX = range(6)  # the kinds of `_nnf_table` rows
 
 
-def has_diamond(f: Formula) -> bool:
-    return any(isinstance(g, Diamond) for g in subformulas(f))
+def _nnf_table(f: Formula) -> tuple[list[tuple], int, frozenset, list[int], frozenset]:
+    """f's negation normal form as a hash-consed table, built by one loop
+    that reads f for both SAT engines and the bitsliced checks.
 
-
-def has_box(f: Formula) -> bool:
-    return any(isinstance(g, Box) for g in subformulas(f))
-
-
-def modal_depth(lit: Formula) -> int:
-    """Number of diamonds and boxes in a positive literal."""
-    d = 0
-    while isinstance(lit, (Diamond, Box)):
-        d += 1
-        lit = lit.operand
-    if not isinstance(lit, (Top, Prop)):
-        raise ValueError(f"not a positive literal: {lit}")
-    return d
+    Each row follows its children: (LIT or NEG, letter or None for T, None),
+    (AND or OR, left id, right id) or (DIA or BOX, modality, operand id).
+    Polarity is read off f as the loop goes, and a dict local to the call
+    numbers the distinct rows, so two NNF subformulas are equal exactly when
+    they share an id.  A left operand is read before its right one, so the
+    rows of the root's left operand are exactly those up to its id.  The
+    stack does not dedupe, so the loop also counts the NNF's diamond
+    occurrences per modal depth: the depth rises when a modal node is popped
+    and falls when its row's marker, which comes off once the operand is
+    done, is popped; a marker holds the row's modality, or None, where a
+    node holds its polarity.  Returns the rows, the root's id, the letters
+    of f, that profile, which ends in 0 at the nesting depth, and the
+    modalities of f.  A node that is not a formula raises TypeError.
+    """
+    ids, done, stack, profile, depth = {}, [], [(f, False)], [0], 0
+    alphabet, mods = set(), set()
+    while stack:
+        g, negated = stack.pop()
+        t = type(g)
+        if t is Not:
+            stack.append((g.operand, not negated))
+        elif t is And or t is Or:
+            kind = AND if (t is And) != negated else OR
+            stack += ((kind, None), (g.right, negated), (g.left, negated))
+        elif t is Diamond or t is Box:
+            kind = DIA if (t is Diamond) != negated else BOX
+            if kind == DIA:
+                profile[depth] += 1
+            depth += 1
+            if depth == len(profile):
+                profile.append(0)
+            mods.add(g.modality)
+            stack += ((kind, g.modality), (g.operand, negated))
+        else:
+            if type(negated) is not bool:  # a row's marker: its parts are done
+                b = done.pop()
+                if g >= DIA:
+                    depth -= 1
+                    row = (g, negated, b)
+                else:
+                    row = (g, done.pop(), b)
+            elif t is Prop:
+                alphabet.add(g.letter)
+                row = (NEG if negated else LIT, g.letter, None)
+            elif t is Top:
+                row = (NEG if negated else LIT, None, None)
+            else:
+                raise TypeError(f"not a formula: {g!r}")
+            done.append(ids.setdefault(row, len(ids)))
+    return list(ids), done[0], frozenset(alphabet), profile, frozenset(mods)
 
 
 # --- Clausal form ---
@@ -395,7 +426,15 @@ class ClausalFormula(_Record):
         return reduce(And, (c.to_formula() for c in self.clauses))
 
     def alphabet(self) -> frozenset[str]:
-        return _chain_letters(l for c in self.clauses for l in c.negatives + c.positives)
+        """The letters of the literals, each read at the end of its chain."""
+        acc = set()
+        for c in self.clauses:
+            for l in c.negatives + c.positives:
+                while type(l) is Diamond or type(l) is Box:
+                    l = l.operand
+                if type(l) is Prop:
+                    acc.add(l.letter)
+        return frozenset(acc)
 
     def __str__(self):
         if len(self.clauses) == 1:
@@ -410,27 +449,6 @@ def clause_texts(c: Clause) -> tuple[str, str]:
     if not c.prefix and len(c.negatives) + len(c.positives) >= 2:
         return text, f"({text})"
     return text, text
-
-
-def _chain_letters(literals) -> frozenset[str]:
-    """The letters of positive literals, each read at the end of its chain."""
-    acc = set()
-    for l in literals:
-        while type(l) is Diamond or type(l) is Box:
-            l = l.operand
-        if type(l) is Prop:
-            acc.add(l.letter)
-    return frozenset(acc)
-
-
-def clause_letters(c: Clause) -> frozenset[str]:
-    """Letters occurring anywhere in the clause."""
-    return _chain_letters(c.negatives + c.positives)
-
-
-def consequent_letters(c: Clause) -> frozenset[str]:
-    """Letters occurring in the positive (consequent) literals."""
-    return _chain_letters(c.positives)
 
 
 class FragmentDescriptor(_Record):

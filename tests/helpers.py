@@ -37,9 +37,8 @@ from knfrag import (
     to_text,
 )
 from knfrag import expressiveness
-from knfrag.semantics import compile_formula
 from knfrag.solver import sat_tableau
-from knfrag.syntax import _desugar_implies, _position
+from knfrag.syntax import _desugar_implies, _position, subformulas
 from knfrag.translate import FreshLetterSource, _offending_count
 
 
@@ -145,7 +144,7 @@ def reference_node_count(f):
 
 
 def reference_has_node(f, cls):
-    """`has_diamond` is `reference_has_node(f, Diamond)`, `has_box` likewise."""
+    """Whether f has a node of class `cls`."""
     stack = [f]
     while stack:
         g = stack.pop()
@@ -429,11 +428,79 @@ def reference_fragment_layers(alphabet, modalities, size_bound, fragment):
     return lits, pool, layers
 
 
+# --- Independent bitsliced oracle: the post-order stack code `Batch.value`
+# ran before it read the NNF table, kept as written then.  It shares the
+# batches' packed values and `Batch._modal`, not the table the tableau reads ---
+
+_LETTER, _TOP, _NOT, _AND, _OR, _DIAMOND, _BOX = range(7)
+_TOP_OP, _NOT_OP, _AND_OP, _OR_OP = (_TOP, None), (_NOT, None), (_AND, None), (_OR, None)
+
+
+class Program:
+    """A formula compiled to post-order stack code, with the letters and
+    modality names it mentions."""
+
+    __slots__ = ("code", "letters", "modalities")
+
+    def __init__(self, code, letters, modalities):
+        self.code = code
+        self.letters = letters
+        self.modalities = modalities
+
+
+def compile_formula(f) -> Program:
+    """Post-order code for f: one instruction per node of `subformulas(f)`,
+    reversed.  Deep formulas raise no RecursionError."""
+    code = []
+    emit = code.append
+    letters = set()
+    mods = set()
+    for g in subformulas(f):
+        t = type(g)
+        if t is Prop:
+            emit((_LETTER, g.letter))
+            letters.add(g.letter)
+        elif t is Not:
+            emit(_NOT_OP)
+        elif t is And or t is Or:
+            emit(_AND_OP if t is And else _OR_OP)
+        elif t is Diamond or t is Box:
+            mods.add(g.modality)
+            emit((_DIAMOND if t is Diamond else _BOX, g.modality))
+        elif t is Top:
+            emit(_TOP_OP)
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    code.reverse()
+    return Program(code, frozenset(letters), frozenset(mods))
+
+
+def program_value(batch, program: Program) -> int:
+    """The program's truth at every world of every model of the batch."""
+    packed, full = batch.packed, batch.layout.full
+    stack = []
+    push, pop = stack.append, stack.pop
+    for op, arg in program.code:
+        if op == _LETTER:
+            push(packed.get(arg, 0))
+        elif op == _NOT:
+            push(full ^ pop())
+        elif op == _AND:
+            push(pop() & pop())
+        elif op == _OR:
+            push(pop() | pop())
+        elif op == _TOP:
+            push(full)
+        else:
+            push(batch._modal(op == _BOX, arg, pop()))
+    return pop()
+
+
 def reference_least_upper_bounds(cases, alphabet, modalities, max_size, fragment):
     """For each (batch, truth) case, a list whose entry s - 1 is the AND on
     the batch of the clauses of size at most s in the pool of
     `reference_fragment_layers` that hold wherever the truth does, for s =
-    1..max_size; each clause is valued by `Batch.value(compile_formula(...))`."""
+    1..max_size; each clause is valued by `program_value(batch, compile_formula(...))`."""
     lits, pool = reference_fragment_pool(alphabet, modalities, max_size, fragment)
     programs = [(size, compile_formula(Clause(prefix, tuple(lits[i] for i in negs),
                                               tuple(lits[i] for i in poss)).to_formula()))
@@ -441,7 +508,7 @@ def reference_least_upper_bounds(cases, alphabet, modalities, max_size, fragment
     bounds, values = [], {}  # values: batch -> each clause's value there
     for batch, truth in cases:
         if batch not in values:
-            values[batch] = [batch.value(program) for _, program in programs]
+            values[batch] = [program_value(batch, program) for _, program in programs]
         row, value = [], batch.layout.full
         for (size, _), v in zip(programs, values[batch]):
             while len(row) < size - 1:

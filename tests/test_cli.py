@@ -567,6 +567,15 @@ def test_closed_pipe_is_an_ioerr_exit(flags):
     assert (done.returncode, done.stderr) == (74, "i/o error: Broken pipe\n")
 
 
+@pytest.mark.parametrize("flags", [(), ("-OO",)])
+@pytest.mark.parametrize("argv", [["--help"], ["parse", "--help"]])
+def test_help_into_a_closed_pipe_is_an_ioerr_exit(argv, flags):
+    # argparse's own writer swallows the failed write and exits 0.
+    with closed_pipe() as stdout:
+        done = run_to(stdout, argv, flags)
+    assert (done.returncode, done.stderr) == (74, "i/o error: Broken pipe\n")
+
+
 def test_closed_pipe_leaves_stdout_on_the_null_device():
     # So that no interpreter's flush at exit meets the closed pipe again.
     script = ("import os, sys\n"

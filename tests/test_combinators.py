@@ -189,15 +189,15 @@ def test_box_literal_stability_under_added_letter_world():
     # adding a world that carries the letter keeps box-only literals stable
     # at every old world
     rng = random.Random(45)
-    from helpers import random_literal
-    from knfrag import is_positive_literal, has_diamond
+    from helpers import random_literal, reference_has_node
+    from knfrag import Diamond, is_positive_literal
 
     for _ in range(2000):
         base = random_model(rng, max_worlds=4, letters=("p",), mods=("a",))
         w = rng.choice(base.frame.worlds)
         grown = add_successor_world(base, w, "a", {"p"})
         lit = random_literal(rng, rng.randint(0, 3), ("p",), ("a",), allow_dia=False)
-        assert is_positive_literal(lit) and not has_diamond(lit)
+        assert is_positive_literal(lit) and not reference_has_node(lit, Diamond)
         for old in base.frame.worlds:
             assert check(base, old, lit) == check(grown, old, lit)
 

@@ -29,7 +29,6 @@ from knfrag import (
     enumerate_fragment,
     letters,
     model_to_json,
-    node_count,
     parse,
     parse_fragment_spec,
     recognize_clausal,
@@ -40,17 +39,20 @@ from knfrag import (
     weak_equiv_check,
 )
 from knfrag import expressiveness
-from knfrag.semantics import compile_formula, valuation_batches
-from knfrag.solver import sat_tableau
+from knfrag.semantics import Batch, valuation_batches
+from knfrag.solver import sat_bruteforce, sat_tableau, tree_model_bound
 from knfrag.translate import FreshLetterSource, krom_to_krom_box, krom_to_krom_diamond
 from helpers import (
+    compile_formula,
     count_replays,
     literals_by_size,
     note_replays,
+    program_value,
     random_clause,
     random_formula,
     reference_formula_key,
     reference_fragment_layers,
+    reference_node_count,
     reference_least_upper_bounds,
     reference_search,
     reference_strong,
@@ -442,7 +444,7 @@ def test_least_upper_bound_matches_the_clause_by_clause_and(monkeypatch):
                     target = (random_clause(rng, letters_or_p, mods).to_formula() if j == 2
                               else random_formula(rng, rng.randint(1, 3), letters_or_p, mods))
                     targets.append(target)
-                    points.append((batch, batch.value(compile_formula(target))))
+                    points.append((batch, program_value(batch, compile_formula(target))))
             want = reference_least_upper_bounds(points, alphabet, mods, size, fragment)
             req = parse_fragment_spec(fragment)
             for target, (batch, truth), row in zip(targets, points, want):
@@ -487,22 +489,67 @@ def test_krom_refutation_renders_no_text_and_compiles_no_clause(monkeypatch):
     def no_text(clause):
         raise AssertionError(f"rendered {clause}")
 
-    compiled = []
-    compile_formula = expressiveness.compile_formula
+    tables = []
+    nnf_table = expressiveness._nnf_table
 
-    def counting_compile(f):
-        compiled.append(f)
-        return compile_formula(f)
+    def counting_table(f):
+        tables.append(f)
+        return nnf_table(f)
 
     monkeypatch.setattr(expressiveness, "clause_texts", no_text)
-    monkeypatch.setattr(expressiveness, "compile_formula", counting_compile)
+    monkeypatch.setattr(expressiveness, "_nnf_table", counting_table)
     target = parse("p & q -> r")
     found = search_weak_translation(target, "krom", {"p", "q", "r"}, 7, max_worlds=3)
     assert found is None
-    # the target only: each literal is valued from its operand, where
-    # compiling each of the 508 literals took 509 calls and compiling each
-    # of the 3,972 pool clauses 3,973
-    assert len(compiled) == 1 and compiled[0] is target, len(compiled)
+    # one table, of the target: each literal is valued from its operand,
+    # where compiling each of the 508 literals took 509 calls and compiling
+    # each of the 3,972 pool clauses 3,973
+    assert len(tables) == 1 and tables[0] is target, len(tables)
+
+
+@pytest.mark.parametrize("check, f, g", [
+    (weak_equiv_check, "<a>p & (q | <a>p)", "<a>p"),
+    (strong_translation_check, "<a>p", "<a>p & (x | <a>p)"),
+])
+def test_each_distinct_subformula_is_valued_once_per_batch(check, f, g, monkeypatch):
+    # `<a>p` occurs twice in one side and once in the other: it is one row of
+    # the table of f & g, so one `_modal` call per batch, where compiling
+    # each side to its own post-order code made three.
+    batches, calls = [], []
+    value, modal = Batch.value, Batch._modal
+
+    def counted_value(batch, rows):
+        batches.append(batch)
+        return value(batch, rows)
+
+    def counted_modal(batch, *args):
+        calls.append(batch)
+        return modal(batch, *args)
+
+    monkeypatch.setattr(Batch, "value", counted_value)
+    monkeypatch.setattr(Batch, "_modal", counted_modal)
+    assert check(parse(f), parse(g)).status == EQUIVALENT_UP_TO_BOUND
+    assert len(batches) > 1 and calls == batches, (len(batches), len(calls))
+
+
+@pytest.mark.parametrize("run", [
+    tree_model_bound,
+    sat_tableau,
+    sat_bruteforce,
+    lambda f: weak_equiv_check(f, Prop("p")),
+    lambda f: weak_equiv_check(Prop("p"), f),
+    lambda f: strong_translation_check(f, Prop("p")),
+    lambda f: strong_translation_check(Prop("p"), f),
+    lambda f: search_weak_translation(f, "horn", {"p"}, 3),
+], ids=["bound", "tableau", "brute", "weak-left", "weak-right", "strong-left", "strong-right",
+        "search"])
+@pytest.mark.parametrize("junk", ["q", 3, None])
+def test_a_non_formula_node_is_a_type_error(run, junk):
+    # The one NNF table reads every query's formula, and reads no unknown
+    # child as T: `tree_model_bound` of such a formula once returned 1.
+    for f in (And(Prop("p"), junk), Not(junk), Diamond("a", junk)):
+        with pytest.raises(TypeError, match="not a formula"):
+            run(f)
 
 
 def test_searches_build_the_pool_only_up_to_the_layer_reached(monkeypatch):
@@ -552,7 +599,7 @@ def test_literals_are_valued_from_their_operands(chunk, monkeypatch):
         values = {}
         for i in reversed(range(len(lits))):
             got = expressiveness._literal_value(lits, batch, values, i)
-            assert got == batch.value(programs[i]), (str(lits[i][1]), batch.start)
+            assert got == program_value(batch, programs[i]), (str(lits[i][1]), batch.start)
         worlds.add(batch.layout.k)
     assert len(lits) == 1023 and worlds == {1, 2, 3}
 
@@ -672,13 +719,13 @@ def test_enumerate_fragment_respects_constraints():
         seen += 1
         d = classify(cf)
         assert d.horn and d.krom and d.box_only
-        assert node_count(cf.to_formula()) <= 5
+        assert reference_node_count(cf.to_formula()) <= 5
         assert cf.alphabet() <= {"p", "q"}
     assert seen > 50
 
 
 def test_enumerate_fragment_sizes_ascend():
-    sizes = [node_count(cf.to_formula()) for cf in enumerate_fragment({"p"}, {"a"}, 4, "horn")]
+    sizes = [reference_node_count(cf.to_formula()) for cf in enumerate_fragment({"p"}, {"a"}, 4, "horn")]
     assert sizes == sorted(sizes)
 
 

@@ -22,10 +22,12 @@ from knfrag import (
     product,
     product_world,
 )
-from knfrag.semantics import compile_formula, valuation_batches
+from knfrag.semantics import valuation_batches
 from helpers import (
+    compile_formula,
     enlarge_valuation,
     formulas_up_to_size,
+    program_value,
     random_formula,
     random_literal,
     random_model,
@@ -214,7 +216,7 @@ def test_valuation_batches_slice_frames_too():
     for k, batch in firsts.items():
         n = 1 << 2 * k
         assert batch.start == 0 and batch.layout.full == (1 << k * n) - 1
-        assert batch.value(some) == 0 and batch.value(every) == batch.layout.full
+        assert program_value(batch, some) == 0 and program_value(batch, every) == batch.layout.full
         models = [m for m in enumerate_models({"p", "q"}, {"a"}, k) if len(m.frame.worlds) == k]
         for j in (0, 1, n // 2, n - 1):
             pointed, _ = batch.first_difference(1 << j, 0)

@@ -32,8 +32,6 @@ from knfrag.solver import (
     SAT,
     UNKNOWN_AT_BOUND,
     UNSAT,
-    BOX,
-    DIA,
     CapExceeded,
     _nnf_table,
     _world_bound,
@@ -41,6 +39,7 @@ from knfrag.solver import (
     sat_tableau,
     tree_model_bound,
 )
+from knfrag.syntax import BOX, DIA
 from knfrag.translate import krom_to_krom_box, krom_to_krom_diamond
 from helpers import (
     formulas_up_to_size,
@@ -100,10 +99,10 @@ def test_tree_model_bound_counts_negated_boxes():
 
 def assert_profile_matches_the_nnf_copy(f):
     expected = reference_diamond_profile(to_nnf(f))
-    rows, _, alphabet, profile = _nnf_table(f)
+    rows, _, alphabet, profile, modalities = _nnf_table(f)
     assert profile == expected
     assert alphabet == letters(f)
-    assert {a for kind, a, _ in rows if kind in (DIA, BOX)} == formula_modalities(f)
+    assert {a for kind, a, _ in rows if kind in (DIA, BOX)} == modalities == formula_modalities(f)
     assert tree_model_bound(f) == _world_bound(expected)
 
 

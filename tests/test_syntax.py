@@ -27,15 +27,9 @@ from knfrag import (
     TOP,
     Top,
     classify,
-    clause_letters,
-    consequent_letters,
     formula_modalities,
-    has_box,
-    has_diamond,
     is_positive_literal,
     letters,
-    modal_depth,
-    node_count,
     parse,
     recognize_clausal,
     to_text,
@@ -49,7 +43,6 @@ from helpers import (
     reference_has_node,
     reference_letters,
     reference_modalities,
-    reference_node_count,
     reference_parse,
     reference_recognize_clausal,
     subformulas_postorder,
@@ -253,30 +246,6 @@ def test_classify_core_is_conjunction():
         assert d.core == (d.horn and d.krom)
 
 
-def test_modal_depth():
-    assert modal_depth(Prop("p")) == 0
-    assert modal_depth(TOP) == 0
-    assert modal_depth(Diamond("a", Box("b", Prop("p")))) == 2
-    lit = Prop("p")
-    for _ in range(4):
-        lit = Diamond("a", lit)
-        pass
-    assert modal_depth(lit) == 4
-    assert modal_depth(Box("a", lit)) == 5
-    with pytest.raises(ValueError):
-        modal_depth(Not(Prop("p")))
-
-
-def test_clause_letters():
-    clause = recognize_clausal(parse("p & q -> r")).clauses[0]
-    assert clause_letters(clause) == {"p", "q", "r"}
-    assert consequent_letters(clause) == {"r"}
-    bare_neg = recognize_clausal(parse("~p")).clauses[0]
-    assert consequent_letters(bare_neg) == set()
-    modal = recognize_clausal(parse("<a>p")).clauses[0]
-    assert consequent_letters(modal) == {"p"}
-
-
 def test_positive_literals():
     assert is_positive_literal(parse("<a>[b]p"))
     assert is_positive_literal(TOP)
@@ -478,9 +447,6 @@ def assert_walkers_match_reference(f):
     assert type(letters(f)) is frozenset and letters(f) == reference_letters(f)
     assert type(formula_modalities(f)) is frozenset
     assert formula_modalities(f) == reference_modalities(f)
-    assert node_count(f) == reference_node_count(f)
-    assert has_diamond(f) is reference_has_node(f, Diamond)
-    assert has_box(f) is reference_has_node(f, Box)
     try:
         expected = reference_recognize_clausal(f)
     except NotClausalError as e:
@@ -511,13 +477,10 @@ def reference_flags(cf):
 
 
 def assert_chain_walks_match_reference(cf):
-    # `classify`, `clause_letters`, `consequent_letters` and `alphabet` walk
-    # each literal's modal chain once; the references walk every node.
+    # `classify` and `alphabet` walk each literal's modal chain once; the
+    # references walk every node.
     assert classify(cf) == reference_flags(cf)
     union = lambda lits: frozenset().union(*map(reference_letters, lits))
-    for c in cf.clauses:
-        assert clause_letters(c) == union(c.negatives + c.positives)
-        assert consequent_letters(c) == union(c.positives)
     assert type(cf.alphabet()) is frozenset
     assert cf.alphabet() == union(l for c in cf.clauses for l in c.negatives + c.positives)
 
@@ -568,7 +531,7 @@ def test_recognize_flat_conjunction_needs_no_recursion():
     assert cf.clauses[-1].positives == (Prop("p9999"), Diamond("a", Prop("q9999")))
     assert classify(cf) == FragmentDescriptor(False, True, False, False, True)
     assert letters(f) == {f"{x}{i}" for x in "pq" for i in range(10_000)}
-    assert node_count(f) == 5 * 10_000 - 1
+    assert sum(1 for _ in subformulas(f)) == 5 * 10_000 - 1
 
 
 def test_recognize_deep_box_prefix_needs_no_recursion():
