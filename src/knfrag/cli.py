@@ -337,6 +337,9 @@ def main(argv=None) -> int:
     except RecursionError:
         sys.stderr.write("resource cap exceeded: input nested past the recursion limit\n")
         return EX_UNAVAILABLE
+    except MemoryError:
+        sys.stderr.write("resource cap exceeded: out of memory\n")
+        return EX_UNAVAILABLE
     except ValueError as e:
         sys.stderr.write(f"error: {e}\n")
         return EX_DATAERR

@@ -92,7 +92,12 @@ def _first_disagreement(table, left, right, alphabet, fresh, max_worlds, right_k
     where row `left` of `table` disagrees with "some assignment to `fresh`
     satisfies row `right`", with the left row's truth under "left" and the
     other side's under `right_key`.  With no fresh letters `exists_fresh`
-    is the identity: pointwise agreement."""
+    is the identity: pointwise agreement.  Two NNF subformulas are equal
+    exactly when they share a row, and then the right side has no letter
+    the left lacks, so `left == right` is answered before any model is
+    valued."""
+    if left == right:
+        return Verdict(EQUIVALENT_UP_TO_BOUND)
     rows, modalities = table[0], table[4]
     for batch in valuation_batches(alphabet, modalities, max_worlds, fresh):
         values = batch.value(rows)
@@ -113,7 +118,9 @@ def weak_equiv_check(f: Formula, g: Formula, alphabet=None, max_worlds: int = 3)
     root's children are the two sides: the first set bit of the XOR of
     their values is the first disagreement in the deterministic order of
     `enumerate_models` (frame, then valuation mask, then world), which is
-    returned as the counterexample.  Memory per batch is O(rows * k * B)
+    returned as the counterexample.  When f and g have one negation normal
+    form, such as a De Morgan or duality rewrite of each other, the two
+    children are one row, and the check answers without valuing a model.  Memory per batch is O(rows * k * B)
     bits, with rows the distinct NNF subformulas of f and g, k the world
     count and B <= 2**12 the models in the batch.
     """
@@ -134,9 +141,11 @@ def strong_translation_check(
     """Model-extension agreement: on every model over f's alphabet and every
     world, f holds iff some extension over g's extra letters satisfies g.
 
-    Bitsliced like `weak_equiv_check`, on one NNF table of `f & g`: the
-    fresh-letter cells take the low model bits, so "some extension
-    satisfies g" is an OR over each block of 2**(k*|fresh|) bits.  The
+    Bitsliced like `weak_equiv_check`, on one NNF table of `f & g`, and
+    answered as it is, without valuing a model, when f and g share a row
+    (g then has no fresh letter).  The fresh-letter cells take the low
+    model bits, so "some extension satisfies g" is an OR over each block of
+    2**(k*|fresh|) bits.  The
     first counterexample is the one the order of `enumerate_models` over
     f's alphabet meets first.  Memory per batch is O(rows * k * B) bits,
     with B <= max(2**12, 2**(k*|fresh|)) the models in the batch.

@@ -19,7 +19,9 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 
 from .syntax import AND, BOX, LIT, NEG, OR, And, Box, Diamond, Formula, Modality, Not, Or, Prop, Top
 
@@ -347,11 +349,14 @@ class _Layout:
     model's index, frame counter (`_frame`) * 2**vcells + valuation mask,
     counts the models in the order of `enumerate_models`.  The lowest `low`
     cells vary inside a batch, the others from one block to the next; a
-    batch's packed values are all that `Batch.value` reads of it.
+    batch's packed values are all that `Batch.value` reads of it.  Each
+    in-batch cell's pattern is made from the one above it by a shift and
+    an XOR, and `fresh_mask`, which `Batch.exists_fresh` keeps, from those
+    of the fresh cells: once per layout, with no long division.
     """
 
     __slots__ = ("k", "n", "ones", "full", "low", "vcells", "blocks", "letters",
-                 "alphabet", "fresh", "mods", "packed", "outside")
+                 "alphabet", "fresh", "mods", "packed", "outside", "fresh_mask")
 
     def __init__(self, k, letters, fresh, mods, alphabet):
         e = k * len(fresh)
@@ -363,6 +368,14 @@ class _Layout:
         self.k, self.n, self.ones, self.full = k, n, ones, (1 << k * n) - 1
         self.low, self.vcells, self.blocks = low, vcells, 1 << cells - low
         self.letters, self.alphabet, self.fresh, self.mods = letters, alphabet, fresh, mods
+        # Bit j of a batch is set in cell b's bits iff bit b of j is: 2**b
+        # zeros then 2**b ones, repeated.  Each cell's bits are made from the
+        # next cell's by a shift and an XOR, from the top cell down, so
+        # that cells[~b] holds cell b's.
+        cells, bits = [], ones
+        for b in range(low - 1, -1, -1):
+            bits ^= bits >> (1 << b)
+            cells.append(bits)
         # Each cell's owner is a key and a slice: a letter and the cell's
         # world, or a modality's diagonal (m, u - v) and world u for the
         # pair (u, v).  A key's packed value holds its cells' bits, each in
@@ -373,19 +386,22 @@ class _Layout:
         for group in (fresh, letters):
             for w in range(k):
                 for l in group:
-                    b = self._own(b, l, w * n)
+                    b = self._own(b, l, w * n, cells)
         for m in reversed(mods):
             for u in range(k):
                 for v in range(k):
-                    b = self._own(b, (m, u - v), u * n)
+                    b = self._own(b, (m, u - v), u * n, cells)
+        # The first model of each block of 2**e, whose fresh cells, those
+        # below e, are all false, in every world's slice.
+        self.fresh_mask = None
+        if e:
+            heads = ones ^ functools.reduce(operator.or_, cells[-e:])
+            self.fresh_mask = sum(heads << w * n for w in range(k))
 
-    def _own(self, b, key, shift):
+    def _own(self, b, key, shift, cells):
         # Cell b goes to `key` at `shift`; returns the next cell.
         if b < self.low:
-            # bit j of a batch is set iff bit b of j is
-            h = 1 << b
-            bits = self.ones // ((1 << 2 * h) - 1) * (((1 << h) - 1) << h)
-            self.packed[key] = self.packed.get(key, 0) | bits << shift
+            self.packed[key] = self.packed.get(key, 0) | cells[~b] << shift
         else:
             self.outside.append((key, shift))
         return b + 1
@@ -449,16 +465,17 @@ class Batch:
     def exists_fresh(self, value: int) -> int:
         """Bit j, for each j whose fresh-letter cells are all false, set iff
         some assignment to the fresh cells makes `value` true there; every
-        other bit is clear."""
+        other bit is clear.  Each block of 2**(k*|fresh|) bits is ORed into
+        its lowest bit by shifts of 1, 2, 4, ... bits, and the layout's
+        `fresh_mask` keeps those lowest bits."""
         layout = self.layout
-        width = 1 << layout.k * len(layout.fresh)
-        if width == 1:
+        if layout.fresh_mask is None:
             return value
-        step = 1
+        step, width = 1, 1 << layout.k * len(layout.fresh)
         while step < width:
             value |= value >> step
             step <<= 1
-        return value & layout.full // ((1 << width) - 1)
+        return value & layout.fresh_mask
 
     def first_difference(self, diff: int, value: int) -> tuple[PointedModel, bool]:
         """The first point, in the order of `enumerate_models`, at which the

@@ -107,8 +107,8 @@ class Modality(str):
 class _Record:
     """An immutable record of its classes' `__slots__` fields, base first: it
     compares, hashes and prints by them, in order, as a frozen dataclass does,
-    with `repr` a loop over an explicit stack, and `__reduce__` rebuilds it
-    through its constructor, for `pickle` and `copy`."""
+    with `repr` a loop over an explicit stack that prints sets sorted, and
+    `__reduce__` rebuilds it through its constructor, for `pickle` and `copy`."""
 
     __slots__ = ()
     _fields = ()
@@ -144,9 +144,18 @@ class _Record:
             parts = [f"{type(item).__qualname__}("]
             for i, name in enumerate(item._fields):
                 v = getattr(item, name)
-                parts += [f"{', ' if i else ''}{name}=", v if isinstance(v, _Record) else repr(v)]
+                parts += [f"{', ' if i else ''}{name}=", v if isinstance(v, _Record) else _repr(v)]
             stack += reversed(parts + [")"])
         return "".join(out)
+
+
+def _repr(value) -> str:
+    """`repr`, with a nonempty set's items sorted: equal sets may iterate in
+    different orders, as a set and its deep copy can."""
+    if type(value) not in (set, frozenset) or not value:
+        return repr(value)
+    items = "{" + ", ".join(sorted(map(repr, value))) + "}"
+    return items if type(value) is set else f"frozenset({items})"
 
 
 class Formula(_Record):

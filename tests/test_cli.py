@@ -10,6 +10,11 @@ import time
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import pytest
 from jsonschema import Draft7Validator
 from referencing import Registry, Resource
@@ -615,6 +620,20 @@ def test_interrupt_is_exit_130(flags):
         child.kill()
         child.wait()
     assert (child.returncode, out, err) == (130, "", "interrupted\n")
+
+
+@pytest.mark.skipif(resource is None, reason="no address-space limit on this system")
+def test_out_of_memory_is_a_resource_cap_without_traceback():
+    # Parsing ~ x 3,000,000 p takes more than 200,000 KiB of address space
+    # (the command line alone about 20,000); the limit is set in the child
+    # only.  The child runs for 2.5-3 s (2 CPUs, CPython 3.11.7).
+    limit = 200_000 * 1024
+    command, env = cli_process_args(["parse", "-"])
+    done = subprocess.run(command, input="~" * 3_000_000 + "p", capture_output=True, text=True,
+                          env=env, timeout=120,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert "Traceback" not in done.stderr
+    assert (done.returncode, done.stdout, done.stderr) == (69, "", "resource cap exceeded: out of memory\n")
 
 
 @pytest.mark.parametrize("size", ["0", "-3"])

@@ -325,6 +325,102 @@ def test_strong_translation_matches_the_scalar_loop():
     assert {1, 2} <= fresh_counts
 
 
+# --- Sides on one NNF row are answered without enumerating models ---
+
+
+def _law(g, slip):
+    """g rewritten at its root by De Morgan, modal duality or, for letters,
+    T and negations, double negation.  The law's negations are numbered
+    in the order they are built; the one numbered `slip`, if any, is left
+    out, which keeps the letters but usually not the meaning."""
+    sites = count()
+
+    def neg(h):
+        return h if next(sites) == slip else Not(h)
+
+    if isinstance(g, (And, Or)):
+        dual = Or if isinstance(g, And) else And
+        return neg(dual(neg(g.left), neg(g.right)))
+    if isinstance(g, (Diamond, Box)):
+        dual = Box if isinstance(g, Diamond) else Diamond
+        return neg(dual(g.modality, neg(g.operand)))
+    return neg(neg(g))
+
+
+def _rewrite_somewhere(f, rng, slip):
+    """f with `_law` applied at one random node: the root, or one found by
+    descending into random children."""
+    if isinstance(f, Not) and rng.random() < 0.6:
+        return Not(_rewrite_somewhere(f.operand, rng, slip))
+    if isinstance(f, (And, Or)) and rng.random() < 0.6:
+        if rng.random() < 0.5:
+            return type(f)(_rewrite_somewhere(f.left, rng, slip), f.right)
+        return type(f)(f.left, _rewrite_somewhere(f.right, rng, slip))
+    if isinstance(f, (Diamond, Box)) and rng.random() < 0.6:
+        return type(f)(f.modality, _rewrite_somewhere(f.operand, rng, slip))
+    return _law(f, slip)
+
+
+def _rewrite_corpus():
+    """(check, f, g, alphabet, max_worlds): g is f rewritten by one law at
+    one node, and in every other pair by the same law with one negation
+    slipped, so that the two sides have the same letters and often part."""
+    corpus = []
+    for seed, (lets, mods, pairs, worlds) in enumerate([
+        (("p", "q"), ("a",), 500, 2),
+        (("p",), ("a", "b"), 400, 2),
+        (("p",), ("a",), 160, 3),
+    ]):
+        rng = random.Random(f"rewrite-corpus:{seed}")
+        for i in range(pairs):
+            f = random_formula(rng, 3, lets, mods)
+            slip = rng.randrange(3) if i % 2 else None
+            g = _rewrite_somewhere(f, rng, slip)
+            check_fn = strong_translation_check if i % 4 >= 2 else weak_equiv_check
+            corpus.append((check_fn, f, g, set(lets), worlds))
+    return corpus
+
+
+def test_rewrites_match_the_scalar_loop():
+    # Correct rewrites share the NNF row of f and are answered at once;
+    # slipped ones are enumerated, and a shortcut taken on equal letters
+    # alone would call them equivalent.
+    corpus = _rewrite_corpus()
+    assert len(corpus) >= 1000
+    seen = set()
+    for check_fn, f, g, alphabet, worlds in corpus:
+        if check_fn is weak_equiv_check:
+            expected = _reference_answer(*reference_weak_equiv(f, g, alphabet, worlds))
+            got = weak_equiv_check(f, g, alphabet=alphabet, max_worlds=worlds)
+        else:
+            expected = _reference_answer(*reference_strong(f, g, worlds))
+            got = strong_translation_check(f, g, max_worlds=worlds)
+        assert _answer(got) == expected, (check_fn.__name__, str(f), str(g), worlds)
+        rows, root = expressiveness._nnf_table(And(f, g))[:2]
+        seen.add((check_fn, worlds, rows[root][1] == rows[root][2], expected[0]))
+    for check_fn in (weak_equiv_check, strong_translation_check):
+        for worlds in (2, 3):
+            assert {(check_fn, worlds, True, EQUIVALENT_UP_TO_BOUND),
+                    (check_fn, worlds, False, COUNTEREXAMPLE)} <= seen
+
+
+@pytest.mark.parametrize("check_fn, left, right, kwargs", [
+    (weak_equiv_check, "[a](p -> q) & <a>r", "~<a>(p & ~q) & ~[a]~r", {"max_worlds": 4}),
+    (weak_equiv_check, "~~p", "p", {"alphabet": {"p", "q", "r"}, "max_worlds": 3}),
+    (strong_translation_check, "<a>p | q", "~([a]~p & ~q)", {"max_worlds": 3}),
+    (strong_translation_check, "[b]p", "~<b>~p", {"alphabet": {"p", "q"}, "max_worlds": 2}),
+])
+def test_sides_on_one_row_enumerate_no_model(check_fn, left, right, kwargs, monkeypatch):
+    def no_batches(*args):
+        raise AssertionError("valuation_batches called")
+
+    monkeypatch.setattr(expressiveness, "valuation_batches", no_batches)
+    verdict = check_fn(parse(left), parse(right), **kwargs)
+    assert (verdict.status, verdict.counterexample) == (EQUIVALENT_UP_TO_BOUND, None)
+    with pytest.raises(AssertionError, match="valuation_batches called"):
+        check_fn(parse(left), parse(f"{right} & T"), **kwargs)
+
+
 @pytest.mark.parametrize("target, fragment, alphabet, size, worlds, found", [
     ("p | q", "horn", {"p", "q"}, 5, 2, False),
     ("p | q", "krom", {"p", "q"}, 5, 2, True),
@@ -960,6 +1056,15 @@ def test_records_round_trip_through_pickle_and_copy(record):
         assert deep.next() == record.next() == "_f1" and "_f1" not in FreshLetterSource().reserved
     elif "details" not in repr(record):  # a counterexample's details are a dict
         assert hash(shallow) == hash(deep) == hash(record)
+
+
+def test_record_prints_its_sets_sorted():
+    # A deep copy of a set may iterate in another order than the original.
+    source = FreshLetterSource({"q", "p", "_f0"})
+    assert repr(source) == "FreshLetterSource(reserved={'_f0', 'p', 'q'}, counter=0)"
+    assert repr(FreshLetterSource(frozenset({"q", "p"}))) == (
+        "FreshLetterSource(reserved=frozenset({'p', 'q'}), counter=0)")
+    assert repr(FreshLetterSource()) == "FreshLetterSource(reserved=set(), counter=0)"
 
 
 def test_fresh_letter_source_is_mutable_and_unhashable():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from itertools import product as iproduct
 
 import pytest
 
@@ -22,7 +23,8 @@ from knfrag import (
     product,
     product_world,
 )
-from knfrag.semantics import valuation_batches
+from knfrag.semantics import _Layout, valuation_batches
+from knfrag.syntax import Modality
 from helpers import (
     compile_formula,
     enlarge_valuation,
@@ -221,6 +223,37 @@ def test_valuation_batches_slice_frames_too():
         for j in (0, 1, n // 2, n - 1):
             pointed, _ = batch.first_difference(1 << j, 0)
             assert pointed.model == models[j] and not models[j].frame.relations
+
+
+def long_division_layout(k, letters, fresh, mods, chunk):
+    """(packed, outside, fresh mask) of a `_Layout`, each cell pattern and
+    the mask computed by long division: in a batch of n models, cell b's
+    pattern is 2**b zeros then 2**b ones, repeated, and the mask has bit 0
+    of each block of 2**(k * len(fresh)) bits set."""
+    e = k * len(fresh)
+    cells = e + k * len(letters) + len(mods) * k * k
+    low = min(cells, max(chunk, e))
+    n = 1 << low
+    ones, full = (1 << n) - 1, (1 << k * n) - 1
+    owners = [(l, w * n) for group in (fresh, letters) for w in range(k) for l in group]
+    owners += [((m, u - v), u * n) for m in reversed(mods) for u in range(k) for v in range(k)]
+    packed = {}
+    for b, (key, shift) in enumerate(owners[:low]):
+        h = 1 << b
+        bits = ones // ((1 << 2 * h) - 1) * (((1 << h) - 1) << h)
+        packed[key] = packed.get(key, 0) | bits << shift
+    return packed, owners[low:], full // ((1 << (1 << e)) - 1) if e else None
+
+
+@pytest.mark.parametrize("chunk", [2, 5, 12])
+def test_layouts_match_the_long_division_formulas(chunk, monkeypatch):
+    monkeypatch.setattr("knfrag.semantics._CHUNK_CELLS", chunk)
+    mods = (Modality("a"), Modality("b"))
+    for k, nl, nf, nm in iproduct(range(1, 4), range(4), range(3), range(3)):
+        letters, fresh = ("p", "q", "r")[:nl], ("x", "y")[:nf]
+        layout = _Layout(k, letters, fresh, mods[:nm], frozenset(letters))
+        got = layout.packed, layout.outside, layout.fresh_mask
+        assert got == long_division_layout(k, letters, fresh, mods[:nm], chunk), (k, nl, nf, nm)
 
 
 def test_enumerate_models_no_modalities():
