@@ -120,9 +120,10 @@ def weak_equiv_check(f: Formula, g: Formula, alphabet=None, max_worlds: int = 3)
     `enumerate_models` (frame, then valuation mask, then world), which is
     returned as the counterexample.  When f and g have one negation normal
     form, such as a De Morgan or duality rewrite of each other, the two
-    children are one row, and the check answers without valuing a model.  Memory per batch is O(rows * k * B)
-    bits, with rows the distinct NNF subformulas of f and g, k the world
-    count and B <= 2**12 the models in the batch.
+    children are one row, and the check answers without valuing a model.
+    Memory per batch is O(rows * k * B) bits, with rows the distinct NNF
+    subformulas of f and g, k the world count and B <= 2**12 the models in
+    the batch.
     """
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
@@ -145,10 +146,10 @@ def strong_translation_check(
     answered as it is, without valuing a model, when f and g share a row
     (g then has no fresh letter).  The fresh-letter cells take the low
     model bits, so "some extension satisfies g" is an OR over each block of
-    2**(k*|fresh|) bits.  The
-    first counterexample is the one the order of `enumerate_models` over
-    f's alphabet meets first.  Memory per batch is O(rows * k * B) bits,
-    with B <= max(2**12, 2**(k*|fresh|)) the models in the batch.
+    2**(k*|fresh|) bits.  The first counterexample is the one the order of
+    `enumerate_models` over f's alphabet meets first.  Memory per batch is
+    O(rows * k * B) bits, with B <= max(2**12, 2**(k*|fresh|)) the models
+    in the batch.
     """
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")

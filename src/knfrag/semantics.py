@@ -19,9 +19,7 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import operator
 
 from .syntax import AND, BOX, LIT, NEG, OR, And, Box, Diamond, Formula, Modality, Not, Or, Prop, Top
 
@@ -368,14 +366,14 @@ class _Layout:
         self.k, self.n, self.ones, self.full = k, n, ones, (1 << k * n) - 1
         self.low, self.vcells, self.blocks = low, vcells, 1 << cells - low
         self.letters, self.alphabet, self.fresh, self.mods = letters, alphabet, fresh, mods
-        # Bit j of a batch is set in cell b's bits iff bit b of j is: 2**b
-        # zeros then 2**b ones, repeated.  Each cell's bits are made from the
-        # next cell's by a shift and an XOR, from the top cell down, so
-        # that cells[~b] holds cell b's.
-        cells, bits = [], ones
+        # Bit j of a batch is set in cell b's pattern iff bit b of j is: 2**b
+        # zeros then 2**b ones, repeated.  Each pattern is made from the next
+        # cell's by a shift and an XOR, from the top cell down, so that
+        # patterns[~b] is cell b's.
+        patterns, bits = [], ones
         for b in range(low - 1, -1, -1):
             bits ^= bits >> (1 << b)
-            cells.append(bits)
+            patterns.append(bits)
         # Each cell's owner is a key and a slice: a letter and the cell's
         # world, or a modality's diagonal (m, u - v) and world u for the
         # pair (u, v).  A key's packed value holds its cells' bits, each in
@@ -386,22 +384,24 @@ class _Layout:
         for group in (fresh, letters):
             for w in range(k):
                 for l in group:
-                    b = self._own(b, l, w * n, cells)
+                    b = self._own(b, l, w * n, patterns)
         for m in reversed(mods):
             for u in range(k):
                 for v in range(k):
-                    b = self._own(b, (m, u - v), u * n, cells)
+                    b = self._own(b, (m, u - v), u * n, patterns)
         # The first model of each block of 2**e, whose fresh cells, those
         # below e, are all false, in every world's slice.
         self.fresh_mask = None
         if e:
-            heads = ones ^ functools.reduce(operator.or_, cells[-e:])
+            heads = ones
+            for bits in patterns[-e:]:
+                heads &= ~bits
             self.fresh_mask = sum(heads << w * n for w in range(k))
 
-    def _own(self, b, key, shift, cells):
+    def _own(self, b, key, shift, patterns):
         # Cell b goes to `key` at `shift`; returns the next cell.
         if b < self.low:
-            self.packed[key] = self.packed.get(key, 0) | cells[~b] << shift
+            self.packed[key] = self.packed.get(key, 0) | patterns[~b] << shift
         else:
             self.outside.append((key, shift))
         return b + 1
