@@ -24,15 +24,15 @@ from operator import and_, itemgetter
 
 from .combinators import add_successor_world, intersect, override_valuation, product
 from .semantics import (
+    _CHUNK_CELLS,
     KripkeFrame,
     KripkeModel,
     PointedModel,
     check,
     valuation_batches,
 )
-from .solver import _multisets, sat_bruteforce, sat_tableau
+from .solver import DEFAULT_NODE_CAP, CapExceeded, _expand, _multisets, sat_bruteforce, sat_tableau
 from .syntax import (
-    NEG,
     And,
     Box,
     Clause,
@@ -48,7 +48,7 @@ from .syntax import (
     parse,
     recognize_clausal,
 )
-from .syntax import _nnf_table, _Record, _set
+from .syntax import AND, DIA, NEG, OR, _nnf_table, _Record, _set
 from .translate import krom_to_krom_box, krom_to_krom_diamond
 
 __all__ = [
@@ -69,6 +69,7 @@ __all__ = [
 
 EQUIVALENT_UP_TO_BOUND = "EQUIVALENT_UP_TO_BOUND"
 COUNTEREXAMPLE = "COUNTEREXAMPLE"
+_PROOF_DEPTH = 100  # `_first_disagreement` proves only below this modal depth
 
 
 class Counterexample(_Record):
@@ -87,6 +88,29 @@ class Verdict(_Record):
         _set(self, "counterexample", counterexample)
 
 
+def _rows_agree(rows, left, right, n_letters, n_mods, max_worlds) -> bool:
+    """Whether the tableau closes (left & ~right) | (~left & right), on a copy
+    of `rows` with each row's dual (kinds LIT/NEG, AND/OR, DIA/BOX swapped
+    over dual children) hash-consed in, under a cap of the work a proof
+    saves: a node per row, world slice and batch (cells as in `_Layout`)."""
+    ids, dual = {row: i for i, row in enumerate(rows)}, []
+    for kind, a, b in rows:
+        if kind > NEG:
+            a, b = (dual[a] if kind < DIA else a), dual[b]
+        dual.append(ids.setdefault((kind ^ 1, a, b), len(ids)))
+    xor = (OR, ids.setdefault((AND, left, dual[right]), len(ids)),
+           ids.setdefault((AND, dual[left], right), len(ids)))
+    root = ids.setdefault(xor, len(ids))
+    cap, k = 0, 1  # summed only up to the default cap, so it stays a small int
+    while cap < DEFAULT_NODE_CAP and k < max_worlds:
+        k += 1
+        cap += len(rows) * k << max(0, k * n_letters + n_mods * k * k - _CHUNK_CELLS)
+    try:
+        return _expand(list(ids), [root], [min(cap, DEFAULT_NODE_CAP)]) is None
+    except CapExceeded:
+        return False
+
+
 def _first_disagreement(table, left, right, alphabet, fresh, max_worlds, right_key) -> Verdict:
     """The first point, in the order of `enumerate_models` over `alphabet`,
     where row `left` of `table` disagrees with "some assignment to `fresh`
@@ -95,11 +119,19 @@ def _first_disagreement(table, left, right, alphabet, fresh, max_worlds, right_k
     is the identity: pointwise agreement.  Two NNF subformulas are equal
     exactly when they share a row, and then the right side has no letter
     the left lacks, so `left == right` is answered before any model is
-    valued."""
+    valued.  With no fresh letters and modal depth below `_PROOF_DEPTH`
+    (`_expand` recurses per level), the tableau runs once on the XOR of the
+    rows before the first 2-world batch: closed, the rows agree on every
+    model; open or capped, the models are valued on."""
     if left == right:
         return Verdict(EQUIVALENT_UP_TO_BOUND)
     rows, modalities = table[0], table[4]
+    prove = not fresh and len(table[3]) <= _PROOF_DEPTH
     for batch in valuation_batches(alphabet, modalities, max_worlds, fresh):
+        if prove and batch.layout.k > 1:
+            prove = False
+            if _rows_agree(rows, left, right, len(alphabet), len(modalities), max_worlds):
+                return Verdict(EQUIVALENT_UP_TO_BOUND)
         values = batch.value(rows)
         lhs = batch.exists_fresh(values[left])
         diff = lhs ^ batch.exists_fresh(values[right])
@@ -121,6 +153,8 @@ def weak_equiv_check(f: Formula, g: Formula, alphabet=None, max_worlds: int = 3)
     returned as the counterexample.  When f and g have one negation normal
     form, such as a De Morgan or duality rewrite of each other, the two
     children are one row, and the check answers without valuing a model.
+    Once the one-world models agree, a tableau proof that f and g agree on
+    every model, tried below modal depth 100, gives the same bounded answer.
     Memory per batch is O(rows * k * B) bits, with rows the distinct NNF
     subformulas of f and g, k the world count and B <= 2**12 the models in
     the batch.
@@ -144,7 +178,8 @@ def strong_translation_check(
 
     Bitsliced like `weak_equiv_check`, on one NNF table of `f & g`, and
     answered as it is, without valuing a model, when f and g share a row
-    (g then has no fresh letter).  The fresh-letter cells take the low
+    (g then has no fresh letter), or, with no fresh letter, by the same
+    tableau proof.  The fresh-letter cells take the low
     model bits, so "some extension satisfies g" is an OR over each block of
     2**(k*|fresh|) bits.  The first counterexample is the one the order of
     `enumerate_models` over f's alphabet meets first.  Memory per batch is

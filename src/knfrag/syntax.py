@@ -310,7 +310,7 @@ def formula_modalities(f: Formula) -> frozenset[Modality]:
     return frozenset({g.modality for g in subformulas(f) if type(g) in (Diamond, Box)})
 
 
-LIT, NEG, AND, OR, DIA, BOX = range(6)  # the kinds of `_nnf_table` rows
+LIT, NEG, AND, OR, DIA, BOX = range(6)  # the kinds of `_nnf_table` rows; kind ^ 1 is the dual
 
 
 def _nnf_table(f: Formula) -> tuple[list[tuple], int, frozenset, list[int], frozenset]:

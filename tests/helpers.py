@@ -61,34 +61,35 @@ def subformulas_postorder(f):
 
 
 def table_check(model, world, f):
-    """Bottom-up truth table over every subformula and world."""
+    """Bottom-up truth table over every subformula and world.  Entries are
+    keyed by node identity: a formula hashes by its whole spelling."""
     table = {}
     for g in subformulas_postorder(f):
         for w in model.frame.worlds:
-            if (g, w) in table:
+            if (id(g), w) in table:
                 continue
             if isinstance(g, Prop):
                 value = g.letter in model.valuation[w]
             elif isinstance(g, Not):
-                value = not table[(g.operand, w)]
+                value = not table[(id(g.operand), w)]
             elif isinstance(g, Or):
-                value = table[(g.left, w)] or table[(g.right, w)]
+                value = table[(id(g.left), w)] or table[(id(g.right), w)]
             elif isinstance(g, And):
-                value = table[(g.left, w)] and table[(g.right, w)]
+                value = table[(id(g.left), w)] and table[(id(g.right), w)]
             elif isinstance(g, Diamond):
                 value = any(
-                    table[(g.operand, v)]
+                    table[(id(g.operand), v)]
                     for v in model.frame.successors(w, g.modality)
                 )
             elif isinstance(g, Box):
                 value = all(
-                    table[(g.operand, v)]
+                    table[(id(g.operand), v)]
                     for v in model.frame.successors(w, g.modality)
                 )
             else:
                 value = True
-            table[(g, w)] = value
-    return table[(f, world)]
+            table[(id(g), w)] = value
+    return table[(id(f), world)]
 
 
 # --- Reference walkers: the hand-written traversals `subformulas` replaced ---
@@ -716,6 +717,30 @@ def random_model(rng, max_worlds=5, letters=("p", "q", "r"), mods=("a", "b"),
         for w in frame.worlds
     }
     return KripkeModel(frame, valuation, set(letters))
+
+
+def random_modal_3cnf(rng, clauses, n_letters=3, depth=1, modality="a0"):
+    """Random modal 3-CNF (Giunchiglia & Sebastiani, CADE 1996): `clauses`
+    clauses of 3 literals over the letters p0.. and one modality.  Each
+    literal is negated with probability 1/2; below `depth` its atom is a
+    letter with probability 1/2 and otherwise a box over such a clause one
+    level shallower."""
+    letters = [f"p{i}" for i in range(n_letters)]
+
+    def clause(d):
+        lits = []
+        for _ in range(3):
+            if d == 0 or rng.random() < 0.5:
+                atom = Prop(rng.choice(letters))
+            else:
+                atom = Box(modality, clause(d - 1))
+            lits.append(Not(atom) if rng.random() < 0.5 else atom)
+        return Or(Or(lits[0], lits[1]), lits[2])
+
+    f = clause(depth)
+    for _ in range(clauses - 1):
+        f = And(f, clause(depth))
+    return f
 
 
 def enlarge_valuation(rng, model, grow_bias=0.3):

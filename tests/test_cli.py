@@ -463,6 +463,26 @@ def test_deep_input_is_answered_without_traceback(argv, deep, code, printed):
         assert done.stdout == (DEEP[deep] if printed == "same" else printed) + "\n"
 
 
+# --- equiv: the tableau proof after the one-world models, and its depth guard ---
+
+
+def test_equiv_of_a_deep_diamond_against_it_and_t_skips_the_proof():
+    # Modal depth 3,000 is past the proof's guard (the tableau recurses per
+    # modal level), so the 2-world models are valued, as without the proof.
+    deep = "<a>" * 3000 + "p"
+    done = run_process(["equiv", "--max-worlds", "2", "-", f"({deep}) & T"], input=deep)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "EQUIVALENT_UP_TO_BOUND\n", "")
+
+
+def test_equiv_of_a_clause_chain_against_it_and_t_is_proved():
+    # 8 clauses (p_i | <a>q_i): 16 letters, 2**36 models at 2 worlds; the
+    # tableau answers in tens of milliseconds, where valuing the models ran
+    # past 10 s.
+    chain = " & ".join(f"(p{i} | <a>q{i})" for i in range(8))
+    done = run_process(["equiv", chain, f"{chain} & T"])
+    assert (done.returncode, done.stdout, done.stderr) == (0, "EQUIVALENT_UP_TO_BOUND\n", "")
+
+
 # --- long flat conjunctions: parse, classify and translate walk them iteratively ---
 
 FLAT_CLAUSES = 10_000

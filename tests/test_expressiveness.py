@@ -20,6 +20,7 @@ from knfrag import (
     Clause,
     ClausalFormula,
     Diamond,
+    Formula,
     FragmentDescriptor,
     Not,
     Or,
@@ -40,7 +41,7 @@ from knfrag import (
 )
 from knfrag import expressiveness
 from knfrag.semantics import Batch, valuation_batches
-from knfrag.solver import sat_bruteforce, sat_tableau, tree_model_bound
+from knfrag.solver import CapExceeded, sat_bruteforce, sat_tableau, tree_model_bound
 from knfrag.translate import FreshLetterSource, krom_to_krom_box, krom_to_krom_diamond
 from helpers import (
     compile_formula,
@@ -419,6 +420,156 @@ def test_sides_on_one_row_enumerate_no_model(check_fn, left, right, kwargs, monk
     assert (verdict.status, verdict.counterexample) == (EQUIVALENT_UP_TO_BOUND, None)
     with pytest.raises(AssertionError, match="valuation_batches called"):
         check_fn(parse(left), parse(f"{right} & T"), **kwargs)
+
+
+# --- Past the one-world models, the tableau proves agreement on every model ---
+
+
+def _sites(f, path=()):
+    """(path, node) for every node of f, a path being the fields followed."""
+    yield path, f
+    for name in f._fields:
+        child = getattr(f, name)
+        if isinstance(child, Formula):
+            yield from _sites(child, path + (name,))
+
+
+def _put(f, path, new):
+    """f with the node at `path` replaced by `new`."""
+    if not path:
+        return new
+    parts = [getattr(f, name) for name in f._fields]
+    i = f._fields.index(path[0])
+    parts[i] = _put(parts[i], path[1:], new)
+    return type(f)(*parts)
+
+
+def _k_law(h, rng, lets, mods):
+    """h rewritten by a law of K that keeps its meaning but not its NNF
+    row: commutation, `& T`, `| F`, absorption, or absorption under h's
+    own modality."""
+    extra = random_formula(rng, 1, lets, mods)
+    law = rng.randrange(5)
+    if law == 0 and isinstance(h, (And, Or)) and h.left != h.right:
+        return type(h)(h.right, h.left)
+    if law == 1:
+        return And(h, TOP) if rng.random() < 0.5 else Or(h, Not(TOP))
+    if law == 2 and isinstance(h, Diamond):
+        return Or(Diamond(h.modality, And(h.operand, extra)), h)
+    if law == 2 and isinstance(h, Box):
+        return And(h, Box(h.modality, Or(h.operand, extra)))
+    return And(h, Or(extra, h)) if rng.random() < 0.5 else Or(And(h, extra), h)
+
+
+def _one_world_law(h):
+    """A modal h rewritten by a law that holds on one world only, where a
+    world's only possible successor is itself: <m>x as <m>T & x, [m]x as
+    [m]F | x."""
+    if isinstance(h, Diamond):
+        return And(Diamond(h.modality, TOP), h.operand)
+    return Or(Box(h.modality, Not(TOP)), h.operand)
+
+
+def _proof_corpus():
+    """(check, f, g, alphabet, max_worlds): in even pairs g is f with one
+    node rewritten by a law of K, in odd pairs with one modal node rewritten
+    by a law of one world, so that g agrees with f on every one-world model
+    and mostly parts from it at 2 or 3 worlds.  No pair shares a row."""
+    corpus = []
+    for seed, (lets, mods, pairs, worlds) in enumerate([
+        (("p", "q"), ("a",), 700, 2),
+        (("p",), ("a", "b"), 250, 2),
+        (("p",), ("a",), 60, 3),
+    ]):
+        rng = random.Random(f"proof-corpus:{seed}")
+        made = 0
+        while made < pairs:
+            f = random_formula(rng, 3, lets, mods)
+            if made % 2 == 0:
+                path, h = rng.choice(list(_sites(f)))
+                g = _put(f, path, _k_law(h, rng, lets, mods))
+            else:
+                modal = [site for site in _sites(f) if isinstance(site[1], (Diamond, Box))]
+                if not modal:
+                    continue
+                path, h = rng.choice(modal)
+                g = _put(f, path, _one_world_law(h))
+            rows, root = expressiveness._nnf_table(And(f, g))[:2]
+            if rows[root][1] == rows[root][2]:
+                continue
+            check_fn = strong_translation_check if made % 4 >= 2 else weak_equiv_check
+            corpus.append((check_fn, f, g, set(lets), worlds))
+            made += 1
+    # Three successors of different kinds need 3 worlds.
+    f = parse("<a>(p & [a]F) & <a>(p & <a>T) & <a>~p")
+    g = parse("<a>(p & [a]F) & <a>(p & <a>T) & <a>~p & F")
+    corpus += [(weak_equiv_check, f, g, {"p"}, 3), (strong_translation_check, f, g, {"p"}, 3)]
+    return corpus
+
+
+def _check_against_the_scalar_loop(check_fn, f, g, alphabet, worlds):
+    if check_fn is weak_equiv_check:
+        expected = _reference_answer(*reference_weak_equiv(f, g, alphabet, worlds))
+    else:
+        expected = _reference_answer(*reference_strong(f, g, worlds, alphabet))
+    got = check_fn(f, g, alphabet=alphabet, max_worlds=worlds)
+    assert _answer(got) == expected, (check_fn.__name__, str(f), str(g), worlds)
+    return got
+
+
+def test_proofs_past_one_world_match_the_scalar_loop(monkeypatch):
+    # Every pair agrees on the one-world models, so each runs the tableau
+    # once: the K laws close it, most one-world laws leave it open, and
+    # where a batch or two is all that is left to value, its node cap,
+    # that work, often stops it first.
+    proofs = []
+    expand = expressiveness._expand
+
+    def recorded(rows, pending, budget):
+        proofs.append("capped")
+        tree = expand(rows, pending, budget)
+        proofs[-1] = "closed" if tree is None else "open"
+        return tree
+
+    monkeypatch.setattr(expressiveness, "_expand", recorded)
+    corpus = _proof_corpus()
+    assert len(corpus) >= 1000
+    seen, parted_at = set(), set()
+    for check_fn, f, g, alphabet, worlds in corpus:
+        before = len(proofs)
+        verdict = _check_against_the_scalar_loop(check_fn, f, g, alphabet, worlds)
+        assert len(proofs) == before + 1, (str(f), str(g))
+        seen.add((check_fn, proofs[-1], verdict.status))
+        if verdict.counterexample:
+            parted_at.add(len(verdict.counterexample.pointed.model.frame.worlds))
+    assert parted_at == {2, 3}
+    for check_fn in (weak_equiv_check, strong_translation_check):
+        assert {(check_fn, "closed", EQUIVALENT_UP_TO_BOUND), (check_fn, "open", COUNTEREXAMPLE),
+                (check_fn, "capped", EQUIVALENT_UP_TO_BOUND),
+                (check_fn, "capped", COUNTEREXAMPLE)} <= seen, check_fn.__name__
+
+
+def test_a_capped_proof_leaves_the_answer_to_the_models(monkeypatch):
+    calls = []
+
+    def capped(rows, pending, budget):
+        calls.append(budget[0])
+        raise CapExceeded("tableau node cap exceeded")
+
+    monkeypatch.setattr(expressiveness, "_expand", capped)
+    corpus = _proof_corpus()[:60]
+    statuses = {_check_against_the_scalar_loop(*case).status for case in corpus}
+    assert statuses == {EQUIVALENT_UP_TO_BOUND, COUNTEREXAMPLE}
+    assert len(calls) == len(corpus) and min(calls) > 0
+
+
+def test_a_proof_answers_at_any_bound():
+    # The proof's node cap counts the work it saves only up to the default
+    # cap, so a bound of a million worlds costs no more than one of 3.
+    f, g = parse("[a](p -> q) & <b>r"), parse("<b>r & [a](~p | q)")
+    for check_fn in (weak_equiv_check, strong_translation_check):
+        verdict = check_fn(f, g, max_worlds=10**6)
+        assert (verdict.status, verdict.counterexample) == (EQUIVALENT_UP_TO_BOUND, None)
 
 
 @pytest.mark.parametrize("target, fragment, alphabet, size, worlds, found", [
