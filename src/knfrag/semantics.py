@@ -13,8 +13,8 @@ no entry for an empty row or relation, so equal frames have equal tables;
 `relations` is derived from it.  Models add a declared alphabet and a
 valuation; letters outside the alphabet are simply false everywhere, so
 formulas mentioning fresh letters can be checked against base models.
-
-All values are immutable after construction and all operations are pure.
+Operations are pure and change no frame or model, but nothing guards those;
+`PointedModel` is a frozen record, as formulas and result records are.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 
 from .syntax import AND, BOX, LIT, NEG, OR, And, Box, Diamond, Formula, Modality, Not, Or, Prop, Top
+from .syntax import _Record, _set
 
 __all__ = [
     "KripkeFrame",
@@ -164,7 +165,7 @@ class KripkeModel:
         return f"KripkeModel({self.frame!r}, valuation={val}, alphabet={sorted(self.alphabet)})"
 
 
-class PointedModel:
+class PointedModel(_Record):
     """A model with a designated world."""
 
     __slots__ = ("model", "world")
@@ -173,22 +174,8 @@ class PointedModel:
         world = str(world)
         if not model.frame.has_world(world):
             raise ValueError(f"designated world {world!r} is not in the frame")
-        self.model = model
-        self.world = world
-
-    def __reduce__(self):
-        return type(self), (self.model, self.world)
-
-    def __eq__(self, other):
-        if not isinstance(other, PointedModel):
-            return NotImplemented
-        return self.model == other.model and self.world == other.world
-
-    def __hash__(self):
-        return hash((self.model, self.world))
-
-    def __repr__(self):
-        return f"PointedModel({self.model!r}, world={self.world!r})"
+        _set(self, "model", model)
+        _set(self, "world", world)
 
 
 def check(model: KripkeModel, world: str, f: Formula) -> bool:
@@ -242,19 +229,13 @@ def enumerate_extensions(base: KripkeModel, new_letters):
     The first yield assigns every new letter false everywhere.
     """
     new = tuple(sorted(set(str(l) for l in new_letters)))
-    if any(l in base.alphabet for l in new):
-        clash = ", ".join(l for l in new if l in base.alphabet)
+    if clash := ", ".join(l for l in new if l in base.alphabet):
         raise ValueError(f"letters already in the alphabet: {clash}")
-    alphabet = base.alphabet | frozenset(new)
-    cells = [(w, l) for w in base.frame.worlds for l in new]
-    for bits in itertools.product((False, True), repeat=len(cells)):
-        val = {w: set(base.valuation[w]) for w in base.frame.worlds}
-        for (w, l), bit in zip(cells, bits):
-            if bit:
-                val[w].add(l)
-        yield KripkeModel._direct(
-            base.frame, {w: frozenset(ls) for w, ls in val.items()}, alphabet
-        )
+    alphabet, worlds = base.alphabet | frozenset(new), base.frame.worlds
+    bits = list(itertools.product((0, 1), repeat=len(new)))
+    choices = [[base.valuation[w].union(itertools.compress(new, b)) for b in bits] for w in worlds]
+    for sets in itertools.product(*choices):
+        yield KripkeModel._direct(base.frame, dict(zip(worlds, sets)), alphabet)
 
 
 # --- Deterministic model streams ---

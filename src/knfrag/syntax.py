@@ -16,9 +16,9 @@ box indexed by modality `a`.  Idents with a leading underscore are reserved
 for machine-generated letters (the parser accepts them so that translated
 formulas read back, but users should not introduce them).
 Nodes, clauses and clausal formulas are immutable `__slots__` records, not
-dataclasses.  `parse`, `to_text` and the nodes' `==`, `hash` and `repr` are
-loops over explicit stacks, and a node pickles and copies as its text, so
-no nesting depth or chain length meets the interpreter's recursion limit.
+dataclasses.  `parse`, `to_text` and the nodes' `repr` are loops over
+explicit stacks, and a node compares, hashes, pickles and copies as its
+text, so no nesting depth or chain length meets the recursion limit.
 `parse` reads its lexemes with one `findall` and builds each node from
 parts it has already checked; a lexeme's offset, line and column are
 computed only for a `ParseError`.  `_nnf_table` reads a formula, in one
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import re
 from functools import reduce
-from operator import eq
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -105,10 +104,10 @@ class Modality(str):
 
 
 class _Record:
-    """An immutable record of its classes' `__slots__` fields, base first: it
-    compares, hashes and prints by them, in order, as a frozen dataclass does,
-    with `repr` a loop over an explicit stack that prints sets sorted, and
-    `__reduce__` rebuilds it through its constructor, for `pickle` and `copy`."""
+    """An immutable record of its classes' `__slots__` fields, base first:
+    `__reduce__` rebuilds it through its constructor, for `pickle` and `copy`,
+    and it compares and hashes by `__reduce__` and prints its fields in order,
+    with `repr` a loop over an explicit stack that prints sets sorted."""
 
     __slots__ = ()
     _fields = ()
@@ -159,22 +158,14 @@ def _repr(value) -> str:
 
 
 class Formula(_Record):
-    """Base class for formula nodes, compared and hashed by their spelling,
-    and pickled and copied as their text."""
+    """Base class for formula nodes.  A node reduces to its canonical text,
+    so `==`, `hash`, `pickle` and `copy` all read `to_text`."""
 
     __slots__ = ()
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self is other or all(map(eq, _spelling(self), _spelling(other)))
-
-    def __hash__(self):
-        return hash(tuple(_spelling(self)))
-
     def __reduce__(self):
         # Through the text, not the fields: `to_text` and `parse` are loops,
-        # so `pickle` and `copy` handle formulas of any depth.
+        # so formulas of any depth compare, hash, pickle and copy.
         return parse, (to_text(self),)
 
     def __str__(self):
@@ -238,23 +229,6 @@ _set = object.__setattr__
 _set_letter, _set_negated = Prop.letter.__set__, Not.operand.__set__
 _set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
 _set_modality, _set_operand = _Modal.modality.__set__, _Modal.operand.__set__
-
-_TAGS = {Formula: "Formula", Top: "T", Not: "~", Or: "|", And: "&", Diamond: "<>", Box: "[]"}
-
-
-def _spelling(f: Formula) -> Iterator:
-    """f's nodes in `subformulas` order: a letter as itself, a diamond or box as
-    its tag then its modality, another node as its tag, a non-formula child as
-    its 1-tuple.  Tags fix arities, so no spelling is a proper prefix of another
-    and formulas are equal exactly when their spellings agree item by item."""
-    for g in subformulas(f):
-        t = type(g)
-        if t is Prop:
-            yield g.letter
-        else:
-            yield _TAGS.get(t) or (g,)
-            if t is Diamond or t is Box:
-                yield g.modality
 
 TOP = Top()
 BOTTOM = Not(TOP)

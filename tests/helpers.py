@@ -62,7 +62,7 @@ def subformulas_postorder(f):
 
 def table_check(model, world, f):
     """Bottom-up truth table over every subformula and world.  Entries are
-    keyed by node identity: a formula hashes by its whole spelling."""
+    keyed by node identity: a formula hashes by its whole text."""
     table = {}
     for g in subformulas_postorder(f):
         for w in model.frame.worlds:

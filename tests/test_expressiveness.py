@@ -1172,8 +1172,9 @@ def test_concurrent_runs_share_no_reports(monkeypatch):
     (lambda: Clause(positives=[TOP]), "positives"),
     (lambda: recognize_clausal(parse("p & q")), "clauses"),
     (lambda: classify(recognize_clausal(parse("p"))), "horn"),
+    (lambda: sat_tableau(parse("p")).witness, "world"),
 ], ids=["SatResult", "Verdict", "Counterexample", "TheoremReport", "Top", "Prop", "Not", "Or",
-        "And", "Diamond", "Box", "Clause", "ClausalFormula", "FragmentDescriptor"])
+        "And", "Diamond", "Box", "Clause", "ClausalFormula", "FragmentDescriptor", "PointedModel"])
 def test_result_records_are_frozen(record, field):
     with pytest.raises(FrozenInstanceError):
         setattr(record(), field, None)
@@ -1192,7 +1193,7 @@ def every_record():
             FragmentDescriptor(True, False, False, True, True), sat_tableau(parse("<a>p")),
             sat_tableau(parse("p & ~p")), verdict, verdict.counterexample,
             weak_equiv_check(parse("p"), parse("p"), max_worlds=1),
-            replay_theorem("horn-vs-bool"), source]
+            replay_theorem("horn-vs-bool"), source, sat_tableau(parse("<a>p")).witness]
 
 
 @pytest.mark.parametrize("record", every_record(), ids=lambda r: type(r).__name__)

@@ -611,7 +611,15 @@ def test_equal_formulas_hash_alike_and_print_as_before():
     # Nodes of different kinds over the same parts differ.
     p, q = Prop("p"), Prop("q")
     assert len({And(p, q), Or(p, q), Diamond("a", p), Box("a", p), Not(p), p, TOP}) == 7
-    assert Diamond("a", p) != Diamond("b", p) and Prop("p") != "p" and Not(p) != Not(3)
+    assert Diamond("a", p) != Diamond("b", p) and Prop("p") != "p"
+    # A node over a non-formula child has no text, so it neither compares nor hashes.
+    for good, bad in ((Not(p), Not(3)), (And(p, q), And(p, "q"))):
+        with pytest.raises(TypeError):
+            good == bad
+        with pytest.raises(TypeError):
+            bad == good
+        with pytest.raises(TypeError):
+            hash(bad)
 
 
 def test_nodes_match_by_field_order():
