@@ -136,18 +136,14 @@ def test_enumerate_extensions_stream_is_pinned():
     # One bit per (world, letter) cell, worlds in frame order, letters sorted,
     # the last cell (w1, y) varying fastest; each item reads "w0 letters/w1 letters".
     base = KripkeModel(KripkeFrame(["w0", "w1"], {"a": [("w0", "w1")]}), {"w0": ["p"]}, {"p"})
-    stream = [
-        "/".join("".join(sorted(ext.valuation[w])) for w in ("w0", "w1"))
-        for ext in enumerate_extensions(base, ["y", "x"])
-    ]
-    assert stream == [
+    exts = list(enumerate_extensions(base, ["y", "x"]))
+    assert ["/".join("".join(sorted(ext.valuation[w])) for w in ("w0", "w1")) for ext in exts] == [
         "p/", "p/y", "p/x", "p/xy",
         "py/", "py/y", "py/x", "py/xy",
         "px/", "px/y", "px/x", "px/xy",
         "pxy/", "pxy/y", "pxy/x", "pxy/xy",
     ]
-    assert all(ext.frame is base.frame and ext.alphabet == {"p", "x", "y"}
-               for ext in enumerate_extensions(base, ["y", "x"]))
+    assert all(ext.frame is base.frame and ext.alphabet == {"p", "x", "y"} for ext in exts)
 
 
 def test_enumerate_extensions_rejects_clash(fan_model):
