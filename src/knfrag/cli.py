@@ -214,11 +214,12 @@ def _cmd_search(args) -> int:
 
 def _cmd_verify_paper(args) -> int:
     reports = replay_theorems([args.id] if args.id else THEOREM_IDS)
+    encode, lines = json.JSONEncoder(sort_keys=True).encode, []
     for report in reports:
         for description, ok in report.steps:
-            print(json.dumps({"theorem": report.theorem, "step": description, "pass": ok},
-                             sort_keys=True))
-        print(json.dumps({"theorem": report.theorem, "overall": report.overall}, sort_keys=True))
+            lines.append(encode({"theorem": report.theorem, "step": description, "pass": ok}))
+        lines.append(encode({"theorem": report.theorem, "overall": report.overall}))
+    sys.stdout.write("".join(line + "\n" for line in lines))
     return 0 if all(report.overall for report in reports) else 1
 
 

@@ -2,10 +2,10 @@
 
 `check` evaluates one formula at one world of one model.  The model
 streams share one frame order: `enumerate_models` yields models one at a
-time, and `valuation_batches` yields batches of up to 2**12 models, frames
-and valuations alike bitsliced, on which `Batch.value` evaluates every row
-of a formula's NNF table at once, for the bounded checks in
-`expressiveness`.
+time, and `valuation_batches` yields the same models in batches of up to
+2**12, frames and valuations alike bitsliced, from one layout per world
+count; `Batch.value` evaluates every row of a formula's NNF table on a
+batch at once, for the bounded checks in `expressiveness`.
 
 Worlds are strings.  A frame keeps its worlds in declared order and one
 successor table, modality name -> world -> successors sorted by name, with
@@ -489,11 +489,11 @@ def valuation_batches(letters, modalities, max_worlds: int, fresh=()):
     """Batches covering every model over `letters` and the modality names
     with 1..max_worlds worlds, extended by every assignment to the `fresh`
     letters, in the order of `enumerate_models`: blocks of model indices
-    ascending (see `_Layout`).
-
-    At each world count the empty frame comes first, as its own batches
-    over its valuations only, since most disagreements show there; the
-    blocks that lie wholly inside it are then skipped.  At most 2**12
+    ascending (see `_Layout`), one layout per world count.  The edgeless
+    frame's models lead each count's first batch and get no pass of their
+    own: past one world, each of their points generates a one-world
+    submodel, and truth is invariant under generated submodels (Blackburn,
+    de Rijke & Venema, Modal Logic, 2001, Prop. 2.6).  At most 2**12
     models share a batch, unless the fresh-letter cells alone are more
     than 12: they never span two batches.  A value on a batch of k worlds
     takes k * 2**low bits, low = min(cells, max(12, k * |fresh|)), with
@@ -504,11 +504,8 @@ def valuation_batches(letters, modalities, max_worlds: int, fresh=()):
     mods = tuple(sorted(modalities))
     alphabet = frozenset(letters)
     for k in range(1, max_worlds + 1):
-        empty = _Layout(k, letters, fresh, (), alphabet)
-        yield from map(empty.batch, range(empty.blocks))
-        if mods:
-            layout = _Layout(k, letters, fresh, mods, alphabet)
-            yield from map(layout.batch, range((1 << empty.vcells) >> layout.low, layout.blocks))
+        layout = _Layout(k, letters, fresh, mods, alphabet)
+        yield from map(layout.batch, range(layout.blocks))
 
 
 # --- JSON model files ---

@@ -627,10 +627,14 @@ def test_full_disk_is_an_ioerr_exit(flags):
 @pytest.mark.parametrize("flags", [(), ("-OO",)])
 def test_interrupt_is_exit_130(flags):
     # Brute force on this chain runs for minutes; the signal comes after 1 s.
+    # The child gets SIGINT's default disposition, since Python installs no
+    # KeyboardInterrupt handler when it starts with SIGINT ignored, as a job
+    # put in the background by a non-interactive shell does.
     chain = " & ".join(f"(p{i} | <a>q{i})" for i in range(100))
     command, env = cli_process_args(["sat", "--engine", "brute", chain], flags)
     child = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                             text=True, env=env)
+                             text=True, env=env,
+                             preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
     try:
         time.sleep(1)
         assert child.poll() is None, "the run ended before it was interrupted"

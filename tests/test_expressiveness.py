@@ -40,7 +40,7 @@ from knfrag import (
     weak_equiv_check,
 )
 from knfrag import expressiveness
-from knfrag.semantics import Batch, valuation_batches
+from knfrag.semantics import Batch, _Layout, valuation_batches
 from knfrag.solver import CapExceeded, sat_bruteforce, sat_tableau, tree_model_bound
 from knfrag.translate import FreshLetterSource, krom_to_krom_box, krom_to_krom_diamond
 from helpers import (
@@ -118,6 +118,28 @@ def test_strong_translation_of_box_rewrite():
     g = krom_to_krom_box(recognize_clausal(f)).to_formula()
     verdict = strong_translation_check(f, g, max_worlds=3)
     assert verdict.status == EQUIVALENT_UP_TO_BOUND
+
+
+def test_strong_translation_of_box_rewrite_values_one_batch_per_world_count(monkeypatch):
+    # One layout per world count: at 2 worlds, 2 layouts and 2 batches,
+    # where a pass over the edgeless frame of its own made 4 and 4.
+    layouts, batches = [], []
+    init, value = _Layout.__init__, Batch.value
+
+    def counted_init(layout, *args):
+        layouts.append(layout)
+        init(layout, *args)
+
+    def counted_value(batch, rows):
+        batches.append(batch)
+        return value(batch, rows)
+
+    monkeypatch.setattr(_Layout, "__init__", counted_init)
+    monkeypatch.setattr(Batch, "value", counted_value)
+    f = parse("<a>p")
+    g = krom_to_krom_box(recognize_clausal(f)).to_formula()
+    assert strong_translation_check(f, g, max_worlds=2).status == EQUIVALENT_UP_TO_BOUND
+    assert (len(layouts), len(batches)) == (2, 2)
 
 
 def test_strong_translation_counterexample():
@@ -775,6 +797,9 @@ def test_each_distinct_subformula_is_valued_once_per_batch(check, f, g, monkeypa
 
     monkeypatch.setattr(Batch, "value", counted_value)
     monkeypatch.setattr(Batch, "_modal", counted_modal)
+    # Blocks of 2 cells, so that the weak pair, which the tableau proves
+    # after the one-world models, still values more than one batch.
+    monkeypatch.setattr("knfrag.semantics._CHUNK_CELLS", 2)
     assert check(parse(f), parse(g)).status == EQUIVALENT_UP_TO_BOUND
     assert len(batches) > 1 and calls == batches, (len(batches), len(calls))
 

@@ -220,23 +220,52 @@ def test_enumerate_models_order_is_pinned(alphabet, mods, worlds, count, digest)
 
 def test_valuation_batches_slice_frames_too():
     # Relation pairs are cells of the batch like valuation cells: {p,q} with
-    # one modality at up to 3 worlds takes 13 batches (one per frame took
-    # 530).  Each world count starts with the empty frame over all its
-    # valuations, as one batch.
+    # one modality at up to 3 worlds takes 10 batches (one per frame took
+    # 530), one layout per world count.  Each world count's first batch
+    # starts at model 0, and its lowest 2**(2k) models are the edgeless
+    # frame over all its valuations.
     batches = list(valuation_batches({"p", "q"}, {"a"}, 3))
-    assert len(batches) == 13
+    assert len(batches) == 10
     firsts = {}
     for batch in batches:
         firsts.setdefault(batch.layout.k, batch)
     some, every = compile_formula(parse("<a>T")), compile_formula(parse("[a]F"))
     for k, batch in firsts.items():
-        n = 1 << 2 * k
+        n, count = batch.layout.n, 1 << 2 * k
+        edgeless = (1 << count) - 1  # bits of the edgeless models in a slice
         assert batch.start == 0 and batch.layout.full == (1 << k * n) - 1
-        assert program_value(batch, some) == 0 and program_value(batch, every) == batch.layout.full
+        for value in (program_value(batch, some), batch.layout.full ^ program_value(batch, every)):
+            assert all(value >> w * n & edgeless == 0 for w in range(k))
+            assert value & batch.layout.ones > edgeless  # the first edge, at w0, lies inside
         models = [m for m in enumerate_models({"p", "q"}, {"a"}, k) if len(m.frame.worlds) == k]
-        for j in (0, 1, n // 2, n - 1):
+        for j in (0, 1, count // 2, count - 1, count):
             pointed, _ = batch.first_difference(1 << j, 0)
-            assert pointed.model == models[j] and not models[j].frame.relations
+            assert pointed.model == models[j]
+            assert bool(pointed.model.frame.relations) == (j >= count)
+
+
+@pytest.mark.parametrize("chunk", [2, 12])
+def test_valuation_batches_cover_each_world_count_once_in_order(chunk, monkeypatch):
+    # With a fresh letter and two modalities: at each world count, one
+    # layout whose blocks run from model 0 to 2**cells - 1, each once and
+    # in order, and the base model behind each index is the one
+    # `enumerate_models` yields at that place.
+    monkeypatch.setattr("knfrag.semantics._CHUNK_CELLS", chunk)
+    by_k = {}
+    for batch in valuation_batches({"p"}, {"a", "b"}, 2, fresh={"x"}):
+        assert not by_k or batch.layout.k >= max(by_k)
+        by_k.setdefault(batch.layout.k, []).append(batch)
+    assert sorted(by_k) == [1, 2]
+    for k, batches in by_k.items():
+        layout, cells = batches[0].layout, 2 * k + 2 * k * k
+        assert all(batch.layout is layout for batch in batches)
+        assert [batch.start for batch in batches] == list(range(0, 1 << cells, layout.n))
+        models = [m for m in enumerate_models({"p"}, {"a", "b"}, k) if len(m.frame.worlds) == k]
+        assert len(models) << k == 1 << cells
+        for batch in batches:
+            for j in range(0, layout.n, 1 << k):  # the fresh cells, the lowest k, all false
+                pointed, _ = batch.first_difference(1 << j, 0)
+                assert pointed.world == "w0" and pointed.model == models[batch.start + j >> k]
 
 
 def long_division_layout(k, letters, fresh, mods, chunk):
