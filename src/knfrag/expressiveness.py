@@ -247,8 +247,11 @@ def _pool_by_size(alphabet, modalities, size_bound, fragment):
     lits, pool, bodies = [], [], [None]  # bodies[b]: (negatives, positives) of size b
     for s in range(1, size_bound + 1):
         lits += next(rows)
-        negs = _multisets([size + 2 for size, *_ in lits], s + 1, widest)
-        poss = _multisets([size + 1 for size, *_ in lits], s + 1, 1 if req.horn else widest)
+        negs, poss = [[] for _ in range(s + 2)], [[] for _ in range(s + 2)]  # by total size
+        for t, ns in _multisets([size + 2 for size, *_ in lits], s + 1, widest):
+            negs[t].append(ns)
+        for t, ps in _multisets([size + 1 for size, *_ in lits], s + 1, 1 if req.horn else widest):
+            poss[t].append(ps)
         bodies.append([(ns, ps) for c in range(s + 2) for ns in negs[c] for ps in poss[s + 1 - c]
                        if not (req.krom and len(ns) + len(ps) > 2)])
         pool += [(s, prefix, ns, ps) for p in range(s) for prefix in iproduct(mods, repeat=p)
@@ -291,8 +294,8 @@ def _least_upper_bound(batch, truth, alphabet, mods, size_bound, req):
 def _layer(pool, live, s):
     """Layer s over the `live` pool indices, as pool index tuples: k clauses
     take k - 1 `And`s, so the multisets whose sizes plus one sum to s + 1."""
-    row = _multisets([pool[j][0] + 1 for j in live], s + 1, s + 1)[s + 1]
-    return [tuple(live[i] for i in picks) for picks in row]
+    return [tuple(live[i] for i in picks) for t, picks in
+            _multisets([pool[j][0] + 1 for j in live], s + 1, s + 1) if t == s + 1]
 
 
 def _literal_value(lits, batch, values, i):

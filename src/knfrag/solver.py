@@ -6,10 +6,12 @@ with the root as the designated world.  Trees with depth up to the
 formula's modal nesting depth, in which a node at depth d has at most as
 many children as the NNF formula has diamond occurrences at modal depth
 d, are a complete class for satisfiability, so exhausting them up to
-`tree_model_bound` worlds certifies unsatisfiability.  It checks each tree
-on scratch tables with int worlds and builds a model only for the first
-satisfying one.  `sat_tableau` is a complete decision procedure over a
-table of f's NNF subformulas, hash-consed per call and decoded by `to_nnf`.
+`tree_model_bound` worlds certifies unsatisfiability.  It counts every
+tree but checks only those whose letters f reads at their depths, on
+scratch tables with int worlds, streaming each node count's root bodies,
+and builds a model only for the first satisfying one.  `sat_tableau` is
+a complete decision procedure over a table of f's NNF subformulas,
+hash-consed per call and decoded by `to_nnf`.
 One loop in `syntax` builds that table and, in the same walk, the letters,
 the modalities and the per-depth diamond counts, so both engines and
 `tree_model_bound` read f once; the bitsliced checks read the same table.
@@ -101,43 +103,45 @@ def tree_model_bound(f: Formula) -> int:
 
 
 def _multisets(sizes, budget, most):
-    """rows[t] for each total t up to `budget`: the non-decreasing tuples of
-    at most `most` indices into the ascending `sizes` whose sizes sum to t,
-    in depth-first order (a tuple before its extensions)."""
-    rows = [[] for _ in range(budget + 1)]
-    rows[0].append(())
-
-    def extend(start, total, chosen):
-        if len(chosen) == most:
-            return
-        for i in range(start, len(sizes)):
-            t = total + sizes[i]
-            if t > budget:
-                break  # the sizes ascend
-            picked = chosen + (i,)
-            rows[t].append(picked)
-            extend(i, t, picked)
-
-    extend(0, 0, ())
-    return rows
+    """(total, picks) for each non-decreasing tuple `picks` of at most `most`
+    indices into the ascending `sizes` whose sizes sum to a total up to
+    `budget`, in depth-first order (a tuple before its extensions) from
+    (0, ()).  A loop over a stack of (next index, total, tuple), no
+    recursion, so nothing it yields is held in a reference cycle."""
+    yield 0, ()
+    stack = [(0, 0, ())] if most else []
+    while stack:
+        i, total, chosen = stack.pop()
+        if i < len(sizes) and total + sizes[i] <= budget:  # the sizes ascend
+            t, picked = total + sizes[i], chosen + (i,)
+            stack.append((i + 1, total, chosen))  # its later siblings
+            if len(picked) < most:
+                stack.append((i, t, picked))  # its extensions, taken first
+            yield t, picked
 
 
-def _bodies(n: int, level: int, profile, n_labels: int, n_letters: int, memo) -> list:
+def _reads_only(tree, level, unread) -> bool:
+    """Whether no node of `tree`, rooted at `level`, holds a letter of
+    unread[d] at its depth d."""
+    mask, entries = tree
+    return not mask & unread[level] and all(_reads_only(c, level + 1, unread) for _, c in entries)
+
+
+def _bodies(n: int, level: int, profile, n_labels: int, n_letters: int, memo, unread=None):
     """Sorted child-entry tuples for a node at `level` whose subtree has
-    exactly n nodes, with at most profile[level] children."""
+    exactly n nodes, with at most profile[level] children, streamed in
+    order.  Given `unread`, a tuple in which a node at depth d holds a
+    letter of unread[d] comes as None."""
     if n == 1:
-        return [()]
-    branch = profile[level]
-    if branch == 0:
-        return []
-    pool = []
-    for size in range(1, n):
-        for sub in _vtrees(size, level + 1, profile, n_labels, n_letters, memo):
-            for label in range(n_labels):
-                pool.append((size, (label, sub)))
-    pool.sort()
-    rows = _multisets([size for size, _ in pool], n - 1, branch)
-    return [tuple(pool[i][1] for i in picks) for picks in rows[n - 1]]
+        yield ()
+    elif profile[level]:
+        pool = sorted((size, (label, sub)) for size in range(1, n)
+                      for sub in _vtrees(size, level + 1, profile, n_labels, n_letters, memo)
+                      for label in range(n_labels))
+        ok = [unread is None or _reads_only(sub, level + 1, unread) for _, (_, sub) in pool]
+        for total, picks in _multisets([size for size, _ in pool], n - 1, profile[level]):
+            if total == n - 1:
+                yield tuple(pool[i][1] for i in picks) if all(map(ok.__getitem__, picks)) else None
 
 
 def _vtrees(n: int, level: int, profile, n_labels: int, n_letters: int, memo) -> list:
@@ -151,7 +155,7 @@ def _vtrees(n: int, level: int, profile, n_labels: int, n_letters: int, memo) ->
     """
     key = (n, level)
     if key not in memo:
-        bodies = _bodies(n, level, profile, n_labels, n_letters, memo)
+        bodies = list(_bodies(n, level, profile, n_labels, n_letters, memo))
         memo[key] = [(mask, body) for mask in range(1 << n_letters) for body in bodies]
     return memo[key]
 
@@ -185,6 +189,23 @@ def _tree_to_model(root_letters, entries, letters_of, modality_of, alphabet) -> 
     return KripkeModel._direct(KripkeFrame._direct(tuple(valuation), table), valuation, alphabet)
 
 
+def _unread(rows, root: int, alpha: tuple, depth: int) -> list[int]:
+    """unread[d]: the mask (bit j for alpha[j]) of the letters that the
+    table's root reads at no node of modal depth d, for d below `depth`."""
+    at, reads = [0] * root + [1], [0] * depth  # at[i]: bit d when row i is met at depth d
+    for i in range(root, -1, -1):  # a row follows its children
+        kind, a, b = rows[i]
+        if kind >= DIA:
+            at[b] |= at[i] << 1
+        elif kind >= AND:
+            at[a] |= at[i]
+            at[b] |= at[i]
+        elif a is not None:
+            for d in range(depth):
+                reads[d] |= (at[i] >> d & 1) << alpha.index(a)
+    return [(1 << len(alpha)) - 1 ^ r for r in reads]
+
+
 def sat_bruteforce(
     f: Formula, max_worlds: int | None = None, model_cap: int = DEFAULT_MODEL_CAP
 ) -> SatResult:
@@ -201,12 +222,19 @@ def sat_bruteforce(
     and UNKNOWN_AT_BOUND otherwise.  `max_worlds=None` means that bound,
     read off the same table, so the answer is never UNKNOWN_AT_BOUND.
     Raises `CapExceeded` past `model_cap` enumerated trees of that class.
+
+    Past one world, a tree with a letter at depth d that f reads at no
+    modal depth d is counted, not checked: clearing those letters gives an
+    earlier tree of the class with the same truth value, so the first
+    witness and every cap outcome stay the same.  Each node count's bodies
+    are streamed once, checked under root mask 0, and only the readable
+    ones are kept, with their positions, for the other root masks.
     """
     if max_worlds is not None and max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
     if model_cap < 1:
         raise ValueError("model_cap must be at least 1")
-    _, _, alphabet, profile, modalities = _nnf_table(f)
+    rows, root, alphabet, profile, modalities = _nnf_table(f)
     if max_worlds is None:
         max_worlds = _world_bound(profile)
     alpha = tuple(sorted(alphabet))
@@ -218,33 +246,49 @@ def sat_bruteforce(
             child_sets[mask] = frozenset(a for j, a in enumerate(alpha) if mask >> j & 1)
         return child_sets[mask]
 
-    memo = {}
-    count = 0
+    def witness(root_letters, body):
+        # Truth is invariant under world renaming, so the tree is checked
+        # on scratch tables with int worlds, root 0.
+        val, succ, stack = [root_letters], {}, [(0, body)]
+        while stack:
+            w, entries = stack.pop()
+            for label, (key, child) in entries:
+                succ.setdefault(mods[label], {}).setdefault(w, []).append(len(val))
+                stack.append((len(val), child))
+                val.append(letters_of(key))
+        if not _check(val, succ, 0, f):
+            return None
+        model = _tree_to_model(root_letters, body, letters_of, mods.__getitem__, alphabet)
+        if not check(model, "w0", f):
+            raise InternalError("brute-force witness does not satisfy the formula")
+        return SatResult(SAT, PointedModel(model, "w0"))
+
+    memo, unread, count = {}, [0], 0
     for n in range(1, min(max_worlds, _largest_tree(profile)) + 1):
-        bodies = _bodies(n, 0, profile, len(mods), len(alpha), memo)
-        for mask in range(1 << len(alpha)):
-            # Root masks stream: one letter set each, built before its trees.
-            root_letters = frozenset(a for j, a in enumerate(alpha) if mask >> j & 1)
-            for body in bodies:
-                count += 1
-                if count > model_cap:
-                    raise CapExceeded(f"model cap {model_cap} exceeded")
-                # Truth is invariant under world renaming, so the tree is
-                # checked on scratch tables with int worlds, root 0.
-                val, succ, stack = [root_letters], {}, [(0, body)]
-                while stack:
-                    w, entries = stack.pop()
-                    for label, (key, child) in entries:
-                        succ.setdefault(mods[label], {}).setdefault(w, []).append(len(val))
-                        stack.append((len(val), child))
-                        val.append(letters_of(key))
-                if _check(val, succ, 0, f):
-                    model = _tree_to_model(
-                        root_letters, body, letters_of, mods.__getitem__, alphabet
-                    )
-                    if not check(model, "w0", f):
-                        raise InternalError("brute-force witness does not satisfy the formula")
-                    return SatResult(SAT, PointedModel(model, "w0"))
+        if n == 2:  # read f's letters per depth only once one world is not enough
+            unread = _unread(rows, root, alpha, len(profile))
+        kept, base = [], count
+        for index, body in enumerate(_bodies(n, 0, profile, len(mods), len(alpha), memo, unread)):
+            count += 1
+            if count > model_cap:
+                raise CapExceeded(f"model cap {model_cap} exceeded")
+            if body is not None:
+                kept.append((index, body))
+                if (found := witness(frozenset(), body)) is not None:
+                    return found
+        trees = count - base  # per root mask
+        for mask in range(1, 1 << len(alpha)):
+            base, count = count, count + trees
+            if not mask & unread[0]:
+                # Root masks stream: one letter set each, built before its trees.
+                root_letters = frozenset(a for j, a in enumerate(alpha) if mask >> j & 1)
+                for index, body in kept:
+                    if base + index >= model_cap:
+                        raise CapExceeded(f"model cap {model_cap} exceeded")
+                    if (found := witness(root_letters, body)) is not None:
+                        return found
+            if count > model_cap:
+                raise CapExceeded(f"model cap {model_cap} exceeded")
     status = UNSAT if max_worlds >= _world_bound(profile) else UNKNOWN_AT_BOUND
     return SatResult(status)
 

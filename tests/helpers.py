@@ -22,6 +22,7 @@ from knfrag import (
     NotClausalError,
     Or,
     ParseError,
+    PointedModel,
     Prop,
     TOP,
     Top,
@@ -37,8 +38,19 @@ from knfrag import (
     to_text,
 )
 from knfrag import expressiveness
-from knfrag.solver import sat_tableau
-from knfrag.syntax import _desugar_implies, _position, subformulas
+from knfrag.solver import (
+    DEFAULT_MODEL_CAP,
+    SAT,
+    UNKNOWN_AT_BOUND,
+    UNSAT,
+    CapExceeded,
+    SatResult,
+    _largest_tree,
+    _tree_to_model,
+    _world_bound,
+    sat_tableau,
+)
+from knfrag.syntax import _desugar_implies, _nnf_table, _position, subformulas
 from knfrag.translate import FreshLetterSource, _offending_count
 
 
@@ -347,6 +359,56 @@ def reference_diamond_profile(nnf):
         elif isinstance(g, Not):
             stack.append((g.operand, d))
     return counts
+
+
+def reference_bruteforce(f, max_worlds=None, model_cap=DEFAULT_MODEL_CAP):
+    """The brute-force loop that checks every tree it counts: the oracle for
+    `sat_bruteforce`, which counts but does not check the trees holding a
+    letter where f does not read it.  Its own enumeration, in the order
+    `sat_bruteforce` documents: node counts ascending, then the root mask,
+    then the multisets of the sorted (size, label, subtree) pool in
+    depth-first order, with at most profile[d] children at depth d."""
+    _, _, alphabet, profile, modalities = _nnf_table(f)
+    bound = _world_bound(profile)
+    alpha, mods = tuple(sorted(alphabet)), tuple(sorted(modalities))
+    memo = {}
+
+    def sets(mask):
+        return frozenset(a for j, a in enumerate(alpha) if mask >> j & 1)
+
+    def bodies(n, level):
+        if n == 1 or not profile[level]:
+            return [()] if n == 1 else []
+        pool = sorted((size, (label, sub)) for size in range(1, n)
+                      for sub in trees(size, level + 1) for label in range(len(mods)))
+        out = []
+
+        def extend(start, total, chosen):
+            if total == n - 1:
+                out.append(tuple(pool[i][1] for i in chosen))
+            elif len(chosen) < profile[level]:
+                for i in range(start, len(pool)):
+                    if total + pool[i][0] < n:
+                        extend(i, total + pool[i][0], chosen + (i,))
+
+        extend(0, 0, ())
+        return out
+
+    def trees(n, level):
+        if (n, level) not in memo:
+            memo[n, level] = [(m, b) for m in range(1 << len(alpha)) for b in bodies(n, level)]
+        return memo[n, level]
+
+    count = 0
+    for n in range(1, min(bound if max_worlds is None else max_worlds, _largest_tree(profile)) + 1):
+        for mask, body in trees(n, 0):
+            count += 1
+            if count > model_cap:
+                raise CapExceeded(f"model cap {model_cap} exceeded")
+            model = _tree_to_model(sets(mask), body, sets, mods.__getitem__, alphabet)
+            if check(model, "w0", f):
+                return SatResult(SAT, PointedModel(model, "w0"))
+    return SatResult(UNSAT if max_worlds is None or max_worlds >= bound else UNKNOWN_AT_BOUND)
 
 
 def literals_by_size(max_size, alphabet, mods, allow_dia, allow_box):

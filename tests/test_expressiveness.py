@@ -693,8 +693,7 @@ def test_least_upper_bound_matches_the_clause_by_clause_and(monkeypatch):
     # bounds 1-7 with one modality and at most two letters, 1-5 otherwise
     # (at 7 the reference pool reaches 63,547 clauses).  Three targets,
     # one of them a random clause, on the first batch and on a random
-    # batch of 2-world models with nonempty frames; one combination in
-    # four runs on batches of 4 models.
+    # 2-world batch; one combination in four runs on batches of 4 models.
     rng = random.Random("least-upper-bound")
     cases = 0
     for i, (fragment, alphabet, mods) in enumerate(product(
@@ -706,9 +705,9 @@ def test_least_upper_bound_matches_the_clause_by_clause_and(monkeypatch):
             if i % 4 == 0:
                 patched.setattr("knfrag.semantics._CHUNK_CELLS", 2)
             batches = list(valuation_batches(alphabet, mods, 2))
-            framed = [b for b in batches if b.layout.k == 2 and b.layout.mods]
+            two_world = [b for b in batches if b.layout.k == 2]
             targets, points = [], []
-            for batch in (batches[0], rng.choice(framed)):
+            for batch in (batches[0], rng.choice(two_world)):
                 for j in range(3):
                     target = (random_clause(rng, letters_or_p, mods).to_formula() if j == 2
                               else random_formula(rng, rng.randint(1, 3), letters_or_p, mods))
