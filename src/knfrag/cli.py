@@ -176,7 +176,7 @@ def _cmd_translate(args) -> int:
         except OSError as e:
             sys.stderr.write(f"cannot write {args.sidecar}: {e.strerror or e}\n")
             return EX_CANTCREAT
-    _emit(args, sidecar, str(translated))
+    _emit(args, sidecar, sidecar["formula"])
     return 0
 
 

@@ -238,20 +238,22 @@ def _pool_by_size(alphabet, modalities, size_bound, fragment):
     appended, so indices stay stable.  A clause is (size, prefix, negative
     and positive literal indices).  A negative literal costs its size plus
     two (its `Not` and an `Or`), a positive one its size plus one, so a
-    clause's size is its prefix length plus both costs minus one."""
+    clause's size is its prefix length plus both costs minus one.  The
+    tuples of each total are listed once: a literal added at size s costs
+    at least s + 1, so it never enters a smaller total."""
     req = fragment if isinstance(fragment, FragmentDescriptor) else parse_fragment_spec(fragment)
     alphabet = tuple(sorted(str(l) for l in set(alphabet)))
     mods = tuple(sorted({Modality(m) for m in modalities}))
     rows = _literal_rows(alphabet, mods, not req.box_only, not req.diamond_only)
     widest = 2 if req.krom else size_bound
     lits, pool, bodies = [], [], [None]  # bodies[b]: (negatives, positives) of size b
+    negs, poss = [], []  # the literal index tuples of each total cost, built once
     for s in range(1, size_bound + 1):
         lits += next(rows)
-        negs, poss = [[] for _ in range(s + 2)], [[] for _ in range(s + 2)]  # by total size
-        for t, ns in _multisets([size + 2 for size, *_ in lits], s + 1, widest):
-            negs[t].append(ns)
-        for t, ps in _multisets([size + 1 for size, *_ in lits], s + 1, 1 if req.horn else widest):
-            poss[t].append(ps)
+        for t in range(len(negs), s + 2):
+            negs.append(list(_multisets([size + 2 for size, *_ in lits], t, widest)))
+            poss.append(list(_multisets([size + 1 for size, *_ in lits], t,
+                                        1 if req.horn else widest)))
         bodies.append([(ns, ps) for c in range(s + 2) for ns in negs[c] for ps in poss[s + 1 - c]
                        if not (req.krom and len(ns) + len(ps) > 2)])
         pool += [(s, prefix, ns, ps) for p in range(s) for prefix in iproduct(mods, repeat=p)
@@ -294,8 +296,8 @@ def _least_upper_bound(batch, truth, alphabet, mods, size_bound, req):
 def _layer(pool, live, s):
     """Layer s over the `live` pool indices, as pool index tuples: k clauses
     take k - 1 `And`s, so the multisets whose sizes plus one sum to s + 1."""
-    return [tuple(live[i] for i in picks) for t, picks in
-            _multisets([pool[j][0] + 1 for j in live], s + 1, s + 1) if t == s + 1]
+    return [tuple(live[i] for i in picks)
+            for picks in _multisets([pool[j][0] + 1 for j in live], s + 1, s + 1)]
 
 
 def _literal_value(lits, batch, values, i):

@@ -8,8 +8,10 @@ many children as the NNF formula has diamond occurrences at modal depth
 d, are a complete class for satisfiability, so exhausting them up to
 `tree_model_bound` worlds certifies unsatisfiability.  It counts every
 tree but checks only those whose letters f reads at their depths, on
-scratch tables with int worlds, streaming each node count's root bodies,
-and builds a model only for the first satisfying one.  `sat_tableau` is
+scratch tables with int worlds, streaming each node count's root bodies
+from subtree pools grown once per call, and enumerating only the child
+multisets of the wanted size, and builds a model only for the first
+satisfying one.  `sat_tableau` is
 a complete decision procedure over a table of f's NNF subformulas,
 hash-consed per call and decoded by `to_nnf`.
 One loop in `syntax` builds that table and, in the same walk, the letters,
@@ -20,6 +22,8 @@ is re-validated with `check` before being returned.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
 
 from .semantics import KripkeFrame, KripkeModel, PointedModel, _check, check
 from .syntax import (
@@ -102,22 +106,31 @@ def tree_model_bound(f: Formula) -> int:
 # --- Canonical tree-model enumeration ---
 
 
-def _multisets(sizes, budget, most):
-    """(total, picks) for each non-decreasing tuple `picks` of at most `most`
-    indices into the ascending `sizes` whose sizes sum to a total up to
-    `budget`, in depth-first order (a tuple before its extensions) from
-    (0, ()).  A loop over a stack of (next index, total, tuple), no
-    recursion, so nothing it yields is held in a reference cycle."""
-    yield 0, ()
-    stack = [(0, 0, ())] if most else []
+def _multisets(sizes, total, most):
+    """Each non-decreasing tuple of at most `most` indices into the ascending
+    `sizes` whose sizes sum to exactly `total`, in depth-first order (a tuple
+    before its extensions, then its later siblings), skipping the picks that
+    overshoot `total` or cannot reach it with the picks left.  A loop over a
+    stack of (next index, total, tuple), no recursion, so nothing it yields
+    is held in a reference cycle."""
+    if total == 0:
+        yield ()
+    top, stack = (sizes[-1] if sizes else 0), ([(0, 0, ())] if most else [])
     while stack:
-        i, total, chosen = stack.pop()
-        if i < len(sizes) and total + sizes[i] <= budget:  # the sizes ascend
-            t, picked = total + sizes[i], chosen + (i,)
-            stack.append((i + 1, total, chosen))  # its later siblings
-            if len(picked) < most:
-                stack.append((i, t, picked))  # its extensions, taken first
-            yield t, picked
+        i, t, chosen = stack.pop()
+        left = most - len(chosen) - 1  # picks allowed after this one
+        if not left:  # the last pick takes exactly the rest
+            for j in range(bisect_left(sizes, total - t, i), bisect_right(sizes, total - t, i)):
+                yield chosen + (j,)
+            continue
+        i = bisect_left(sizes, total - t - left * top, i)  # the first that can reach total
+        if i < len(sizes) and t + sizes[i] <= total:  # the sizes ascend
+            u, picked = t + sizes[i], chosen + (i,)
+            stack.append((i + 1, t, chosen))  # its later siblings
+            if u + sizes[i] <= total:
+                stack.append((i, u, picked))  # its extensions, taken first
+            if u == total:
+                yield picked
 
 
 def _reads_only(tree, level, unread) -> bool:
@@ -131,31 +144,40 @@ def _bodies(n: int, level: int, profile, n_labels: int, n_letters: int, memo, un
     """Sorted child-entry tuples for a node at `level` whose subtree has
     exactly n nodes, with at most profile[level] children, streamed in
     order.  Given `unread`, a tuple in which a node at depth d holds a
-    letter of unread[d] comes as None."""
+    letter of unread[d] comes as None.  The pool of (label, subtree)
+    entries, in (size, label, subtree) order, and their readability grow in
+    memo[level] by one size's sorted `_vtrees` list per label."""
     if n == 1:
         yield ()
     elif profile[level]:
-        pool = sorted((size, (label, sub)) for size in range(1, n)
-                      for sub in _vtrees(size, level + 1, profile, n_labels, n_letters, memo)
-                      for label in range(n_labels))
-        ok = [unread is None or _reads_only(sub, level + 1, unread) for _, (_, sub) in pool]
-        for total, picks in _multisets([size for size, _ in pool], n - 1, profile[level]):
-            if total == n - 1:
-                yield tuple(pool[i][1] for i in picks) if all(map(ok.__getitem__, picks)) else None
+        entries, sizes, ok = memo.setdefault(level, ([], [], []))
+        for size in range(sizes[-1] + 1 if sizes else 1, n):
+            subs = _vtrees(size, level + 1, profile, n_labels, n_letters, memo)
+            flags = [unread is None or _reads_only(sub, level + 1, unread) for sub in subs]
+            for label in range(n_labels):
+                entries += [(label, sub) for sub in subs]
+                ok += flags
+            sizes += [size] * (n_labels * len(subs))
+        entry, readable = entries.__getitem__, ok.__getitem__
+        for picks in _multisets(sizes, n - 1, profile[level]):
+            yield tuple(map(entry, picks)) if all(map(readable, picks)) else None
 
 
 def _vtrees(n: int, level: int, profile, n_labels: int, n_letters: int, memo) -> list:
-    """Canonical valuated trees with exactly n nodes rooted at `level`.
+    """Canonical valuated trees with exactly n nodes rooted at `level`, sorted.
 
-    A valuated tree is (letter_mask, entries) with entries a sorted tuple
-    of (edge_label, child_tree).  Keeping sibling entries sorted quotients
-    out both sibling orderings and world renamings, so every tree model of
-    this size appears exactly once.  Lists are memoized per (n, level);
+    A valuated tree is (letter_mask, entries) with entries a tuple of
+    (edge_label, child_tree) in the pool's (size, label, subtree) order.
+    Keeping sibling entries in that order quotients out both sibling
+    orderings and world renamings, so every tree model of this size
+    appears exactly once.  The bodies stream in pool order, which is not
+    tuple order once siblings of different sizes are compared, so they are
+    sorted once here.  Lists are memoized per (n, level) and held whole;
     the root level is streamed by `sat_bruteforce` instead.
     """
     key = (n, level)
     if key not in memo:
-        bodies = list(_bodies(n, level, profile, n_labels, n_letters, memo))
+        bodies = sorted(_bodies(n, level, profile, n_labels, n_letters, memo))
         memo[key] = [(mask, body) for mask in range(1 << n_letters) for body in bodies]
     return memo[key]
 

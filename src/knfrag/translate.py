@@ -31,8 +31,10 @@ rewritten until clean, then come its defining clauses, the last one first,
 each translated in full; fresh letters are numbered in step order.
 
 Validation happens once: the input's clauses were validated when built,
-and its test is the Krom length test.  Steps build unchecked, since each
-literal is a part of an input literal or a guard over a fresh letter.  The
+and its test is the Krom length test, made in the one walk that counts
+the steps and collects the letters to avoid.  Steps build unchecked, the
+clauses through slot setters, since each literal is a part of an input
+literal or a guard over a fresh letter; so is the output formula.  The
 scan sees every emitted literal end its modal chain at a letter or T, and
 `classify` confirms the output's fragment.
 """
@@ -41,6 +43,9 @@ from __future__ import annotations
 
 from .syntax import Box, Clause, ClausalFormula, Diamond, Formula, InternalError, Prop, Top
 from .syntax import _Record, _unchecked, classify
+
+_prefix, _negatives = Clause.prefix.__set__, Clause.negatives.__set__
+_positives = Clause.positives.__set__
 
 __all__ = ["FreshLetterSource", "krom_to_krom_box", "krom_to_krom_diamond", "fresh_letters_of"]
 
@@ -65,15 +70,18 @@ class FreshLetterSource(_Record):
                 return letter
 
 
-def _offending_count(lit: Formula, bad) -> int:
+def _offending_count(lit: Formula, bad, letters=None) -> int:
     """Modal constructors in `lit` whose subtree contains a `bad` one: those
-    at or above the innermost `bad` constructor of the modal chain."""
+    at or above the innermost `bad` constructor of the modal chain.  Given a
+    set `letters`, the letter that ends the chain, if any, is added to it."""
     count = depth = 0
-    while isinstance(lit, (Diamond, Box)):
+    while (t := type(lit)) is Diamond or t is Box:
         depth += 1
-        if isinstance(lit, bad):
+        if t is bad:
             count = depth
         lit = lit.operand
+    if letters is not None and t is Prop:
+        letters.add(lit.letter)
     return count
 
 
@@ -109,19 +117,25 @@ def _rewrite_step(clause: Clause, side, index, lit, bad, letter):
         # name its operand and rewrite the defining clause later.
         sides[side] = before + (guard,) + after
         defining[side], defining[1 - side] = (lit.operand,), (p,)
-    rewritten = _unchecked(Clause, prefix=clause.prefix, negatives=sides[0], positives=sides[1])
-    return rewritten, _unchecked(Clause, prefix=clause.prefix + (lit.modality,),
-                                 negatives=defining[0], positives=defining[1])
+    rewritten, added = object.__new__(Clause), object.__new__(Clause)
+    _prefix(rewritten, clause.prefix)
+    _negatives(rewritten, sides[0])
+    _positives(rewritten, sides[1])
+    _prefix(added, clause.prefix + (lit.modality,))
+    _negatives(added, defining[0])
+    _positives(added, defining[1])
+    return rewritten, added
 
 
 def _eliminate(cf: ClausalFormula, bad) -> ClausalFormula:
-    step_limit = 0
+    step_limit, taken = 0, set()  # one walk of the input: the steps it needs, its letters
     for c in cf.clauses:
         lits = c.negatives + c.positives
         if len(lits) > 2:
             raise ValueError("input is not Krom")
-        step_limit += sum(_offending_count(l, bad) for l in lits)
-    fresh = FreshLetterSource(set(cf.alphabet()))
+        for lit in lits:
+            step_limit += _offending_count(lit, bad, taken)
+    fresh = FreshLetterSource(taken)
     out, stack, steps = [], list(reversed(cf.clauses)), 0
     while stack:
         clause = stack.pop()
@@ -133,7 +147,7 @@ def _eliminate(cf: ClausalFormula, bad) -> ClausalFormula:
         if steps > step_limit:
             raise InternalError("rewriting failed to shrink")
         stack.extend(reversed(_rewrite_step(clause, *found, bad, fresh.next())))
-    result = ClausalFormula(tuple(out))
+    result = _unchecked(ClausalFormula, clauses=tuple(out))
     if len(result.clauses) != len(cf.clauses) + steps:
         raise InternalError("rewriting did not add one clause per step")
     flags = classify(result)

@@ -411,6 +411,48 @@ def reference_bruteforce(f, max_worlds=None, model_cap=DEFAULT_MODEL_CAP):
     return SatResult(UNSAT if max_worlds is None or max_worlds >= bound else UNKNOWN_AT_BOUND)
 
 
+def reference_multisets(sizes, budget, most):
+    """(total, picks) for each non-decreasing tuple `picks` of at most `most`
+    indices into the ascending `sizes` whose sizes sum to a total up to
+    `budget`, in depth-first order (a tuple before its extensions) from
+    (0, ()): the all-totals walk that `_multisets` prunes to one total."""
+    yield 0, ()
+    stack = [(0, 0, ())] if most else []
+    while stack:
+        i, total, chosen = stack.pop()
+        if i < len(sizes) and total + sizes[i] <= budget:
+            t, picked = total + sizes[i], chosen + (i,)
+            stack.append((i + 1, total, chosen))
+            if len(picked) < most:
+                stack.append((i, t, picked))
+            yield t, picked
+
+
+def reference_pools(profile, n_labels, n_letters):
+    """pool(n, level): the (size, (label, subtree)) entries of every subtree
+    size below n at level + 1, sorted whole, over subtrees whose bodies are
+    the all-totals walk filtered to their total.  Brute force's pools as it
+    built them before it grew each once per call."""
+    memo = {}
+
+    def pool(n, level):
+        return sorted((size, (label, sub)) for size in range(1, n)
+                      for sub in trees(size, level + 1) for label in range(n_labels))
+
+    def trees(n, level):
+        if (n, level) not in memo:
+            bodies = [()] if n == 1 else []
+            if n > 1 and profile[level]:
+                entries = pool(n, level)
+                bodies = [tuple(entries[i][1] for i in picks) for total, picks in
+                          reference_multisets([size for size, _ in entries], n - 1, profile[level])
+                          if total == n - 1]
+            memo[n, level] = [(m, b) for m in range(1 << n_letters) for b in bodies]
+        return memo[n, level]
+
+    return pool
+
+
 def literals_by_size(max_size, alphabet, mods, allow_dia, allow_box):
     """Every literal up to the size, in one list: the rows of
     `expressiveness._literal_rows` laid end to end."""

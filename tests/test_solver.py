@@ -34,6 +34,8 @@ from knfrag.solver import (
     UNKNOWN_AT_BOUND,
     UNSAT,
     CapExceeded,
+    _bodies,
+    _largest_tree,
     _multisets,
     _nnf_table,
     _world_bound,
@@ -49,7 +51,9 @@ from helpers import (
     random_formula,
     reference_bruteforce,
     reference_diamond_profile,
+    reference_multisets,
     reference_nnf,
+    reference_pools,
     table_check,
 )
 
@@ -587,11 +591,56 @@ def test_multisets_leave_no_reference_cycle():
     gc.disable()
     try:
         rows = list(_multisets([1] * 128, 2, 2))
-        assert len(rows) == 1 + 128 + 128 * 129 // 2
+        assert len(rows) == 128 * 129 // 2
         del rows
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_multisets_are_the_all_totals_walk_filtered_to_one_total():
+    # `_multisets` skips the branches that overshoot the total or cannot
+    # reach it; what is left must be the full walk's picks of that total,
+    # in the same order.
+    rng = random.Random("multisets-exact-total")
+    for case in range(2400):
+        sizes = sorted(rng.randint(0 if case % 4 == 0 else 1, 6) for _ in range(rng.randint(0, 9)))
+        total, most = rng.randint(0, 12), rng.randint(0, 4)
+        want = [picks for t, picks in reference_multisets(sizes, total, most) if t == total]
+        assert list(_multisets(sizes, total, most)) == want, (sizes, total, most)
+
+
+def test_grown_pools_equal_the_pools_sorted_whole():
+    # Each level's pool is grown once per call, a size at a time, from the
+    # sorted subtree lists, label by label; at every level it must equal
+    # the pool sorted whole by (size, label, subtree), and the root bodies
+    # must stream as they did from it.
+    rng = random.Random("grown-pools")
+    for _ in range(300):
+        profile = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))] + [0]
+        n_labels, n_letters = rng.randint(1, 3), rng.randint(0, 2)
+        memo, pool = {}, reference_pools(profile, n_labels, n_letters)
+        for n in range(1, min(_largest_tree(profile), 5) + 1):
+            entries = pool(n, 0)
+            want = [tuple(entries[i][1] for i in picks) for t, picks in
+                    reference_multisets([size for size, _ in entries], n - 1, profile[0])
+                    if t == n - 1]
+            got = list(_bodies(n, 0, profile, n_labels, n_letters, memo))
+            assert got == want, (profile, n)
+        for level in [key for key in memo if type(key) is int]:
+            entries, sizes, _ = memo[level]
+            assert list(zip(sizes, entries)) == pool(max(sizes, default=0) + 1, level), profile
+
+
+def test_bruteforce_first_witness_where_the_bodies_stream_out_of_tuple_order():
+    # Depth 1 allows three children: its bodies of 3 nodes stream a leaf
+    # pair before a one-child chain, which sorts first as tuples.  The pool
+    # above must take them sorted, so the chain is the first witness.
+    f = parse("<a>((<a>(p & ~q) & <a>(q & ~p)) | <a><a>T)")
+    result = sat_bruteforce(f)
+    assert model_to_json(result.witness.model, "w0") == \
+        model_to_json(reference_bruteforce(f).witness.model, "w0")
+    assert result.witness.model.frame.relations["a"] == {("w0", "w1"), ("w1", "w2"), ("w2", "w3")}
 
 
 def test_bruteforce_matches_the_loop_that_checks_every_tree():
