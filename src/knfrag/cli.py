@@ -23,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .expressiveness import (
     EQUIVALENT_UP_TO_BOUND,
@@ -214,12 +215,15 @@ def _cmd_search(args) -> int:
 
 def _cmd_verify_paper(args) -> int:
     reports = replay_theorems([args.id] if args.id else THEOREM_IDS)
-    encode, lines = json.JSONEncoder(sort_keys=True).encode, []
+    # Each line is json.dumps(obj, sort_keys=True) written out: sorted keys, its
+    # separators, and each string escaped as its default ensure_ascii does.
+    quote, spell, lines = encode_basestring_ascii, ("false", "true"), []
     for report in reports:
-        for description, ok in report.steps:
-            lines.append(encode({"theorem": report.theorem, "step": description, "pass": ok}))
-        lines.append(encode({"theorem": report.theorem, "overall": report.overall}))
-    sys.stdout.write("".join(line + "\n" for line in lines))
+        theorem = quote(report.theorem)
+        for step, ok in report.steps:
+            lines.append(f'{{"pass": {spell[ok]}, "step": {quote(step)}, "theorem": {theorem}}}\n')
+        lines.append(f'{{"overall": {spell[report.overall]}, "theorem": {theorem}}}\n')
+    sys.stdout.write("".join(lines))
     return 0 if all(report.overall for report in reports) else 1
 
 

@@ -444,15 +444,15 @@ def _model(worlds, rels, val, alphabet) -> KripkeModel:
     return KripkeModel(KripkeFrame(worlds, rels), val, alphabet)
 
 
-def _replay_horn_vs_bool():
-    psi = parse("p | q")
+def _replay_horn_vs_bool(texts, clausal):
+    psi = texts["p | q"]
     base = _model(
         ["w0", "w1"], {"a": [("w0", "w1")]}, {"w1": ["p"]}, {"p", "q"}
     )
     yield "the target is refuted at w0 of the base model", not check(base, "w0", psi)
 
     # Candidate clause with consequent p: set q true on every world.
-    cand = parse("p")
+    cand = texts["p"]
     yield "candidate with consequent p fails at w0", not check(base, "w0", cand)
     enlarged = override_valuation(base, "q", base.frame.worlds)
     yield (
@@ -460,7 +460,7 @@ def _replay_horn_vs_bool():
         all(check(enlarged, w, psi) for w in enlarged.frame.worlds),
     )
     for lit_text in ("<a>p", "[a]p", "p"):
-        lit = parse(lit_text)
+        lit = texts[lit_text]
         yield (
             f"positive literal {lit_text} keeps its truth at w0 under the enlargement",
             (not check(base, "w0", lit)) or check(enlarged, "w0", lit),
@@ -468,7 +468,7 @@ def _replay_horn_vs_bool():
     yield "candidate with consequent p still fails at w0", not check(enlarged, "w0", cand)
 
     # Candidate with consequent q: switch the roles of p and q.
-    cand_q = parse("q")
+    cand_q = texts["q"]
     yield "candidate with consequent q fails at w0", not check(base, "w0", cand_q)
     enlarged_p = override_valuation(base, "p", base.frame.worlds)
     yield (
@@ -478,7 +478,7 @@ def _replay_horn_vs_bool():
     yield "candidate with consequent q still fails at w0", not check(enlarged_p, "w0", cand_q)
 
     # Candidate with empty consequent: set both letters true everywhere.
-    cand_bot = parse("~T")
+    cand_bot = texts["~T"]
     yield "candidate with empty consequent fails at w0", not check(base, "w0", cand_bot)
     full = override_valuation(
         override_valuation(base, "p", base.frame.worlds), "q", base.frame.worlds
@@ -490,8 +490,8 @@ def _replay_horn_vs_bool():
     yield "the empty-consequent candidate still fails at w0", not check(full, "w0", cand_bot)
 
 
-def _replay_krom_vs_bool():
-    psi = parse("p & q -> r")
+def _replay_krom_vs_bool(texts, clausal):
+    psi = texts["p & q -> r"]
     base = _model(["w0"], {}, {"w0": ["p", "q"]}, {"p", "q", "r"})
     yield "the target is refuted at w0 of the base model", not check(base, "w0", psi)
 
@@ -501,7 +501,7 @@ def _replay_krom_vs_bool():
         ("~q", "p", (), "letters within {q,r}: empty p out"),
     ]
     for cand_text, letter, worlds, label in cases:
-        cand = parse(cand_text)
+        cand = texts[cand_text]
         yield f"candidate {cand_text} fails at w0", not check(base, "w0", cand)
         surgered = override_valuation(base, letter, worlds)
         yield (
@@ -518,8 +518,8 @@ def _fan_witnesses():
     return m1, m2
 
 
-def _replay_intersection_closure():
-    phi = recognize_clausal(parse("[a]p & (p -> q)")).to_formula()
+def _replay_intersection_closure(texts, clausal):
+    phi = clausal["[a]p & (p -> q)"].to_formula()
     frame = {"a": [("w0", "w1")]}
     m1 = _model(["w0", "w1"], frame, {"w1": ["p", "q"]}, {"p", "q"})
     m2 = _model(["w0", "w1"], frame, {"w0": ["q"], "w1": ["p"]}, {"p", "q"})
@@ -529,7 +529,7 @@ def _replay_intersection_closure():
     yield "their intersection still satisfies it at w0", check(both, "w0", phi)
 
     # Sharpness: a diamond breaks closure on the fan witnesses.
-    psi = parse("<a>p")
+    psi = texts["<a>p"]
     f1, f2 = _fan_witnesses()
     yield ("both fan models satisfy the diamond formula at w0",
            check(f1, "w0", psi) and check(f2, "w0", psi))
@@ -539,8 +539,8 @@ def _replay_intersection_closure():
     )
 
 
-def _replay_hornbox_vs_horn():
-    psi = parse("<a>p")
+def _replay_hornbox_vs_horn(texts, clausal):
+    psi = texts["<a>p"]
     m1, m2 = _fan_witnesses()
     yield "first witness satisfies the diamond formula at w0", check(m1, "w0", psi)
     yield "second witness satisfies it at w0", check(m2, "w0", psi)
@@ -551,7 +551,7 @@ def _replay_hornbox_vs_horn():
     )
     yield "the intersection refutes the diamond formula at w0", not check(both, "w0", psi)
     # A box-fragment sample survives the same surgery, as the closure demands.
-    sample = parse("[b]p")
+    sample = texts["[b]p"]
     yield (
         "a box-only sample true in both witnesses is true in the intersection",
         check(m1, "w0", sample)
@@ -560,8 +560,8 @@ def _replay_hornbox_vs_horn():
     )
 
 
-def _replay_product_closure():
-    phi = recognize_clausal(parse("<a>p & (p -> q)")).to_formula()
+def _replay_product_closure(texts, clausal):
+    phi = clausal["<a>p & (p -> q)"].to_formula()
     m1 = _model(["u0", "u1"], {"a": [("u0", "u1")]}, {"u1": ["p"]}, {"p", "q"})
     m2 = _model(["v0", "v1"], {"a": [("v0", "v1")]}, {"v1": ["p"]}, {"p", "q"})
     yield "first model satisfies the diamond-fragment Horn formula", check(m1, "u0", phi)
@@ -574,8 +574,8 @@ def _replay_product_closure():
     )
 
 
-def _replay_horndia_vs_horn():
-    psi = parse("[a]p -> q")
+def _replay_horndia_vs_horn(texts, clausal):
+    psi = texts["[a]p -> q"]
     m1 = _model(["w0", "w1"], {"a": [("w0", "w1")]}, {}, {"p", "q"})
     m2 = _model(["v0"], {}, {"v0": ["q"]}, {"p", "q"})
     yield "the chain model satisfies the target at w0", check(m1, "w0", psi)
@@ -586,12 +586,12 @@ def _replay_horndia_vs_horn():
         "the paired world has no successors",
         not prod.frame.successors(pw, "a"),
     )
-    yield "the boxed letter holds vacuously there", check(prod, pw, parse("[a]p"))
+    yield "the boxed letter holds vacuously there", check(prod, pw, texts["[a]p"])
     yield "q is false there", not prod.holds(pw, "q")
     yield "so the product refutes the target at the paired world", not check(prod, pw, psi)
 
 
-def _replay_krom_equiv(to):
+def _replay_krom_equiv(to, texts, clausal):
     """Krom against Krom restricted to `to` literals ("box" or "diamond"):
     the rewriting into the fragment, and the separation on one alphabet."""
     if to == "box":
@@ -603,7 +603,7 @@ def _replay_krom_equiv(to):
         added = {"p"}
         fails = "the diamond target fails at the isolated world"
         grows = "after adding a p-successor the target holds"
-        kept, cand = ("p", "[a]p", "[a][a]p"), parse("p")
+        kept, cand = ("p", "[a]p", "[a][a]p"), texts["p"]
     else:
         translate, target = krom_to_krom_diamond, "[a]p -> q"
         expected = "(<a>_f0 | q) & [a](~_f0 | ~p)"
@@ -613,15 +613,15 @@ def _replay_krom_equiv(to):
         added = set()
         fails = "the boxed target fails at the chain root"
         grows = "after adding an empty successor the target holds"
-        kept, cand = ("p", "q", "<a>p", "<a><a>p"), parse("q")
-    psi = parse(target)
-    yield rewrites, translate(recognize_clausal(psi)) == recognize_clausal(parse(expected))
+        kept, cand = ("p", "q", "<a>p", "<a><a>p"), texts["q"]
+    psi = texts[target]
+    yield rewrites, translate(clausal[target]) == clausal[expected]
 
     # Equi-satisfiability by a dual route: the small original goes to the
     # exhaustive bounded oracle, the translation (more letters, larger bound)
     # to the tableau.
     for text in corpus:
-        cf = recognize_clausal(parse(text))
+        cf = clausal[text]
         out = translate(cf)
         d = classify(out)
         yield (f"translation of {text} lands in the {to}-restricted Krom fragment",
@@ -637,7 +637,7 @@ def _replay_krom_equiv(to):
     grown = add_successor_world(base, "w0", "a", added)
     yield grows, check(grown, "w0", psi)
     for lit_text in kept:
-        lit = parse(lit_text)
+        lit = texts[lit_text]
         yield (
             f"{to}-only literal {lit_text} keeps its truth at the old world",
             check(base, "w0", lit) == check(grown, "w0", lit),
@@ -648,36 +648,34 @@ def _replay_krom_equiv(to):
     )
 
 
-def _replay_horn_krom_incomparable(horn_vs_bool, krom_vs_bool):
-    d_or = classify(recognize_clausal(parse("p | q")))
+def _replay_horn_krom_incomparable(texts, clausal, horn_vs_bool, krom_vs_bool):
+    d_or = classify(clausal["p | q"])
     yield "the disjunctive witness is Krom but not Horn", d_or.krom and not d_or.horn
-    d_imp = classify(recognize_clausal(parse("p & q -> r")))
+    d_imp = classify(clausal["p & q -> r"])
     yield "the implicative witness is Horn but not Krom", d_imp.horn and not d_imp.krom
     yield "the Horn separation argument replays", horn_vs_bool
     yield "the Krom separation argument replays", krom_vs_bool
     for text in ("<a>p", "p | q", "p & q -> r", "~p"):
-        d = classify(recognize_clausal(parse(text)))
+        d = classify(clausal[text])
         yield (f"core status of {text} is the Horn-Krom conjunction",
                d.core == (d.horn and d.krom))
 
 
-def _replay_box_dia_incomparable(hornbox_vs_horn, horndia_vs_horn, krombox, kromdia):
-    d_dia = classify(recognize_clausal(parse("<a>p")))
+def _replay_box_dia_incomparable(texts, clausal, hornbox, horndia, krombox, kromdia):
+    d_dia = classify(clausal["<a>p"])
     yield ("the diamond witness lives in the diamond-restricted core fragment",
            d_dia.core and d_dia.diamond_only and not d_dia.box_only)
-    d_box = classify(recognize_clausal(parse("[a]p -> q")))
+    d_box = classify(clausal["[a]p -> q"])
     yield ("the box witness lives in the box-restricted core fragment",
            d_box.core and d_box.box_only and not d_box.diamond_only)
-    yield ("the intersection argument against a box-only translation replays",
-           hornbox_vs_horn)
-    yield ("the product argument against a diamond-only translation replays",
-           horndia_vs_horn)
+    yield "the intersection argument against a box-only translation replays", hornbox
+    yield "the product argument against a diamond-only translation replays", horndia
     yield "the same-alphabet Krom-level separations replay", krombox and kromdia
 
 
-# id -> (replay, ids of the results it cites).  A replay is a generator of
-# (description, outcome) pairs; a citing replay is passed the overall
-# verdict of each cited result, in citation order.
+# id -> (replay, ids of the results it cites).  A replay, called with the
+# run's `texts` and `clausal` readings and the overall verdict of each cited
+# result in citation order, is a generator of (description, outcome) pairs.
 _CATALOGUE = {
     "horn-vs-bool": (_replay_horn_vs_bool, ()),
     "krom-vs-bool": (_replay_krom_vs_bool, ()),
@@ -685,8 +683,8 @@ _CATALOGUE = {
     "hornbox-vs-horn": (_replay_hornbox_vs_horn, ()),
     "product-closure": (_replay_product_closure, ()),
     "horndia-vs-horn": (_replay_horndia_vs_horn, ()),
-    "krombox-equiv": (lambda: _replay_krom_equiv("box"), ()),
-    "kromdia-equiv": (lambda: _replay_krom_equiv("diamond"), ()),
+    "krombox-equiv": (lambda *run: _replay_krom_equiv("box", *run), ()),
+    "kromdia-equiv": (lambda *run: _replay_krom_equiv("diamond", *run), ()),
     "horn-krom-incomparable": (_replay_horn_krom_incomparable, ("horn-vs-bool", "krom-vs-bool")),
     "box-dia-incomparable": (_replay_box_dia_incomparable, (
         "hornbox-vs-horn", "horndia-vs-horn", "krombox-equiv", "kromdia-equiv")),
@@ -722,20 +720,31 @@ _HIERARCHY = {
 }
 
 
+class _Readings(dict):
+    # One run's reading of each catalogue text, made on first use.
+    def __init__(self, read):
+        self.read = read
+
+    def __missing__(self, text):
+        return self.setdefault(text, self.read(text))
+
+
 def replay_theorems(theorem_ids) -> list:
     """Reports for the ids, replayed in one run: each catalogued result is
-    replayed at most once, however many of the ids cite it."""
-    reports = {}
-    return [_replay(theorem_id, reports) for theorem_id in theorem_ids]
+    replayed at most once, however many of the ids cite it, and each text
+    it reads is parsed once.  Its reports and formulas are local dicts."""
+    texts = _Readings(parse)
+    run = {}, texts, _Readings(lambda text: recognize_clausal(texts[text]))
+    return [_replay(theorem_id, *run) for theorem_id in theorem_ids]
 
 
 def replay_theorem(theorem_id: str) -> TheoremReport:
     """Re-run one catalogued construction, a run of its own; see
     `THEOREM_IDS`.  The results it cites are replayed first, once each."""
-    return _replay(theorem_id, {})
+    return replay_theorems([theorem_id])[0]
 
 
-def _replay(theorem_id, reports):
+def _replay(theorem_id, reports, texts, clausal):
     # The report for the id, replayed after the results it cites unless
     # the run's `reports` already hold it.
     if theorem_id not in _CATALOGUE:
@@ -743,7 +752,7 @@ def _replay(theorem_id, reports):
         raise ValueError(f"unknown theorem id {theorem_id!r} (known: {known})")
     if theorem_id not in reports:
         replay, cites = _CATALOGUE[theorem_id]
-        verdicts = [_replay(cited, reports).overall for cited in cites]
-        steps = tuple((description, bool(ok)) for description, ok in replay(*verdicts))
-        reports[theorem_id] = TheoremReport(theorem_id, steps)
+        verdicts = [_replay(cited, reports, texts, clausal).overall for cited in cites]
+        run = replay(texts, clausal, *verdicts)
+        reports[theorem_id] = TheoremReport(theorem_id, tuple((d, bool(ok)) for d, ok in run))
     return reports[theorem_id]

@@ -195,18 +195,18 @@ def _tree_to_model(root_letters, entries, letters_of, modality_of, alphabet) -> 
     child), ...]) nodes as a model on the worlds w0, w1, ... in pre-order;
     a child's letters are `letters_of(key)` and an edge's modality is
     `modality_of(label)`."""
-    valuation = {}
-    succ = {}
-
-    def build(letters, entries):
+    valuation, succ = {"w0": root_letters}, {}
+    stack = [("w0", entries, 0)] if entries else []  # (parent, entries, next index)
+    while stack:
+        parent, entries, i = stack.pop()
+        if i + 1 < len(entries):
+            stack.append((parent, entries, i + 1))
+        label, (key, child) = entries[i]
         name = f"w{len(valuation)}"
-        valuation[name] = letters
-        for label, (key, child) in entries:
-            row = succ.setdefault(modality_of(label), {}).setdefault(name, [])
-            row.append(build(letters_of(key), child))
-        return name
-
-    build(root_letters, entries)
+        valuation[name] = letters_of(key)
+        succ.setdefault(modality_of(label), {}).setdefault(parent, []).append(name)
+        if child:
+            stack.append((name, child, 0))
     table = {m: {u: tuple(sorted(vs)) for u, vs in rows.items()} for m, rows in succ.items()}
     return KripkeModel._direct(KripkeFrame._direct(tuple(valuation), table), valuation, alphabet)
 

@@ -985,9 +985,9 @@ def note_replays(monkeypatch, note):
     """Wrap every catalogue entry so that each evaluation first calls
     `note(theorem_id)`."""
     def noted(theorem_id, replay):
-        def wrapper(*verdicts):
+        def wrapper(*run):
             note(theorem_id)
-            return replay(*verdicts)
+            return replay(*run)
         return wrapper
 
     for theorem_id, (replay, cites) in list(expressiveness._CATALOGUE.items()):

@@ -727,7 +727,7 @@ def test_verify_paper_id_replays_its_cited_results_once(monkeypatch):
 def test_verify_paper_memo_is_per_run(monkeypatch):
     replay, cites = expressiveness._CATALOGUE["krombox-equiv"]
     monkeypatch.setitem(expressiveness._CATALOGUE, "krombox-equiv",
-                        (lambda: [("patched to fail", False)], cites))
+                        (lambda texts, clausal: [("patched to fail", False)], cites))
     code, out, _ = verify_paper()
     assert code == 1
     overall = {line["theorem"]: line["overall"]
@@ -738,3 +738,41 @@ def test_verify_paper_memo_is_per_run(monkeypatch):
         code, out, _ = verify_paper(theorem_id)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_PAPER_SHA256[theorem_id]
+
+
+@pytest.mark.parametrize("theorem_id, parses, recognized", [
+    (None, 27, 19),
+    ("box-dia-incomparable", 19, 14),
+    ("krombox-equiv", 10, 7),
+], ids=["all", "box-dia-incomparable", "krombox-equiv"])
+def test_verify_paper_reads_each_text_once_per_run(theorem_id, parses, recognized, monkeypatch):
+    # One run parses each catalogue text it reads once, and recognizes each
+    # clausal one once, however many replays read it; a second run starts over.
+    counts = {"parse": 0, "recognize_clausal": 0}
+    for name in counts:
+        def counted(text, _name=name, _read=getattr(expressiveness, name)):
+            counts[_name] += 1
+            return _read(text)
+        monkeypatch.setattr(expressiveness, name, counted)
+    for _ in range(2):
+        code, out, _ = verify_paper(theorem_id)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_PAPER_SHA256[theorem_id]
+    assert counts == {"parse": 2 * parses, "recognize_clausal": 2 * recognized}
+
+
+@pytest.mark.parametrize("outcomes", [(True, False, True, True, False), (True,) * 5],
+                         ids=["failing", "passing"])
+def test_verify_paper_lines_are_sorted_keys_json(outcomes, monkeypatch):
+    # Each line is written from a template; its strings must be escaped as
+    # json.dumps escapes them, also where no catalogue text needs it.
+    descriptions = ['a "quoted" step', "a back\\slash", "a new\nline and a\ttab",
+                    "a non-ASCII letter: ä", "a line separator \u2028 and \U0001F600"]
+    steps = list(zip(descriptions, outcomes))
+    monkeypatch.setitem(expressiveness._CATALOGUE, "horn-vs-bool",
+                        (lambda texts, clausal: steps, ()))
+    code, out, err = verify_paper("horn-vs-bool")
+    assert (code, err) == (0 if all(outcomes) else 1, "")
+    objects = [{"theorem": "horn-vs-bool", "step": text, "pass": ok} for text, ok in steps]
+    objects.append({"theorem": "horn-vs-bool", "overall": all(outcomes)})
+    assert out == "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objects)

@@ -1123,7 +1123,7 @@ def test_replays_run_in_citation_order(run, order, monkeypatch):
 
 
 def test_replay_outcomes_are_recorded_as_bool(monkeypatch):
-    def loose():
+    def loose(texts, clausal):
         yield "an empty outcome", []
         yield "a non-empty outcome", [0]
 
@@ -1135,7 +1135,7 @@ def test_replay_outcomes_are_recorded_as_bool(monkeypatch):
 def test_replay_failing_midway_leaves_no_state(monkeypatch):
     # A replay that raises after yielding a step ends the run with no
     # report saved and no run left open.
-    def broken():
+    def broken(texts, clausal):
         yield "a first step", True
         raise RuntimeError("replay broke")
 

@@ -38,12 +38,13 @@ from knfrag.solver import (
     _largest_tree,
     _multisets,
     _nnf_table,
+    _tree_to_model,
     _world_bound,
     sat_bruteforce,
     sat_tableau,
     tree_model_bound,
 )
-from knfrag.syntax import BOX, DIA
+from knfrag.syntax import BOX, DIA, Modality
 from knfrag.translate import krom_to_krom_box, krom_to_krom_diamond
 from helpers import (
     formulas_up_to_size,
@@ -504,6 +505,21 @@ def test_tableau_witness_pinned(text):
     assert result.status == SAT
     witness = model_to_json(result.witness.model, result.witness.world)
     assert witness == PINNED_TABLEAU_WITNESSES[text]
+
+
+def test_tree_to_model_builds_a_deep_chain_without_recursion():
+    # A 5,000-node chain, five times the default recursion limit: worlds are
+    # named in pre-order, so each world's one successor is the next.
+    n = 5000
+    entries = ()
+    for i in range(n - 1, 0, -1):
+        entries = (("a", (frozenset({"p"}) if i % 2 else frozenset(), entries)),)
+    model = _tree_to_model(frozenset({"q"}), entries, frozenset, Modality, {"p", "q"})
+    worlds = [f"w{i}" for i in range(n)]
+    assert list(model.frame.worlds) == worlds
+    assert all(model.frame.successors(u, "a") == (v,) for u, v in zip(worlds, worlds[1:]))
+    assert not model.frame.successors(worlds[-1], "a")
+    assert [sorted(a for a in "pq" if model.holds(w, a)) for w in worlds[:3]] == [["q"], ["p"], []]
 
 
 def test_engines_agree_on_multimodal_corpus():
