@@ -49,8 +49,8 @@ from .syntax import (
     InternalError,
     NotClausalError,
     ParseError,
+    _nnf_table,
     classify,
-    formula_modalities,
     letters,
     parse,
     recognize_clausal,
@@ -114,11 +114,8 @@ def _emit(args, payload: dict, plain: str, detail: dict | None = None):
 def _cmd_parse(args) -> int:
     f = parse(_read_formula(args.formula))
     text = to_text(f)
-    payload = {
-        "formula": text,
-        "letters": sorted(letters(f)),
-        "modalities": sorted(str(m) for m in formula_modalities(f)),
-    }
+    _, _, reads, _, mods = _nnf_table(f)
+    payload = {"formula": text, "letters": sorted(reads), "modalities": sorted(map(str, mods))}
     _emit(args, payload, text)
     return 0
 

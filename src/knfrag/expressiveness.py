@@ -162,7 +162,7 @@ def weak_equiv_check(f: Formula, g: Formula, alphabet=None, max_worlds: int = 3)
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
     table = _nnf_table(And(f, g))
-    rows, root, used = table[:3]
+    rows, root, used = table[0], table[1], frozenset(table[2])
     _, left, right = rows[root]
     alphabet = used if alphabet is None else frozenset(str(l) for l in alphabet)
     if not used <= alphabet:
@@ -189,13 +189,13 @@ def strong_translation_check(
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
     table = _nnf_table(And(f, g))
-    rows, root, used = table[:3]
+    rows, root, reads = table[:3]
     _, left, right = rows[root]
     own = frozenset(a for kind, a, _ in rows[:left + 1] if kind <= NEG) - {None}  # f's rows
     base_alpha = own if alphabet is None else frozenset(str(l) for l in alphabet)
     if not own <= base_alpha:
         raise ValueError("f mentions letters outside its alphabet")
-    fresh = used - base_alpha
+    fresh = reads.keys() - base_alpha
     return _first_disagreement(table, left, right, base_alpha, fresh, max_worlds,
                                "extended_right")
 
@@ -368,12 +368,12 @@ def search_weak_translation(
         raise ValueError("max_worlds must be at least 1")
     if formula_size_bound < 1:
         raise ValueError("formula_size_bound must be at least 1")
-    rows, root, used, _, used_mods = _nnf_table(target)
+    rows, root, reads, _, used_mods = _nnf_table(target)
     if modalities is None:
         modalities = {"a"} | used_mods
     mods = frozenset(str(m) for m in modalities)
     alphabet = frozenset(str(l) for l in alphabet)
-    if not used <= alphabet:
+    if not reads.keys() <= alphabet:
         raise ValueError("target mentions letters outside the alphabet")
     if not used_mods <= mods:
         raise ValueError("target mentions modalities outside the search's modalities")

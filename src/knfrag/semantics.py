@@ -431,8 +431,6 @@ class Batch:
         """[modality]x if `box`, else <modality>x: x moved by d slices and
         masked by the diagonal d, ORed over d.  A box is ~<modality>~x."""
         layout = self.layout
-        if modality not in layout.mods:
-            return layout.full if box else 0
         n, full = layout.n, layout.full
         if box:
             x ^= full

@@ -14,9 +14,10 @@ multisets of the wanted size, and builds a model only for the first
 satisfying one.  `sat_tableau` is
 a complete decision procedure over a table of f's NNF subformulas,
 hash-consed per call and decoded by `to_nnf`.
-One loop in `syntax` builds that table and, in the same walk, the letters,
-the modalities and the per-depth diamond counts, so both engines and
-`tree_model_bound` read f once; the bitsliced checks read the same table.
+One loop in `syntax` builds that table and, in the same walk, the letters
+with the modal depths each is read at, the modalities and the per-depth
+diamond counts, so both engines and `tree_model_bound` read f once; the
+bitsliced checks read the same table.
 Every satisfiable verdict from either engine carries a witness model that
 is re-validated with `check` before being returned.
 """
@@ -211,23 +212,6 @@ def _tree_to_model(root_letters, entries, letters_of, modality_of, alphabet) -> 
     return KripkeModel._direct(KripkeFrame._direct(tuple(valuation), table), valuation, alphabet)
 
 
-def _unread(rows, root: int, alpha: tuple, depth: int) -> list[int]:
-    """unread[d]: the mask (bit j for alpha[j]) of the letters that the
-    table's root reads at no node of modal depth d, for d below `depth`."""
-    at, reads = [0] * root + [1], [0] * depth  # at[i]: bit d when row i is met at depth d
-    for i in range(root, -1, -1):  # a row follows its children
-        kind, a, b = rows[i]
-        if kind >= DIA:
-            at[b] |= at[i] << 1
-        elif kind >= AND:
-            at[a] |= at[i]
-            at[b] |= at[i]
-        elif a is not None:
-            for d in range(depth):
-                reads[d] |= (at[i] >> d & 1) << alpha.index(a)
-    return [(1 << len(alpha)) - 1 ^ r for r in reads]
-
-
 def sat_bruteforce(
     f: Formula, max_worlds: int | None = None, model_cap: int = DEFAULT_MODEL_CAP
 ) -> SatResult:
@@ -246,20 +230,21 @@ def sat_bruteforce(
     Raises `CapExceeded` past `model_cap` enumerated trees of that class.
 
     Past one world, a tree with a letter at depth d that f reads at no
-    modal depth d is counted, not checked: clearing those letters gives an
-    earlier tree of the class with the same truth value, so the first
-    witness and every cap outcome stay the same.  Each node count's bodies
-    are streamed once, checked under root mask 0, and only the readable
-    ones are kept, with their positions, for the other root masks.
+    modal depth d, by the letter's depth mask from the table, is counted,
+    not checked: clearing those letters gives an earlier tree of the class
+    with the same truth value, so the first witness and every cap outcome
+    stay the same.  Each node count's bodies are streamed once, checked
+    under root mask 0, and only the readable ones are kept, with their
+    positions, for the other root masks.
     """
     if max_worlds is not None and max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
     if model_cap < 1:
         raise ValueError("model_cap must be at least 1")
-    rows, root, alphabet, profile, modalities = _nnf_table(f)
+    _, _, reads, profile, modalities = _nnf_table(f)
     if max_worlds is None:
         max_worlds = _world_bound(profile)
-    alpha = tuple(sorted(alphabet))
+    alpha = tuple(sorted(reads))
     mods = tuple(sorted(modalities))
     child_sets = {}  # child masks only, which the memoized subtree lists hold anyway
 
@@ -280,15 +265,18 @@ def sat_bruteforce(
                 val.append(letters_of(key))
         if not _check(val, succ, 0, f):
             return None
-        model = _tree_to_model(root_letters, body, letters_of, mods.__getitem__, alphabet)
+        model = _tree_to_model(root_letters, body, letters_of, mods.__getitem__, frozenset(alpha))
         if not check(model, "w0", f):
             raise InternalError("brute-force witness does not satisfy the formula")
         return SatResult(SAT, PointedModel(model, "w0"))
 
     memo, unread, count = {}, [0], 0
     for n in range(1, min(max_worlds, _largest_tree(profile)) + 1):
-        if n == 2:  # read f's letters per depth only once one world is not enough
-            unread = _unread(rows, root, alpha, len(profile))
+        if n == 2:
+            # Only once one world is not enough: unread[d] has bit j when f
+            # reads alpha[j] at no modal depth d.
+            unread = [sum(1 << j for j, a in enumerate(alpha) if not reads[a] >> d & 1)
+                      for d in range(len(profile))]
         kept, base = [], count
         for index, body in enumerate(_bodies(n, 0, profile, len(mods), len(alpha), memo, unread)):
             count += 1
@@ -322,12 +310,12 @@ def sat_tableau(f: Formula, node_cap: int = DEFAULT_NODE_CAP) -> SatResult:
     """Complete satisfiability test; SAT verdicts carry a finite tree witness."""
     if node_cap < 1:
         raise ValueError("node_cap must be at least 1")
-    rows, root, alphabet, _, _ = _nnf_table(f)
+    rows, root, reads, _, _ = _nnf_table(f)
     tree = _expand(rows, [root], [node_cap])
     if tree is None:
         return SatResult(UNSAT)
     # The tableau's atoms and modalities are final: both maps return them as is.
-    model = _tree_to_model(*tree, frozenset, Modality, alphabet)
+    model = _tree_to_model(*tree, frozenset, Modality, frozenset(reads))
     if not check(model, "w0", f):
         raise InternalError("tableau witness does not satisfy the formula")
     return SatResult(SAT, PointedModel(model, "w0"))

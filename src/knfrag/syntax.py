@@ -24,6 +24,8 @@ parts it has already checked; a lexeme's offset, line and column are
 computed only for a `ParseError`.  `_nnf_table` reads a formula, in one
 loop, into the hash-consed table of its negation normal form that every
 evaluator reads: both SAT engines, the bitsliced checks and the search.
+It is the one general walk of a formula: `letters` and
+`formula_modalities` read the same table.
 
 A *positive literal* is built from `T`, letters, diamonds and boxes only.
 A *clause* is a (possibly empty) chain of boxes over a disjunction of
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import re
 from functools import reduce
-from typing import Iterable, Iterator
+from typing import Iterable
 
 __all__ = [
     "Modality",
@@ -62,7 +64,6 @@ __all__ = [
     "classify",
     "is_positive_literal",
     "clause_texts",
-    "subformulas",
     "letters",
     "formula_modalities",
 ]
@@ -241,23 +242,6 @@ def is_positive_literal(f: Formula) -> bool:
     return isinstance(f, (Top, Prop))
 
 
-def subformulas(f: Formula) -> Iterator[Formula]:
-    """Every node of f in pre-order, each node before its children and the
-    right child before the left, so the stream reversed is post-order.
-    Iterative: deep formulas raise no RecursionError."""
-    stack = [f]
-    pop, push = stack.pop, stack.append
-    while stack:
-        g = pop()
-        yield g
-        t = type(g)
-        if t is And or t is Or:
-            push(g.left)
-            push(g.right)
-        elif t is Not or t is Diamond or t is Box:
-            push(g.operand)
-
-
 def _chain(f: Formula, cls, link=None) -> list[tuple[tuple | None, Formula]]:
     """The leaves of the maximal `cls` (And or Or) subtree at f, left to
     right, each with its path as a linked (parent, step) pair; `link` is
@@ -275,21 +259,22 @@ def _chain(f: Formula, cls, link=None) -> list[tuple[tuple | None, Formula]]:
 
 
 def letters(f: Formula) -> frozenset[str]:
-    """All propositional letters occurring in f."""
-    return frozenset({g.letter for g in subformulas(f) if type(g) is Prop})
+    """All propositional letters occurring in f, read off `_nnf_table`."""
+    return frozenset(_nnf_table(f)[2])
 
 
 def formula_modalities(f: Formula) -> frozenset[Modality]:
-    """All modalities occurring in f."""
-    return frozenset({g.modality for g in subformulas(f) if type(g) in (Diamond, Box)})
+    """All modalities occurring in f, read off `_nnf_table`."""
+    return _nnf_table(f)[4]
 
 
 LIT, NEG, AND, OR, DIA, BOX = range(6)  # the kinds of `_nnf_table` rows; kind ^ 1 is the dual
 
 
-def _nnf_table(f: Formula) -> tuple[list[tuple], int, frozenset, list[int], frozenset]:
+def _nnf_table(f: Formula) -> tuple[list[tuple], int, dict, list[int], frozenset]:
     """f's negation normal form as a hash-consed table, built by one loop
-    that reads f for both SAT engines and the bitsliced checks.
+    that reads f for both SAT engines, the bitsliced checks, `letters` and
+    `formula_modalities`.
 
     Each row follows its children: (LIT or NEG, letter or None for T, None),
     (AND or OR, left id, right id) or (DIA or BOX, modality, operand id).
@@ -301,12 +286,14 @@ def _nnf_table(f: Formula) -> tuple[list[tuple], int, frozenset, list[int], froz
     occurrences per modal depth: the depth rises when a modal node is popped
     and falls when its row's marker, which comes off once the operand is
     done, is popped; a marker holds the row's modality, or None, where a
-    node holds its polarity.  Returns the rows, the root's id, the letters
-    of f, that profile, which ends in 0 at the nesting depth, and the
-    modalities of f.  A node that is not a formula raises TypeError.
+    node holds its polarity.  The same depth gives each letter of f the
+    modal depths it is read at, as one mask with bit d for depth d.
+    Returns the rows, the root's id, that map from the letters of f to
+    their masks, the profile, which ends in 0 at the nesting depth, and
+    the modalities of f.  A node that is not a formula raises TypeError.
     """
     ids, done, stack, profile, depth = {}, [], [(f, False)], [0], 0
-    alphabet, mods = set(), set()
+    reads, mods = {}, set()
     while stack:
         g, negated = stack.pop()
         t = type(g)
@@ -333,14 +320,14 @@ def _nnf_table(f: Formula) -> tuple[list[tuple], int, frozenset, list[int], froz
                 else:
                     row = (g, done.pop(), b)
             elif t is Prop:
-                alphabet.add(g.letter)
+                reads[g.letter] = reads.get(g.letter, 0) | 1 << depth
                 row = (NEG if negated else LIT, g.letter, None)
             elif t is Top:
                 row = (NEG if negated else LIT, None, None)
             else:
                 raise TypeError(f"not a formula: {g!r}")
             done.append(ids.setdefault(row, len(ids)))
-    return list(ids), done[0], frozenset(alphabet), profile, frozenset(mods)
+    return list(ids), done[0], reads, profile, frozenset(mods)
 
 
 # --- Clausal form ---

@@ -50,7 +50,7 @@ from knfrag.solver import (
     _world_bound,
     sat_tableau,
 )
-from knfrag.syntax import _desugar_implies, _nnf_table, _position, subformulas
+from knfrag.syntax import _desugar_implies, _nnf_table, _position
 from knfrag.translate import FreshLetterSource, _offending_count
 
 
@@ -104,7 +104,9 @@ def table_check(model, world, f):
     return table[(id(f), world)]
 
 
-# --- Reference walkers: the hand-written traversals `subformulas` replaced ---
+# --- Reference walkers: hand-written traversals, one per question, that
+# check the answers the library reads off its one NNF table walk and its
+# clausal chain loop ---
 
 
 def reference_letters(f):
@@ -361,6 +363,26 @@ def reference_diamond_profile(nnf):
     return counts
 
 
+def reference_letter_depths(nnf):
+    """Each letter of an NNF formula mapped to the modal depths it occurs
+    at, bit d for depth d, read off the NNF copy with an explicit depth:
+    the oracle for the masks that `_nnf_table` returns."""
+    depths = {}
+    stack = [(nnf, 0)]
+    while stack:
+        g, d = stack.pop()
+        if isinstance(g, Prop):
+            depths[g.letter] = depths.get(g.letter, 0) | 1 << d
+        elif isinstance(g, (Diamond, Box)):
+            stack.append((g.operand, d + 1))
+        elif isinstance(g, (Or, And)):
+            stack.append((g.left, d))
+            stack.append((g.right, d))
+        elif isinstance(g, Not):
+            stack.append((g.operand, d))
+    return depths
+
+
 def reference_bruteforce(f, max_worlds=None, model_cap=DEFAULT_MODEL_CAP):
     """The brute-force loop that checks every tree it counts: the oracle for
     `sat_bruteforce`, which counts but does not check the trees holding a
@@ -368,9 +390,9 @@ def reference_bruteforce(f, max_worlds=None, model_cap=DEFAULT_MODEL_CAP):
     `sat_bruteforce` documents: node counts ascending, then the root mask,
     then the multisets of the sorted (size, label, subtree) pool in
     depth-first order, with at most profile[d] children at depth d."""
-    _, _, alphabet, profile, modalities = _nnf_table(f)
+    _, _, reads, profile, modalities = _nnf_table(f)
     bound = _world_bound(profile)
-    alpha, mods = tuple(sorted(alphabet)), tuple(sorted(modalities))
+    alpha, mods = tuple(sorted(reads)), tuple(sorted(modalities))
     memo = {}
 
     def sets(mask):
@@ -405,7 +427,7 @@ def reference_bruteforce(f, max_worlds=None, model_cap=DEFAULT_MODEL_CAP):
             count += 1
             if count > model_cap:
                 raise CapExceeded(f"model cap {model_cap} exceeded")
-            model = _tree_to_model(sets(mask), body, sets, mods.__getitem__, alphabet)
+            model = _tree_to_model(sets(mask), body, sets, mods.__getitem__, frozenset(alpha))
             if check(model, "w0", f):
                 return SatResult(SAT, PointedModel(model, "w0"))
     return SatResult(UNSAT if max_worlds is None or max_worlds >= bound else UNKNOWN_AT_BOUND)
@@ -554,24 +576,31 @@ class Program:
 
 
 def compile_formula(f) -> Program:
-    """Post-order code for f: one instruction per node of `subformulas(f)`,
-    reversed.  Deep formulas raise no RecursionError."""
+    """Post-order code for f: one instruction per node, emitted in pre-order
+    (each node before its children, the right child before the left) by a
+    loop over an explicit stack of its own, then reversed.  It shares no
+    traversal with the library, and deep formulas raise no RecursionError."""
     code = []
     emit = code.append
     letters = set()
     mods = set()
-    for g in subformulas(f):
+    stack = [f]
+    while stack:
+        g = stack.pop()
         t = type(g)
         if t is Prop:
             emit((_LETTER, g.letter))
             letters.add(g.letter)
         elif t is Not:
             emit(_NOT_OP)
+            stack.append(g.operand)
         elif t is And or t is Or:
             emit(_AND_OP if t is And else _OR_OP)
+            stack += (g.left, g.right)
         elif t is Diamond or t is Box:
             mods.add(g.modality)
             emit((_DIAMOND if t is Diamond else _BOX, g.modality))
+            stack.append(g.operand)
         elif t is Top:
             emit(_TOP_OP)
         else:

@@ -463,6 +463,14 @@ def test_deep_input_is_answered_without_traceback(argv, deep, code, printed):
         assert done.stdout == (DEEP[deep] if printed == "same" else printed) + "\n"
 
 
+@pytest.mark.parametrize("deep, modalities", [("negations-1e5", []), ("diamonds", ["a"])])
+def test_deep_input_parses_to_its_letters_and_modalities(deep, modalities):
+    done = run_process(["--json", "parse", "-"], input=DEEP[deep])
+    assert (done.returncode, done.stderr) == (0, "")
+    payload = json.loads(done.stdout)
+    assert payload == {"formula": DEEP[deep], "letters": ["p"], "modalities": modalities}
+
+
 # --- equiv: the tableau proof after the one-world models, and its depth guard ---
 
 

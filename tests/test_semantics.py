@@ -24,7 +24,7 @@ from knfrag import (
     product_world,
 )
 from knfrag.semantics import _Layout, valuation_batches
-from knfrag.syntax import Modality
+from knfrag.syntax import Modality, _nnf_table
 from helpers import (
     compile_formula,
     enlarge_valuation,
@@ -266,6 +266,15 @@ def test_valuation_batches_cover_each_world_count_once_in_order(chunk, monkeypat
             for j in range(0, layout.n, 1 << k):  # the fresh cells, the lowest k, all false
                 pointed, _ = batch.first_difference(1 << j, 0)
                 assert pointed.world == "w0" and pointed.model == models[batch.start + j >> k]
+
+
+def test_batch_values_a_modality_outside_its_layout_as_an_empty_relation():
+    # A modality the layout does not hold has no diagonal masks, so its
+    # diamond is false and its box true at every world of every model.
+    for text, box in (("<b>p", False), ("[b]q", True)):
+        rows, root = _nnf_table(parse(text))[:2]
+        for batch in valuation_batches({"p", "q"}, {"a"}, 3):
+            assert batch.value(rows)[root] == (batch.layout.full if box else 0)
 
 
 def long_division_layout(k, letters, fresh, mods, chunk):

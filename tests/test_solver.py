@@ -23,7 +23,6 @@ from knfrag import (
     Prop,
     check,
     enumerate_models,
-    formula_modalities,
     letters,
     model_to_json,
     parse,
@@ -52,6 +51,9 @@ from helpers import (
     random_formula,
     reference_bruteforce,
     reference_diamond_profile,
+    reference_letter_depths,
+    reference_letters,
+    reference_modalities,
     reference_multisets,
     reference_nnf,
     reference_pools,
@@ -107,10 +109,11 @@ def test_tree_model_bound_counts_negated_boxes():
 
 def assert_profile_matches_the_nnf_copy(f):
     expected = reference_diamond_profile(to_nnf(f))
-    rows, _, alphabet, profile, modalities = _nnf_table(f)
+    rows, _, reads, profile, modalities = _nnf_table(f)
     assert profile == expected
-    assert alphabet == letters(f)
-    assert {a for kind, a, _ in rows if kind in (DIA, BOX)} == modalities == formula_modalities(f)
+    assert reads.keys() == reference_letters(f)
+    assert reads == reference_letter_depths(reference_nnf(f))
+    assert {a for kind, a, _ in rows if kind in (DIA, BOX)} == modalities == reference_modalities(f)
     assert tree_model_bound(f) == _world_bound(expected)
 
 

@@ -34,7 +34,7 @@ from knfrag import (
     recognize_clausal,
     to_text,
 )
-from knfrag.syntax import subformulas
+from knfrag.syntax import _nnf_table
 from helpers import (
     formulas_up_to_size,
     krom_corpus,
@@ -45,7 +45,6 @@ from helpers import (
     reference_modalities,
     reference_parse,
     reference_recognize_clausal,
-    subformulas_postorder,
 )
 
 
@@ -269,6 +268,16 @@ def test_letters_and_alphabet():
     assert cf.alphabet() == {"p", "q", "r"}
 
 
+def test_letters_and_modalities_reject_a_non_formula_node():
+    # Both read the NNF table, which raises TypeError on a node that is not
+    # a formula, as every other reader of the table does.
+    for view in (letters, formula_modalities):
+        with pytest.raises(TypeError):
+            view(And(Prop("p"), "q"))
+        with pytest.raises(TypeError):
+            view(Diamond("a", Or(Prop("p"), 3)))
+
+
 def test_fresh_letter_idents_parse():
     f = parse("~[a]_f0 & [a](_f0 | p)")
     assert letters(f) == {"_f0", "p"}
@@ -437,13 +446,11 @@ def test_parse_and_print_deep_input_need_no_recursion():
     assert reprinted == printed
 
 
-# --- one walker: `subformulas` against the hand-written walkers it replaced ---
+# --- the NNF table's letters and modalities, and the clausal loop, against
+# hand-written walkers ---
 
 
 def assert_walkers_match_reference(f):
-    postorder = list(subformulas(f))[::-1]
-    assert len(postorder) == len(subformulas_postorder(f))
-    assert all(g is h for g, h in zip(postorder, subformulas_postorder(f)))
     assert type(letters(f)) is frozenset and letters(f) == reference_letters(f)
     assert type(formula_modalities(f)) is frozenset
     assert formula_modalities(f) == reference_modalities(f)
@@ -531,7 +538,7 @@ def test_recognize_flat_conjunction_needs_no_recursion():
     assert cf.clauses[-1].positives == (Prop("p9999"), Diamond("a", Prop("q9999")))
     assert classify(cf) == FragmentDescriptor(False, True, False, False, True)
     assert letters(f) == {f"{x}{i}" for x in "pq" for i in range(10_000)}
-    assert sum(1 for _ in subformulas(f)) == 5 * 10_000 - 1
+    assert len(_nnf_table(f)[0]) == 5 * 10_000 - 1  # every node is a distinct row
 
 
 def test_recognize_deep_box_prefix_needs_no_recursion():
