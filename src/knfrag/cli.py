@@ -51,7 +51,6 @@ from .syntax import (
     ParseError,
     _nnf_table,
     classify,
-    letters,
     parse,
     recognize_clausal,
     to_text,
@@ -199,7 +198,7 @@ def _cmd_search(args) -> int:
     found = search_weak_translation(
         target,
         args.fragment,
-        letters(target) if args.alphabet is None else set(args.alphabet.split(",")),
+        None if args.alphabet is None else set(args.alphabet.split(",")),
         args.size,
         max_worlds=args.max_worlds,
     )

@@ -353,10 +353,11 @@ def search_weak_translation(
     Candidates range over one generic modality (plus any in the target)
     unless `modalities` says otherwise; a target that mentions a letter
     outside `alphabet`, or a modality outside an explicit `modalities`,
-    raises `ValueError`.  Size layers and their clauses are built and
-    tried one at a time; of a layer's agreeing candidates only the least
-    text, the first of `enumerate_fragment`, is rendered.  Only the target
-    is read into an NNF table: a candidate's value on a batch is the AND of
+    raises `ValueError`; `alphabet=None` means the target's own letters.
+    Size layers and their clauses are built and tried one at a time; of a
+    layer's agreeing candidates only the least text, the first of
+    `enumerate_fragment`, is rendered.  Only the target is read into an
+    NNF table: a candidate's value on a batch is the AND of
     its clauses', a clause's the OR of its `_literal_value`s under its
     prefix boxes.  If layer 1 fails and the fragment's least upper bound of
     the target on the first batch (Selman & Kautz, JACM 1996) is not the
@@ -372,7 +373,7 @@ def search_weak_translation(
     if modalities is None:
         modalities = {"a"} | used_mods
     mods = frozenset(str(m) for m in modalities)
-    alphabet = frozenset(str(l) for l in alphabet)
+    alphabet = frozenset(reads if alphabet is None else map(str, alphabet))
     if not reads.keys() <= alphabet:
         raise ValueError("target mentions letters outside the alphabet")
     if not used_mods <= mods:

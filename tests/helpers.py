@@ -32,9 +32,7 @@ from knfrag import (
     enumerate_extensions,
     enumerate_fragment,
     enumerate_models,
-    formula_modalities,
     is_positive_literal,
-    letters as formula_letters,
     to_text,
 )
 from knfrag import expressiveness
@@ -50,7 +48,7 @@ from knfrag.solver import (
     _world_bound,
     sat_tableau,
 )
-from knfrag.syntax import _desugar_implies, _nnf_table, _position
+from knfrag.syntax import _desugar_implies, _position
 from knfrag.translate import FreshLetterSource, _offending_count
 
 
@@ -390,9 +388,11 @@ def reference_bruteforce(f, max_worlds=None, model_cap=DEFAULT_MODEL_CAP):
     `sat_bruteforce` documents: node counts ascending, then the root mask,
     then the multisets of the sorted (size, label, subtree) pool in
     depth-first order, with at most profile[d] children at depth d."""
-    _, _, reads, profile, modalities = _nnf_table(f)
+    nnf = reference_nnf(f)
+    profile = reference_diamond_profile(nnf)
     bound = _world_bound(profile)
-    alpha, mods = tuple(sorted(reads)), tuple(sorted(modalities))
+    alpha = tuple(sorted(reference_letter_depths(nnf)))
+    mods = tuple(sorted(reference_modalities(f)))
     memo = {}
 
     def sets(mask):
@@ -942,7 +942,7 @@ def reference_weak_equiv(f, g, alphabet, max_worlds):
     """(status, counterexample model, world, details) by the scalar loop
     over `enumerate_models`; the counterexample fields are None when the
     formulas agree up to the bound."""
-    mods = formula_modalities(f) | formula_modalities(g)
+    mods = reference_modalities(f) | reference_modalities(g)
     for model in enumerate_models(alphabet, mods, max_worlds):
         for w in model.frame.worlds:
             a = check(model, w, f)
@@ -954,9 +954,9 @@ def reference_weak_equiv(f, g, alphabet, max_worlds):
 def reference_strong(f, g, max_worlds, alphabet=None):
     """Like `reference_weak_equiv`, trying every extension of each model
     over g's extra letters through `enumerate_extensions`."""
-    base = frozenset(alphabet) if alphabet is not None else formula_letters(f)
-    new = formula_letters(g) - base
-    mods = formula_modalities(f) | formula_modalities(g)
+    base = frozenset(alphabet) if alphabet is not None else reference_letters(f)
+    new = reference_letters(g) - base
+    mods = reference_modalities(f) | reference_modalities(g)
     for model in enumerate_models(base, mods, max_worlds):
         extensions = list(enumerate_extensions(model, new)) if new else [model]
         for w in model.frame.worlds:
@@ -997,7 +997,7 @@ def reference_search(target, fragment, alphabet, size_bound, max_worlds, modalit
     """First candidate of `enumerate_fragment` that agrees with the target
     at every world of every model up to the bound, or None."""
     if modalities is None:
-        modalities = {Modality("a")} | formula_modalities(target)
+        modalities = {Modality("a")} | reference_modalities(target)
     points = [
         (model, w, check(model, w, target))
         for model in enumerate_models(alphabet, modalities, max_worlds)

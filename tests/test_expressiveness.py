@@ -645,6 +645,23 @@ def test_search_matches_the_scalar_loop_on_random_targets(fragment, monkeypatch)
     assert outcomes == {True, False}
 
 
+def test_search_without_an_alphabet_searches_over_the_targets_letters():
+    # alphabet=None reads the target's letters off the table the search
+    # builds anyway; each answer is that of the call given `letters(target)`.
+    rng = random.Random("search-alphabet-none")
+    outcomes = set()
+    for i in range(105):
+        fragment = SEARCH_FRAGMENTS[i % len(SEARCH_FRAGMENTS)]
+        mods = ("a",) if i % 2 else ("a", "b")
+        target = random_formula(rng, rng.randint(1, 3), ("p", "q", "r")[: 1 + i % 3], mods)
+        size = 2 + i // len(SEARCH_FRAGMENTS) % 3
+        expected = search_weak_translation(target, fragment, letters(target), size, max_worlds=2)
+        found = search_weak_translation(target, fragment, None, size, max_worlds=2)
+        assert found == expected, (str(target), fragment, size)
+        outcomes.add(found is not None)
+    assert outcomes == {True, False}
+
+
 IMPLIED_CLAUSE_FRAGMENTS = SEARCH_FRAGMENTS + ("krom-box", "core-diamond")
 
 
