@@ -445,71 +445,53 @@ def _model(worlds, rels, val, alphabet) -> KripkeModel:
     return KripkeModel(KripkeFrame(worlds, rels), val, alphabet)
 
 
-def _replay_horn_vs_bool(texts, clausal):
-    psi = texts["p | q"]
-    base = _model(
-        ["w0", "w1"], {"a": [("w0", "w1")]}, {"w1": ["p"]}, {"p", "q"}
-    )
+def _surgery(texts, psi, base, cases):
+    """Separation by valuation surgery: the target `psi` is refuted at w0 of
+    `base`; each case's candidate fails there, a surgered model makes the
+    target hold at every world, and the candidate still fails at w0.  A
+    case is (candidate text, its name, surgered model, hold step, its own
+    steps in between, its name in the still-fails step)."""
     yield "the target is refuted at w0 of the base model", not check(base, "w0", psi)
+    for cand_text, name, surgered, holds, steps, still in cases:
+        cand = texts[cand_text]
+        yield f"{name} fails at w0", not check(base, "w0", cand)
+        yield holds, all(check(surgered, w, psi) for w in surgered.frame.worlds)
+        yield from steps
+        yield f"{still} still fails at w0", not check(surgered, "w0", cand)
 
-    # Candidate clause with consequent p: set q true on every world.
-    cand = texts["p"]
-    yield "candidate with consequent p fails at w0", not check(base, "w0", cand)
-    enlarged = override_valuation(base, "q", base.frame.worlds)
-    yield (
-        "after setting q everywhere the target holds at every world",
-        all(check(enlarged, w, psi) for w in enlarged.frame.worlds),
-    )
-    for lit_text in ("<a>p", "[a]p", "p"):
-        lit = texts[lit_text]
-        yield (
-            f"positive literal {lit_text} keeps its truth at w0 under the enlargement",
-            (not check(base, "w0", lit)) or check(enlarged, "w0", lit),
-        )
-    yield "candidate with consequent p still fails at w0", not check(enlarged, "w0", cand)
 
-    # Candidate with consequent q: switch the roles of p and q.
-    cand_q = texts["q"]
-    yield "candidate with consequent q fails at w0", not check(base, "w0", cand_q)
-    enlarged_p = override_valuation(base, "p", base.frame.worlds)
-    yield (
-        "after setting p everywhere the target holds at every world",
-        all(check(enlarged_p, w, psi) for w in enlarged_p.frame.worlds),
-    )
-    yield "candidate with consequent q still fails at w0", not check(enlarged_p, "w0", cand_q)
-
-    # Candidate with empty consequent: set both letters true everywhere.
-    cand_bot = texts["~T"]
-    yield "candidate with empty consequent fails at w0", not check(base, "w0", cand_bot)
-    full = override_valuation(
-        override_valuation(base, "p", base.frame.worlds), "q", base.frame.worlds
-    )
-    yield (
-        "with p and q everywhere the target holds at every world",
-        all(check(full, w, psi) for w in full.frame.worlds),
-    )
-    yield "the empty-consequent candidate still fails at w0", not check(full, "w0", cand_bot)
+def _replay_horn_vs_bool(texts, clausal):
+    # A candidate with consequent p fails once q holds everywhere, one with
+    # consequent q once p does, and one with an empty consequent once both do.
+    base = _model(["w0", "w1"], {"a": [("w0", "w1")]}, {"w1": ["p"]}, {"p", "q"})
+    worlds = base.frame.worlds
+    q_all = override_valuation(base, "q", worlds)
+    p_all = override_valuation(base, "p", worlds)
+    kept = ((f"positive literal {t} keeps its truth at w0 under the enlargement",
+             (not check(base, "w0", texts[t])) or check(q_all, "w0", texts[t]))
+            for t in ("<a>p", "[a]p", "p"))
+    holds = "the target holds at every world"
+    yield from _surgery(texts, texts["p | q"], base, [
+        ("p", "candidate with consequent p", q_all, f"after setting q everywhere {holds}", kept,
+         "candidate with consequent p"),
+        ("q", "candidate with consequent q", p_all, f"after setting p everywhere {holds}", (),
+         "candidate with consequent q"),
+        ("~T", "candidate with empty consequent", override_valuation(p_all, "q", worlds),
+         f"with p and q everywhere {holds}", (), "the empty-consequent candidate"),
+    ])
 
 
 def _replay_krom_vs_bool(texts, clausal):
-    psi = texts["p & q -> r"]
     base = _model(["w0"], {}, {"w0": ["p", "q"]}, {"p", "q", "r"})
-    yield "the target is refuted at w0 of the base model", not check(base, "w0", psi)
-
-    cases = [
-        ("~p", "r", base.frame.worlds, "letters within {p,q}: set r everywhere"),
-        ("r", "q", (), "letters within {p,r}: empty q out"),
-        ("~q", "p", (), "letters within {q,r}: empty p out"),
-    ]
-    for cand_text, letter, worlds, label in cases:
-        cand = texts[cand_text]
-        yield f"candidate {cand_text} fails at w0", not check(base, "w0", cand)
-        surgered = override_valuation(base, letter, worlds)
-        yield (
-            f"{label} makes the target hold at every world",
-            all(check(surgered, w, psi) for w in surgered.frame.worlds),
-        )
-        yield f"candidate {cand_text} still fails at w0", not check(surgered, "w0", cand)
+    yield from _surgery(texts, texts["p & q -> r"], base, [
+        (cand, f"candidate {cand}", override_valuation(base, letter, worlds),
+         f"{label} makes the target hold at every world", (), f"candidate {cand}")
+        for cand, letter, worlds, label in [
+            ("~p", "r", base.frame.worlds, "letters within {p,q}: set r everywhere"),
+            ("r", "q", (), "letters within {p,r}: empty q out"),
+            ("~q", "p", (), "letters within {q,r}: empty p out"),
+        ]
+    ])
 
 
 def _fan_witnesses():
@@ -552,7 +534,7 @@ def _replay_hornbox_vs_horn(texts, clausal):
     )
     yield "the intersection refutes the diamond formula at w0", not check(both, "w0", psi)
     # A box-fragment sample survives the same surgery, as the closure demands.
-    sample = texts["[b]p"]
+    sample = texts["~[a]p"]
     yield (
         "a box-only sample true in both witnesses is true in the intersection",
         check(m1, "w0", sample)

@@ -229,13 +229,13 @@ def sat_bruteforce(
     read off the same table, so the answer is never UNKNOWN_AT_BOUND.
     Raises `CapExceeded` past `model_cap` enumerated trees of that class.
 
-    Past one world, a tree with a letter at depth d that f reads at no
-    modal depth d, by the letter's depth mask from the table, is counted,
-    not checked: clearing those letters gives an earlier tree of the class
-    with the same truth value, so the first witness and every cap outcome
-    stay the same.  Each node count's bodies are streamed once, checked
-    under root mask 0, and only the readable ones are kept, with their
-    positions, for the other root masks.
+    A tree with a letter at depth d that f reads at no modal depth d, by
+    the letter's depth mask from the table, is counted, not checked, a
+    one-world tree too: clearing those letters gives an earlier tree of
+    the class with the same truth value, so the first witness and every
+    cap outcome stay the same.  Each node count's bodies are streamed
+    once, checked under root mask 0, and only the readable ones are kept,
+    with their positions, for the other root masks.
     """
     if max_worlds is not None and max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
@@ -270,13 +270,11 @@ def sat_bruteforce(
             raise InternalError("brute-force witness does not satisfy the formula")
         return SatResult(SAT, PointedModel(model, "w0"))
 
-    memo, unread, count = {}, [0], 0
+    # unread[d] has bit j when f reads alpha[j] at no modal depth d.
+    unread = [sum(1 << j for j, a in enumerate(alpha) if not reads[a] >> d & 1)
+              for d in range(len(profile))]
+    memo, count = {}, 0
     for n in range(1, min(max_worlds, _largest_tree(profile)) + 1):
-        if n == 2:
-            # Only once one world is not enough: unread[d] has bit j when f
-            # reads alpha[j] at no modal depth d.
-            unread = [sum(1 << j for j, a in enumerate(alpha) if not reads[a] >> d & 1)
-                      for d in range(len(profile))]
         kept, base = [], count
         for index, body in enumerate(_bodies(n, 0, profile, len(mods), len(alpha), memo, unread)):
             count += 1

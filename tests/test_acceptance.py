@@ -307,7 +307,7 @@ def test_bruteforce_cap_probe_checks_trees_without_models():
     # the walk.  Building a model for every tree took 153-234 ms of thread
     # CPU time (2 CPUs, CPython 3.11.7).  All 536,640 trees of its class up
     # to 4 worlds took 1.0-1.2 s with every tree checked; of them only the
-    # 768 whose letters f reads at their depth are checked, in about 10 ms.
+    # 720 whose letters f reads at their depth are checked, in about 10 ms.
     f = parse("<a>p & <b>q & [a]~p & (r | s | t | u)")
     started = time.thread_time()
     try:

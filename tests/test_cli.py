@@ -749,8 +749,8 @@ def test_verify_paper_memo_is_per_run(monkeypatch):
 
 
 @pytest.mark.parametrize("theorem_id, parses, recognized", [
-    (None, 27, 19),
-    ("box-dia-incomparable", 19, 14),
+    (None, 26, 19),
+    ("box-dia-incomparable", 18, 14),
     ("krombox-equiv", 10, 7),
 ], ids=["all", "box-dia-incomparable", "krombox-equiv"])
 def test_verify_paper_reads_each_text_once_per_run(theorem_id, parses, recognized, monkeypatch):

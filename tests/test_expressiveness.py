@@ -22,6 +22,8 @@ from knfrag import (
     Diamond,
     Formula,
     FragmentDescriptor,
+    KripkeFrame,
+    KripkeModel,
     Not,
     Or,
     Prop,
@@ -32,6 +34,7 @@ from knfrag import (
     model_to_json,
     parse,
     parse_fragment_spec,
+    product_world,
     recognize_clausal,
     replay_theorem,
     replay_theorems,
@@ -39,7 +42,7 @@ from knfrag import (
     strong_translation_check,
     weak_equiv_check,
 )
-from knfrag import expressiveness
+from knfrag import combinators, expressiveness
 from knfrag.semantics import Batch, _Layout, valuation_batches
 from knfrag.solver import CapExceeded, sat_bruteforce, sat_tableau, tree_model_bound
 from knfrag.translate import FreshLetterSource, krom_to_krom_box, krom_to_krom_diamond
@@ -1071,6 +1074,52 @@ def test_replay_report_shape(theorem_id):
     assert type(report.steps) is tuple
     assert all(isinstance(d, str) and isinstance(ok, bool) for d, ok in report.steps)
     assert report.overall == all(ok for _, ok in report.steps)
+
+
+def unchanged(m, *args):
+    return m
+
+
+def union(m1, m2):
+    # `intersect` gone wrong: the valuations are joined, not met.
+    val = {w: m1.valuation[w] | m2.valuation[w] for w in m1.frame.worlds}
+    return KripkeModel(m1.frame, val, m1.alphabet)
+
+
+def product_without_edges(m1, m2):
+    prod = combinators.product(m1, m2)
+    return KripkeModel(KripkeFrame(prod.frame.worlds), prod.valuation, prod.alphabet)
+
+
+def product_of_unions(m1, m2):
+    val = {product_world(u, v): m1.valuation[u] | m2.valuation[v]
+           for u in m1.frame.worlds for v in m2.frame.worlds}
+    return KripkeModel(combinators.product(m1, m2).frame, val, m1.alphabet)
+
+
+@pytest.mark.parametrize("theorem_id, construction, wrong", [
+    ("horn-vs-bool", "override_valuation", unchanged),
+    ("krom-vs-bool", "override_valuation", unchanged),
+    ("intersection-closure", "intersect", union),
+    ("hornbox-vs-horn", "intersect", union),
+    ("product-closure", "product", product_without_edges),
+    ("horndia-vs-horn", "product", product_of_unions),
+    ("krombox-equiv", "add_successor_world", unchanged),
+    ("kromdia-equiv", "add_successor_world", unchanged),
+], ids=lambda v: v if isinstance(v, str) else v.__name__)
+def test_replay_fails_without_its_model_construction(theorem_id, construction, wrong,
+                                                     monkeypatch):
+    # Each replay rests on its model construction: a wrong one fails it.
+    monkeypatch.setattr(expressiveness, construction, wrong)
+    assert not replay_theorem(theorem_id).overall
+
+
+def test_hornbox_sample_fails_on_a_union_of_the_witnesses(monkeypatch):
+    # The box-only sample is false wherever p holds at both w1 and w2, so
+    # the step can fail: it fails when `intersect` joins the valuations.
+    monkeypatch.setattr(expressiveness, "intersect", union)
+    steps = dict(replay_theorem("hornbox-vs-horn").steps)
+    assert steps["a box-only sample true in both witnesses is true in the intersection"] is False
 
 
 @pytest.mark.parametrize("bound", [0, -1])

@@ -28,6 +28,7 @@ from knfrag import (
     parse,
     to_nnf,
 )
+from knfrag import solver
 from knfrag.solver import (
     SAT,
     UNKNOWN_AT_BOUND,
@@ -683,6 +684,17 @@ def test_bruteforce_matches_the_loop_that_checks_every_tree():
             for cap in (1, 2, 7, 50, None):
                 want = outcome(reference_bruteforce, f, bound, cap)
                 assert outcome(sat_bruteforce, f, bound, cap) == want, (str(f), bound, cap)
+
+
+def test_bruteforce_counts_one_world_trees_with_letters_unread_at_the_root(monkeypatch):
+    # An edgeless root reads only f's depth-0 letters: the root mask {p} of
+    # `<a>p | q` is counted, not checked, so {q} is the second tree checked.
+    calls = []
+    checked = solver._check
+    monkeypatch.setattr(solver, "_check", lambda *args: calls.append(args) or checked(*args))
+    result = sat_bruteforce(parse("<a>p | q"))
+    assert model_to_json(result.witness.model, "w0")["valuation"] == {"w0": ["q"]}
+    assert len(calls) == 2
 
 
 def test_bruteforce_rejects_a_witness_that_fails_the_check(monkeypatch):
