@@ -2,17 +2,17 @@
 
 `weak_equiv_check` compares two formulas over every model (same alphabet)
 up to a world bound; `strong_translation_check` lets the second formula use
-fresh letters and searches model extensions for them.  Both return a
-verdict that is either equivalence-up-to-the-bound or a concrete pointed
-counterexample.  `search_weak_translation` refutes translatability claims
-by exhausting a clausal fragment up to a size bound, growing its clause
-pool by size, or at once when the fragment's least upper bound of the
-target, computed on one batch from distinct values in memory linear in
-their count, is not the target.  `replay_theorem` re-runs the concrete
-model constructions behind each catalogued result and reports step by
-step: each replay yields `(description, outcome)` pairs, recorded with
-each outcome as a `bool`.  A corollary cites the results it rests on by
-id, and `replay_theorems` replays several ids in one run, each once.
+fresh letters and searches model extensions for them.  Both call
+`_compare`, one flag apart, and answer equivalence-up-to-the-bound or a
+concrete pointed counterexample.  `search_weak_translation` refutes
+translatability claims by exhausting a clausal fragment up to a size bound,
+growing its clause pool by size, or at once when the fragment's least upper
+bound of the target, computed on one batch from distinct values in memory
+linear in their count, is not the target.  `replay_theorem` re-runs the
+concrete model constructions behind each catalogued result and reports step
+by step: each replay yields `(description, outcome)` pairs, recorded with
+each outcome as a `bool`.  A corollary cites the results it rests on by id,
+and `replay_theorems` replays several ids in one run, each once.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ __all__ = [
 
 EQUIVALENT_UP_TO_BOUND = "EQUIVALENT_UP_TO_BOUND"
 COUNTEREXAMPLE = "COUNTEREXAMPLE"
-_PROOF_DEPTH = 100  # `_first_disagreement` proves only below this modal depth
+_PROOF_DEPTH = 100  # `_compare` proves only below this modal depth
 
 
 class Counterexample(_Record):
@@ -111,22 +111,34 @@ def _rows_agree(rows, left, right, n_letters, n_mods, max_worlds) -> bool:
         return False
 
 
-def _first_disagreement(table, left, right, alphabet, fresh, max_worlds, right_key) -> Verdict:
-    """The first point, in the order of `enumerate_models` over `alphabet`,
-    where row `left` of `table` disagrees with "some assignment to `fresh`
-    satisfies row `right`", with the left row's truth under "left" and the
-    other side's under `right_key`.  With no fresh letters `exists_fresh`
-    is the identity: pointwise agreement.  Two NNF subformulas are equal
-    exactly when they share a row, and then the right side has no letter
-    the left lacks, so `left == right` is answered before any model is
-    valued.  With no fresh letters and modal depth below `_PROOF_DEPTH`
-    (`_expand` recurses per level), the tableau runs once on the XOR of the
-    rows before the first 2-world batch: closed, the rows agree on every
-    model; open or capped, the models are valued on."""
+def _compare(f, g, alphabet, max_worlds, strong) -> Verdict:
+    """The first point, in the order of `enumerate_models` over the alphabet,
+    where f ("left") disagrees with g ("right"), or, if `strong`, with "some
+    assignment to g's fresh letters satisfies g" ("extended_right"): then the
+    alphabet defaults to f's letters and g's other letters are fresh, else to
+    both sides'.  The sides are the root's children in one NNF table of `f & g`,
+    equal exactly when they share a row, and then g has no fresh letter, so
+    they agree before any model is valued.  With no fresh letters
+    `exists_fresh` is the identity, and below modal depth `_PROOF_DEPTH`
+    (`_expand` recurses per level) the tableau runs once on the XOR of the rows
+    before the first 2-world batch: closed, the rows agree on every model; open
+    or capped, the models are valued on."""
+    if max_worlds < 1:
+        raise ValueError("max_worlds must be at least 1")
+    rows, root, reads, profile, modalities = _nnf_table(And(f, g))
+    _, left, right = rows[root]
+    own = (frozenset(a for kind, a, _ in rows[:left + 1] if kind <= NEG) - {None}  # f's rows
+           if strong else reads.keys())
+    alphabet = frozenset(own if alphabet is None else map(str, alphabet))
+    if not own <= alphabet:
+        raise ValueError("f mentions letters outside its alphabet" if strong
+                         else "formulas mention letters outside the alphabet")
+    for letter in alphabet - own:  # read off no formula, so `Prop` checks it
+        Prop(letter)
     if left == right:
         return Verdict(EQUIVALENT_UP_TO_BOUND)
-    rows, modalities = table[0], table[4]
-    prove = not fresh and len(table[3]) <= _PROOF_DEPTH
+    fresh = reads.keys() - alphabet
+    prove = not fresh and len(profile) <= _PROOF_DEPTH
     for batch in valuation_batches(alphabet, modalities, max_worlds, fresh):
         if prove and batch.layout.k > 1:
             prove = False
@@ -137,7 +149,8 @@ def _first_disagreement(table, left, right, alphabet, fresh, max_worlds, right_k
         diff = lhs ^ batch.exists_fresh(values[right])
         if diff:
             pointed, a = batch.first_difference(diff, lhs)
-            return Verdict(COUNTEREXAMPLE, Counterexample(pointed, {"left": a, right_key: not a}))
+            key = "extended_right" if strong else "right"
+            return Verdict(COUNTEREXAMPLE, Counterexample(pointed, {"left": a, key: not a}))
     return Verdict(EQUIVALENT_UP_TO_BOUND)
 
 
@@ -159,15 +172,7 @@ def weak_equiv_check(f: Formula, g: Formula, alphabet=None, max_worlds: int = 3)
     subformulas of f and g, k the world count and B <= 2**12 the models in
     the batch.
     """
-    if max_worlds < 1:
-        raise ValueError("max_worlds must be at least 1")
-    table = _nnf_table(And(f, g))
-    rows, root, used = table[0], table[1], frozenset(table[2])
-    _, left, right = rows[root]
-    alphabet = used if alphabet is None else frozenset(str(l) for l in alphabet)
-    if not used <= alphabet:
-        raise ValueError("formulas mention letters outside the alphabet")
-    return _first_disagreement(table, left, right, alphabet, (), max_worlds, "right")
+    return _compare(f, g, alphabet, max_worlds, False)
 
 
 def strong_translation_check(
@@ -186,18 +191,7 @@ def strong_translation_check(
     O(rows * k * B) bits, with B <= max(2**12, 2**(k*|fresh|)) the models
     in the batch.
     """
-    if max_worlds < 1:
-        raise ValueError("max_worlds must be at least 1")
-    table = _nnf_table(And(f, g))
-    rows, root, reads = table[:3]
-    _, left, right = rows[root]
-    own = frozenset(a for kind, a, _ in rows[:left + 1] if kind <= NEG) - {None}  # f's rows
-    base_alpha = own if alphabet is None else frozenset(str(l) for l in alphabet)
-    if not own <= base_alpha:
-        raise ValueError("f mentions letters outside its alphabet")
-    fresh = reads.keys() - base_alpha
-    return _first_disagreement(table, left, right, base_alpha, fresh, max_worlds,
-                               "extended_right")
+    return _compare(f, g, alphabet, max_worlds, True)
 
 
 # --- Fragment-bounded candidate enumeration ---

@@ -2,9 +2,11 @@ import copy
 import hashlib
 import pickle
 import random
+import re
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 from dataclasses import FrozenInstanceError
 from itertools import chain, count, islice, product
 
@@ -156,14 +158,21 @@ def test_strong_translation_identity():
 
 
 def test_weak_implies_strong_same_alphabet():
+    # Over g's own letters the strong check has no fresh letter, and is the
+    # weak check: the same answer, its right side under "extended_right".
     rng = random.Random(13)
+    statuses = set()
     for _ in range(40):
         f = random_formula(rng, depth=2, letters=("p", "q"), mods=("a",))
         g = random_formula(rng, depth=2, letters=("p", "q"), mods=("a",))
         weak = weak_equiv_check(f, g, alphabet={"p", "q"}, max_worlds=2)
-        if weak.status == EQUIVALENT_UP_TO_BOUND:
-            strong = strong_translation_check(f, g, max_worlds=2, alphabet={"p", "q"})
-            assert strong.status == EQUIVALENT_UP_TO_BOUND
+        strong = strong_translation_check(f, g, max_worlds=2, alphabet={"p", "q"})
+        status, model, world, details = _answer(weak)
+        if details is not None:
+            details = {"left": details["left"], "extended_right": details["right"]}
+        assert _answer(strong) == (status, model, world, details), (str(f), str(g))
+        statuses.add(status)
+    assert statuses == {EQUIVALENT_UP_TO_BOUND, COUNTEREXAMPLE}
 
 
 # --- The bitsliced checks against the scalar reference loops ---
@@ -572,6 +581,29 @@ def test_proofs_past_one_world_match_the_scalar_loop(monkeypatch):
         assert {(check_fn, "closed", EQUIVALENT_UP_TO_BOUND), (check_fn, "open", COUNTEREXAMPLE),
                 (check_fn, "capped", EQUIVALENT_UP_TO_BOUND),
                 (check_fn, "capped", COUNTEREXAMPLE)} <= seen, check_fn.__name__
+
+
+def test_proof_outcomes_over_the_corpus_are_pinned(monkeypatch):
+    # How each pair's proof ends, and the nodes the proofs take from their
+    # budgets, a capped proof its cap plus one.
+    outcomes, taken = [], []
+    expand = expressiveness._expand
+
+    def recorded(rows, pending, budget):
+        outcomes.append("capped")
+        start = budget[0]
+        try:
+            tree = expand(rows, pending, budget)
+        finally:
+            taken.append(start - budget[0])
+        outcomes[-1] = "closed" if tree is None else "open"
+        return tree
+
+    monkeypatch.setattr(expressiveness, "_expand", recorded)
+    for check_fn, f, g, alphabet, worlds in _proof_corpus():
+        check_fn(f, g, alphabet=alphabet, max_worlds=worlds)
+    assert Counter(outcomes) == {"closed": 80, "open": 294, "capped": 638}
+    assert sum(taken) == 17684
 
 
 def test_a_capped_proof_leaves_the_answer_to_the_models(monkeypatch):
@@ -1143,6 +1175,19 @@ def test_bounded_checks_read_an_alphabet_alike(call, letter):
     assert call(parse("p"), alphabet).status == EQUIVALENT_UP_TO_BOUND
     with pytest.raises(ValueError, match="outside"):
         call(parse("p | q"), alphabet)
+
+
+@pytest.mark.parametrize("entry", ["P", "", "1p", "p q"])
+@pytest.mark.parametrize("call", [
+    lambda f, g, alphabet: weak_equiv_check(f, g, alphabet, 1),
+    lambda f, g, alphabet: strong_translation_check(f, g, 1, alphabet=alphabet),
+    lambda f, g, alphabet: search_weak_translation(f, "horn", alphabet, 1, 1),
+], ids=["weak", "strong", "search"])
+def test_bounded_checks_reject_alphabet_entries_that_are_not_letters(call, entry):
+    # No formula can name such an entry; the search's literals refuse it too.
+    for f, g in [(parse("p"), parse("q")), (parse("p"), parse("p"))]:
+        with pytest.raises(ValueError, match=re.escape(f"bad letter: {entry!r}")):
+            call(f, g, {"p", "q", entry})
 
 
 @pytest.mark.parametrize("size", [0, -3])
