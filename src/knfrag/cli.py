@@ -180,10 +180,8 @@ def _cmd_translate(args) -> int:
 def _cmd_equiv(args) -> int:
     f = parse(_read_formula(args.left))
     g = parse(args.right)
-    if args.mode == "weak":
-        verdict = weak_equiv_check(f, g, max_worlds=args.max_worlds)
-    else:
-        verdict = strong_translation_check(f, g, max_worlds=args.max_worlds)
+    compare = weak_equiv_check if args.mode == "weak" else strong_translation_check
+    verdict = compare(f, g, max_worlds=args.max_worlds)
     payload = {"status": verdict.status}
     if verdict.counterexample is not None:
         ce = verdict.counterexample
@@ -202,11 +200,9 @@ def _cmd_search(args) -> int:
         args.size,
         max_worlds=args.max_worlds,
     )
-    if found is None:
-        _emit(args, {"found": None}, "not found")
-        return 1
-    _emit(args, {"found": str(found)}, str(found))
-    return 0
+    text = None if found is None else str(found)
+    _emit(args, {"found": text}, text or "not found")
+    return 1 if found is None else 0
 
 
 def _cmd_verify_paper(args) -> int:
@@ -264,7 +260,7 @@ def _build_parser() -> _ArgumentParser:
     p = sub.add_parser("sat", help="satisfiability")
     p.add_argument("formula", nargs="?")
     p.add_argument("--engine", choices=("brute", "tableau"), default="tableau")
-    p.add_argument("--max-worlds", type=int, default=None, dest="max_worlds")
+    p.add_argument("--max-worlds", type=int, default=None)
     p.set_defaults(func=_cmd_sat)
 
     p = sub.add_parser("translate", help="rewrite a Krom formula into a restricted fragment")
@@ -277,14 +273,14 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--mode", choices=("weak", "strong"), default="weak")
-    p.add_argument("--max-worlds", type=int, default=3, dest="max_worlds")
+    p.add_argument("--max-worlds", type=int, default=3)
     p.set_defaults(func=_cmd_equiv)
 
     p = sub.add_parser("search", help="bounded search for a weak translation")
     p.add_argument("target", nargs="?")
     p.add_argument("--fragment", required=True, help="horn, krom, core, horn-box, ...")
     p.add_argument("--size", type=int, required=True)
-    p.add_argument("--max-worlds", type=int, default=3, dest="max_worlds")
+    p.add_argument("--max-worlds", type=int, default=3)
     p.add_argument("--alphabet", help="comma-separated letters (default: the target's)")
     p.set_defaults(func=_cmd_search)
 

@@ -31,7 +31,8 @@ from .semantics import (
     check,
     valuation_batches,
 )
-from .solver import DEFAULT_NODE_CAP, CapExceeded, _expand, _multisets, sat_bruteforce, sat_tableau
+from .solver import DEFAULT_NODE_CAP, CapExceeded, sat_bruteforce, sat_tableau
+from .solver import _at_least_one, _expand, _multisets
 from .syntax import (
     And,
     Box,
@@ -123,8 +124,7 @@ def _compare(f, g, alphabet, max_worlds, strong) -> Verdict:
     (`_expand` recurses per level) the tableau runs once on the XOR of the rows
     before the first 2-world batch: closed, the rows agree on every model; open
     or capped, the models are valued on."""
-    if max_worlds < 1:
-        raise ValueError("max_worlds must be at least 1")
+    _at_least_one(max_worlds=max_worlds)
     rows, root, reads, profile, modalities = _nnf_table(And(f, g))
     _, left, right = rows[root]
     own = (frozenset(a for kind, a, _ in rows[:left + 1] if kind <= NEG) - {None}  # f's rows
@@ -256,13 +256,14 @@ def _pool_by_size(alphabet, modalities, size_bound, fragment):
         yield lits, pool
 
 
-def _least_upper_bound(batch, truth, alphabet, mods, size_bound, req):
+def _least_upper_bound(batch, truth, size_bound, req):
     """The AND on the batch of the clauses of the fragment `req` up to the
     bound that hold wherever `truth` does, from the distinct values of its
     literals, bodies (least costs as in `_pool_by_size`) and boxed bodies."""
     kinds = [box for box, ok in ((False, not req.box_only), (True, not req.diamond_only)) if ok]
-    budget, full, levels, seen = size_bound + 1, batch.layout.full, [], set()
-    new = [full, *(batch.packed.get(l, 0) for l in alphabet)]
+    layout, levels, seen = batch.layout, [], set()  # over the batch's letters and modalities
+    budget, full, mods = size_bound + 1, layout.full, layout.mods
+    new = [full, *(batch.packed.get(l, 0) for l in layout.letters)]
     for _ in range(size_bound):  # levels[s - 1]: the literal values of least size s
         levels.append([v for v in dict.fromkeys(new) if v not in seen])
         seen.update(levels[-1])
@@ -359,10 +360,7 @@ def search_weak_translation(
     wherever the target is.  Memory: the pool up to the layer reached, a layer's index tuples,
     and k * B bits per value (target, literal, clause, and the bound's).
     """
-    if max_worlds < 1:
-        raise ValueError("max_worlds must be at least 1")
-    if formula_size_bound < 1:
-        raise ValueError("formula_size_bound must be at least 1")
+    _at_least_one(max_worlds=max_worlds, formula_size_bound=formula_size_bound)
     rows, root, reads, _, used_mods = _nnf_table(target)
     if modalities is None:
         modalities = {"a"} | used_mods
@@ -414,8 +412,7 @@ def search_weak_translation(
         if found:
             return ClausalFormula(min(found, key=itemgetter(0))[1])
         batch, truth, _, _ = seen[0]  # layer 1 holds T
-        if s == 1 and truth != _least_upper_bound(batch, truth, alphabet, mods,
-                                                  formula_size_bound, req):
+        if s == 1 and truth != _least_upper_bound(batch, truth, formula_size_bound, req):
             return None
     return None
 

@@ -335,9 +335,9 @@ class _Layout:
     """
 
     __slots__ = ("k", "n", "ones", "full", "low", "vcells", "blocks", "letters",
-                 "alphabet", "fresh", "mods", "packed", "outside", "fresh_mask")
+                 "fresh", "mods", "packed", "outside", "fresh_mask")
 
-    def __init__(self, k, letters, fresh, mods, alphabet):
+    def __init__(self, k, letters, fresh, mods):
         e = k * len(fresh)
         vcells = e + k * len(letters)
         cells = vcells + len(mods) * k * k
@@ -346,7 +346,7 @@ class _Layout:
         ones = (1 << n) - 1
         self.k, self.n, self.ones, self.full = k, n, ones, (1 << k * n) - 1
         self.low, self.vcells, self.blocks = low, vcells, 1 << cells - low
-        self.letters, self.alphabet, self.fresh, self.mods = letters, alphabet, fresh, mods
+        self.letters, self.fresh, self.mods = letters, fresh, mods
         # Bit j of a batch is set in cell b's pattern iff bit b of j is: 2**b
         # zeros then 2**b ones, repeated.  Each pattern is made from the next
         # cell's by a shift and an XOR, from the top cell down, so that
@@ -478,7 +478,7 @@ class Batch:
         model = KripkeModel._direct(
             _frame(ws, layout.mods, index >> layout.vcells),
             _valuation(ws, layout.letters, mask),
-            layout.alphabet,
+            frozenset(layout.letters),
         )
         return PointedModel(model, ws[w]), bool(value >> (w * n + j) & 1)
 
@@ -500,9 +500,8 @@ def valuation_batches(letters, modalities, max_worlds: int, fresh=()):
     letters = tuple(sorted(letters))
     fresh = tuple(sorted(fresh))
     mods = tuple(sorted(modalities))
-    alphabet = frozenset(letters)
     for k in range(1, max_worlds + 1):
-        layout = _Layout(k, letters, fresh, mods, alphabet)
+        layout = _Layout(k, letters, fresh, mods)
         yield from map(layout.batch, range(layout.blocks))
 
 

@@ -75,6 +75,13 @@ class SatResult(_Record):
         _set(self, "witness", witness)
 
 
+def _at_least_one(**counts) -> None:
+    """Raise `ValueError` for the first count, in keyword order, below 1; None passes."""
+    for name, value in counts.items():
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be at least 1")
+
+
 def to_nnf(f: Formula) -> Formula:
     """Negation normal form: negation only on letters and T, decoded from the
     table `sat_tableau` decides over, so equal subformulas share one node."""
@@ -237,10 +244,7 @@ def sat_bruteforce(
     once, checked under root mask 0, and only the readable ones are kept,
     with their positions, for the other root masks.
     """
-    if max_worlds is not None and max_worlds < 1:
-        raise ValueError("max_worlds must be at least 1")
-    if model_cap < 1:
-        raise ValueError("model_cap must be at least 1")
+    _at_least_one(max_worlds=max_worlds, model_cap=model_cap)
     _, _, reads, profile, modalities = _nnf_table(f)
     if max_worlds is None:
         max_worlds = _world_bound(profile)
@@ -306,8 +310,7 @@ def sat_bruteforce(
 
 def sat_tableau(f: Formula, node_cap: int = DEFAULT_NODE_CAP) -> SatResult:
     """Complete satisfiability test; SAT verdicts carry a finite tree witness."""
-    if node_cap < 1:
-        raise ValueError("node_cap must be at least 1")
+    _at_least_one(node_cap=node_cap)
     rows, root, reads, _, _ = _nnf_table(f)
     tree = _expand(rows, [root], [node_cap])
     if tree is None:

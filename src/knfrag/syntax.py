@@ -521,6 +521,7 @@ def parse(text: str, alphabet=None) -> Formula:
     """
     lexemes = _LEXEME_RE.findall(text)
     lexemes.append("")  # the end
+    alphabet = None if alphabet is None else frozenset(alphabet)  # letters, not substrings
     new = object.__new__
     atoms, modalities = {"T": TOP, "F": BOTTOM}, {}  # one node per letter, one Modality per name
     pending, prefixes, opened = [], [], []

@@ -696,6 +696,7 @@ def reference_parse(text, alphabet=None):
     """`parse` through a tokenizer that keeps every token's offset and
     nodes built by their validating constructors."""
     tokens = _reference_tokenize(text)
+    alphabet = None if alphabet is None else frozenset(alphabet)
     props, modalities = {}, {}  # one node per letter, one Modality per name
     pending, prefixes, opened = [], [], []
     i = 0

@@ -137,6 +137,22 @@ def test_check_rejects_malformed_model_json(tmp_path, data):
     assert err.startswith("error: model JSON")
 
 
+def test_check_rejects_a_model_file_that_is_not_json(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text('{"worlds": [', encoding="utf-8")
+    code, out, err = run(["check", str(path), "p", "--world", "w0"])
+    assert code == 65 and out == ""
+    assert err.startswith(f"bad JSON in {path}: ")
+
+
+def test_check_needs_a_world_when_the_model_designates_none(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"worlds": ["w0"]}), encoding="utf-8")
+    code, out, err = run(["check", str(path), "p"])
+    assert (code, out) == (65, "")
+    assert err == "no world: the model has no designated world and --world was not given\n"
+
+
 def test_sat_verb_statuses():
     assert run(["sat", "p & ~p"])[0] == 1
     code, out, _ = run(["--json", "sat", "<a>p"])

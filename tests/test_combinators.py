@@ -291,6 +291,13 @@ def test_combinator_frames_match_the_public_constructor():
         _assert_same_frame(added, m1.frame.worlds + (fresh,), expected)
 
 
+def test_product_rejects_different_alphabets():
+    m1, _ = fan_pair()
+    m2 = KripkeModel(m1.frame, {}, {"p", "q"})
+    with pytest.raises(ValueError, match="^product needs identical alphabets$"):
+        product(m1, m2)
+
+
 def test_product_rejects_colliding_world_names():
     left = KripkeModel(KripkeFrame(["a,b", "a"]), {}, set())
     right = KripkeModel(KripkeFrame(["c", "b,c"]), {}, set())

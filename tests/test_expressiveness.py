@@ -769,7 +769,7 @@ def test_least_upper_bound_matches_the_clause_by_clause_and(monkeypatch):
             req = parse_fragment_spec(fragment)
             for target, (batch, truth), row in zip(targets, points, want):
                 for s, expected in enumerate(row, 1):
-                    got = expressiveness._least_upper_bound(batch, truth, alphabet, mods, s, req)
+                    got = expressiveness._least_upper_bound(batch, truth, s, req)
                     assert got == expected, (fragment, alphabet, mods, s, str(target),
                                              batch.layout.k, batch.start)
                     cases += 1

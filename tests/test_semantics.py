@@ -9,6 +9,7 @@ from knfrag import (
     And,
     KripkeFrame,
     KripkeModel,
+    Not,
     PointedModel,
     Prop,
     check,
@@ -62,6 +63,11 @@ def test_check_single_world_example():
 def test_check_unknown_world(fan_model):
     with pytest.raises(ValueError):
         check(fan_model, "nope", parse("p"))
+
+
+def test_check_rejects_a_non_formula_node(fan_model):
+    with pytest.raises(TypeError, match=r"^not a formula: 3$"):
+        check(fan_model, "w0", Not(3))
 
 
 def test_letters_outside_alphabet_are_false(fan_model):
@@ -184,6 +190,15 @@ def test_frame_equality_ignores_empty_relations():
     assert f1 == f2 and hash(f1) == hash(f2)
 
 
+def test_frames_and_models_are_unequal_to_other_types(fan_model):
+    frame = fan_model.frame
+    for other in (None, 3, "w0", frame.worlds, frame.relations):
+        assert frame != other and not frame == other
+        assert fan_model != other and not fan_model == other
+    assert fan_model != frame and frame != fan_model
+    assert fan_model != PointedModel(fan_model, "w0")
+
+
 def test_model_validation():
     frame = KripkeFrame(["w0"])
     with pytest.raises(ValueError):
@@ -303,7 +318,7 @@ def test_layouts_match_the_long_division_formulas(chunk, monkeypatch):
     mods = (Modality("a"), Modality("b"))
     for k, nl, nf, nm in iproduct(range(1, 4), range(4), range(3), range(3)):
         letters, fresh = ("p", "q", "r")[:nl], ("x", "y")[:nf]
-        layout = _Layout(k, letters, fresh, mods[:nm], frozenset(letters))
+        layout = _Layout(k, letters, fresh, mods[:nm])
         got = layout.packed, layout.outside, layout.fresh_mask
         assert got == long_division_layout(k, letters, fresh, mods[:nm], chunk), (k, nl, nf, nm)
 

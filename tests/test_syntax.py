@@ -140,6 +140,16 @@ def test_parse_declared_alphabet():
         parse("p | r", alphabet={"p", "q"})
 
 
+def test_parse_reads_a_string_alphabet_as_its_letters():
+    # A string alphabet holds its characters, as in the bounded checks, so
+    # "pq" declares the letters p and q, not the letter pq.
+    for alphabet in ("pq", ["p", "q"], iter("pq")):
+        assert parse("p | q", alphabet=alphabet) == Or(Prop("p"), Prop("q"))
+    for parser in (parse, reference_parse):
+        with pytest.raises(ParseError, match="letter 'pq' not in the declared alphabet at 1:1"):
+            parser("pq", alphabet="pq")
+
+
 def test_print_examples():
     assert to_text(Or(Prop("p"), Prop("q"))) == "p | q"
     clause = Clause(prefix=("a",), negatives=(Prop("p"), Prop("q")), positives=(Prop("r"),))
@@ -259,6 +269,8 @@ def test_clause_validation():
         Clause((), (Not(Prop("p")),), ())
     with pytest.raises(ValueError):
         ClausalFormula(())
+    with pytest.raises(ValueError, match="^clauses must be Clause values$"):
+        ClausalFormula([Prop("p")])
 
 
 def test_letters_and_alphabet():
